@@ -45,7 +45,7 @@ KIND_FIELDS = {
     "loadgen": ("wall_ms",),
     "query": ("warm_wall_ms", "cold_job_ms"),
     "ingest": ("wall_ms", "reject_wall_ms"),
-    "taskgraph": ("dag_wall_ms", "mono_wall_ms"),
+    "taskgraph": ("dag_wall_ms",),
 }
 
 

@@ -1,15 +1,14 @@
-// E18 (taskgraph) — the phase-level task graph vs the monolithic call
-// sequence on the serving pipeline. The workload is the sharing
-// acceptance case: a two-algorithms-same-fingerprint batch (deterministic
-// separator + BFS-level baseline on one instance), where the DAG builds
-// the spanning tree once and both algorithms consume its bytes, while the
-// monolithic path pays the BFS twice. Reports the cold batch wall for
-// both execution modes (min-of-reps, fresh cache per rep), the warm DAG
-// wall (everything cache-served), the sub-result sharing counters, and
-// the corpus-store IO overlapped with compute. The bench hard-fails if
-// the DAG and monolithic row streams differ (byte-identity contract) or
-// if the cold DAG batch runs the spanning tree more than once per
-// fingerprint. Flags beyond bench_util's:
+// E18 (taskgraph) — the phase-level task graph on the serving pipeline.
+// The workload is the sharing acceptance case: a two-algorithms-same-
+// fingerprint batch (deterministic separator + BFS-level baseline on one
+// instance), where the task graph builds the spanning tree once and both
+// algorithms consume its bytes. Reports the cold batch wall (min-of-reps,
+// fresh cache per rep), the warm wall (everything cache-served), the
+// sub-result sharing counters, and the corpus-store IO overlapped with
+// compute. The bench hard-fails if the warm row stream differs from the
+// cold one (byte-identity contract), if the cold batch runs the spanning
+// tree more than once per fingerprint, or if the warm batch computes
+// anything. Flags beyond bench_util's:
 //   --corpus-dir=PATH  scratch corpus root for the overlapped IO stage
 //                      (default taskgraph.bench.corpus, wiped per rep)
 
@@ -50,11 +49,10 @@ int main(int argc, char** argv) {
               };
 
   std::printf(
-      "E18: task-graph DAG vs monolithic on two-algorithm batches "
-      "(threads=%d%s)\n\n",
+      "E18: task graph on two-algorithm batches (threads=%d%s)\n\n",
       threads, quick ? ", quick" : "");
-  Table table({"family", "n", "mono ms", "dag ms", "warm ms", "speedup",
-               "st runs", "shared", "io ms"});
+  Table table({"family", "n", "cold ms", "warm ms", "st runs", "shared",
+               "io ms"});
   bench::BenchJson json("taskgraph");
 
   for (const bench::SweepPoint& pt : sweep) {
@@ -67,59 +65,45 @@ int main(int argc, char** argv) {
     jobs[1] = jobs[0];
     jobs[1].algo = serve::Algo::kBaselineSeparator;
 
-    // One cold batch in each execution mode: fresh in-memory cache, the
-    // corpus scratch wiped so the IO task writes every time.
-    const auto run_cold = [&](bool dag) {
+    // One cold batch: fresh in-memory cache, the corpus scratch wiped so
+    // the IO task writes every time.
+    serve::BatchOptions opts;
+    opts.threads = threads;
+    opts.corpus_dir = corpus_dir;
+    const auto run_cold = [&] {
       std::filesystem::remove_all(corpus_dir);
       std::filesystem::create_directories(corpus_dir);
       serve::ResultCache cache({256u << 20, ""});
-      serve::BatchOptions opts;
-      opts.threads = threads;
-      opts.corpus_dir = corpus_dir;
-      opts.taskgraph = dag;
       return serve::run_batch(jobs, opts, cache);
     };
 
-    // Instrumented cold runs: counters and the byte-identity check.
-    const serve::BatchReport mono = run_cold(false);
-    const serve::BatchReport dag = run_cold(true);
-    if (mono.ok != 2 || dag.ok != 2) {
-      std::fprintf(stderr, "bench_taskgraph: batch failed (%lld/%lld ok)\n",
-                   mono.ok, dag.ok);
+    // Instrumented cold run: the sharing counters.
+    const serve::BatchReport cold = run_cold();
+    if (cold.ok != 2) {
+      std::fprintf(stderr, "bench_taskgraph: batch failed (%lld/2 ok)\n",
+                   cold.ok);
       return 2;
     }
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (mono.results[j].row != dag.results[j].row) {
-        std::fprintf(stderr,
-                     "bench_taskgraph: DAG row diverged from monolithic "
-                     "(job %zu)\n  mono: %s\n  dag:  %s\n",
-                     j, mono.results[j].row.c_str(),
-                     dag.results[j].row.c_str());
-        return 2;
-      }
-    }
     const long long st_runs =
-        dag.taskgraph.runs.count(taskgraph::kSpanningTreeTask)
-            ? dag.taskgraph.runs.at(taskgraph::kSpanningTreeTask)
+        cold.taskgraph.runs.count(taskgraph::kSpanningTreeTask)
+            ? cold.taskgraph.runs.at(taskgraph::kSpanningTreeTask)
             : 0;
     const long long shared =
         static_cast<long long>(jobs.size()) - st_runs;
-    if (st_runs != 1 || dag.cache.served_without_compute() <= 0) {
+    if (st_runs != 1 || cold.cache.served_without_compute() <= 0) {
       std::fprintf(stderr,
-                   "bench_taskgraph: no sub-result sharing on the cold DAG "
+                   "bench_taskgraph: no sub-result sharing on the cold "
                    "batch (spanning_tree runs=%lld, hits=%lld)\n",
-                   st_runs, dag.cache.hits);
+                   st_runs, cold.cache.hits);
       return 2;
     }
 
-    // Timed cold batches, then the warm DAG batch over one kept cache.
-    const double mono_ms = bench::min_wall_ms(reps, [&] { run_cold(false); });
-    const double dag_ms = bench::min_wall_ms(reps, [&] { run_cold(true); });
+    // Timed cold batches, then the warm batch over one kept cache.
+    const double cold_ms = bench::min_wall_ms(reps, [&] { run_cold(); });
 
     serve::ResultCache warm_cache({256u << 20, ""});
     serve::BatchOptions warm_opts;
     warm_opts.threads = threads;
-    warm_opts.taskgraph = true;
     (void)serve::run_batch(jobs, warm_opts, warm_cache);
     serve::BatchReport warm_report;
     const double warm_ms = bench::min_wall_ms(reps, [&] {
@@ -127,16 +111,25 @@ int main(int argc, char** argv) {
     });
     if (warm_report.taskgraph.tasks_run != 0) {
       std::fprintf(stderr,
-                   "bench_taskgraph: warm DAG batch ran %lld compute "
-                   "bodies, expected 0\n",
+                   "bench_taskgraph: warm batch ran %lld compute bodies, "
+                   "expected 0\n",
                    warm_report.taskgraph.tasks_run);
       return 2;
     }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (cold.results[j].row != warm_report.results[j].row) {
+        std::fprintf(stderr,
+                     "bench_taskgraph: warm row diverged from cold "
+                     "(job %zu)\n  cold: %s\n  warm: %s\n",
+                     j, cold.results[j].row.c_str(),
+                     warm_report.results[j].row.c_str());
+        return 2;
+      }
+    }
 
-    const double speedup = mono_ms / dag_ms;
-    table.add(planar::family_name(pt.family), pt.n, mono_ms, dag_ms, warm_ms,
-              speedup, st_runs, shared,
-              static_cast<double>(dag.taskgraph.overlapped_io_ms));
+    table.add(planar::family_name(pt.family), pt.n, cold_ms, warm_ms,
+              st_runs, shared,
+              static_cast<double>(cold.taskgraph.overlapped_io_ms));
     json.row()
         .set("kind", "taskgraph")
         .set("workload", "two-algo-pair")
@@ -147,18 +140,16 @@ int main(int argc, char** argv) {
         .set("host_cores", host_cores)
         .set("seed", static_cast<long long>(seed))
         .set("jobs", static_cast<long long>(jobs.size()))
-        .set("mono_wall_ms", mono_ms)
-        .set("dag_wall_ms", dag_ms)
+        .set("dag_wall_ms", cold_ms)
         .set("dag_warm_wall_ms", warm_ms)
-        .set("speedup_dag_vs_mono", speedup)
-        .set("tasks_run", dag.taskgraph.tasks_run)
-        .set("cache_served", dag.taskgraph.cache_served)
+        .set("tasks_run", cold.taskgraph.tasks_run)
+        .set("cache_served", cold.taskgraph.cache_served)
         .set("spanning_tree_runs", st_runs)
         .set("shared_subresults", shared)
-        .set("flight_joins", dag.cache.flight_joins)
-        .set("cache_hits", dag.cache.hits)
-        .set("io_tasks", dag.taskgraph.io_tasks)
-        .set("overlapped_io_ms", dag.taskgraph.overlapped_io_ms)
+        .set("flight_joins", cold.cache.flight_joins)
+        .set("cache_hits", cold.cache.hits)
+        .set("io_tasks", cold.taskgraph.io_tasks)
+        .set("overlapped_io_ms", cold.taskgraph.overlapped_io_ms)
         .set("warm_cache_served", warm_report.taskgraph.cache_served);
   }
 
@@ -166,10 +157,9 @@ int main(int argc, char** argv) {
   table.print();
   json.write(bench::json_path_arg(argc, argv, "taskgraph"));
   std::printf(
-      "\nExpectation: the cold DAG batch builds the spanning tree once and\n"
-      "both algorithms consume its bytes (st runs=1, shared=1), beating the\n"
-      "monolithic path that pays the BFS per job; corpus IO overlaps the\n"
-      "compute stages; the warm batch is served entirely from cache. Rows\n"
-      "are byte-identical across execution modes (checked above).\n");
+      "\nExpectation: the cold batch builds the spanning tree once and\n"
+      "both algorithms consume its bytes (st runs=1, shared=1); corpus IO\n"
+      "overlaps the compute stages; the warm batch is served entirely from\n"
+      "cache, with rows byte-identical to the cold ones (checked above).\n");
   return 0;
 }

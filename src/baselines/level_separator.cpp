@@ -4,6 +4,7 @@
 
 #include "congest/bfs_tree.hpp"
 #include "subroutines/components.hpp"
+#include "util/check.hpp"
 
 namespace plansep::baselines {
 
@@ -32,8 +33,10 @@ LevelSeparatorResult bfs_level_separator(const planar::EmbeddedGraph& g,
   const int h = bfs.height;
   std::vector<std::vector<NodeId>> level(static_cast<std::size_t>(h + 1));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    level[static_cast<std::size_t>(bfs.depth[static_cast<std::size_t>(v)])]
-        .push_back(v);
+    const int d = bfs.depth[static_cast<std::size_t>(v)];
+    // Injected faults can break the wave before it reaches every node.
+    PLANSEP_CHECK_MSG(d >= 0 && d <= h, "BFS wave did not reach every node");
+    level[static_cast<std::size_t>(d)].push_back(v);
   }
 
   LevelSeparatorResult best;

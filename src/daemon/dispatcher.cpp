@@ -143,126 +143,43 @@ bool Dispatcher::chaos_fires(std::uint64_t id, int attempt) const {
 }
 
 void Dispatcher::execute(Item item) {
-  if (item.sub.ingest != nullptr) {
-    // Ingest jobs are pure functions of (text, options) plus one
-    // idempotent corpus write; no global hooks, so a shared lock and a
-    // single attempt suffice (same reasoning as query jobs below).
-    IngestOutcome outcome;
-    ingest::IngestOptions opts = item.sub.ingest->options;
-    opts.corpus_root = opts_.batch.corpus_dir;
-    try {
-      ingest::IngestResult res;
-      {
-        std::shared_lock<std::shared_mutex> sh(fault_mu_);
-        res = ingest::ingest_string(item.sub.ingest->text, opts);
-      }
-      outcome.status = "ok";
-      outcome.fingerprint = res.meta.fingerprint;
-      outcome.corpus_path = res.corpus_file;
-      outcome.nodes = res.graph.num_nodes();
-      outcome.edges = res.graph.num_edges();
-      metrics_.add("daemon/ingest_accepted");
-    } catch (const ingest::IngestError& e) {
-      outcome.status = "rejected";
-      outcome.error_code = static_cast<std::uint8_t>(e.code());
-      outcome.error = e.what();
-      outcome.witness = e.witness();
-      if (outcome.witness.size() > kMaxWitnessEdges) {
-        outcome.witness.resize(kMaxWitnessEdges);
-      }
-      metrics_.add("daemon/ingest_rejected");
-    }
-    metrics_.add("daemon/completed");
-    metrics_.add("daemon/ingests");
-    metrics_.job_completed(item.sub.id, 1);
-    if (item.done) {
-      JobDone done;
-      done.client = item.sub.client;
-      done.id = item.sub.id;
-      done.client_seq = item.client_seq;
-      done.is_ingest = true;
-      done.ingest_outcome = std::move(outcome);
-      item.done(done);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --outstanding_[item.sub.client];
-      --running_;
-    }
-    idle_cv_.notify_all();
-    return;
-  }
-
-  if (item.sub.query != nullptr) {
-    // Query jobs never install the process-global fault injector and are
-    // pure functions of (job, artifact bytes), so chaos re-runs would buy
-    // nothing: one shared-lock execution, one delivery.
-    query::QueryOutcome outcome;
-    {
-      std::shared_lock<std::shared_mutex> sh(fault_mu_);
-      outcome = query::run_query_job(*item.sub.query, opts_.batch, cache_,
-                                     &engine_cache_);
-    }
-    metrics_.add("daemon/completed");
-    metrics_.add("daemon/queries");
-    metrics_.add("daemon/query_answers",
-                 static_cast<long long>(outcome.distances.size()));
-    if (outcome.engine_cache_hit) metrics_.add("daemon/query_engine_hits");
-    if (outcome.status == "error") metrics_.add("daemon/errors");
-    metrics_.job_completed(item.sub.id, 1);
-    if (item.done) {
-      JobDone done;
-      done.client = item.sub.client;
-      done.id = item.sub.id;
-      done.client_seq = item.client_seq;
-      done.is_query = true;
-      done.query_outcome = std::move(outcome);
-      item.done(done);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --outstanding_[item.sub.client];
-      --running_;
-    }
-    idle_cv_.notify_all();
-    return;
-  }
-
-  serve::JobResult result;
-  const bool faulty = item.sub.spec.faults.enabled();
-  for (int attempt = 0;; ++attempt) {
-    if (faulty) {
-      // Exclusive: this job installs the process-global fault injector.
-      std::unique_lock<std::shared_mutex> ex(fault_mu_);
-      result = serve::run_single_job(item.sub.spec, item.sub.id, opts_.batch,
-                                     cache_);
+  JobDone done{item.sub.client, item.sub.id, item.client_seq, {}};
+  {
+    // Fault jobs install the process-global fault injector: they hold the
+    // fault lock exclusively, every other job shares it.
+    const auto* spec = std::get_if<serve::JobSpec>(&item.sub.job);
+    std::shared_lock<std::shared_mutex> shared(fault_mu_, std::defer_lock);
+    std::unique_lock<std::shared_mutex> exclusive(fault_mu_, std::defer_lock);
+    if (spec != nullptr && spec->faults.enabled()) {
+      exclusive.lock();
     } else {
-      std::shared_lock<std::shared_mutex> sh(fault_mu_);
-      result = serve::run_single_job(item.sub.spec, item.sub.id, opts_.batch,
-                                     cache_);
+      shared.lock();
     }
-    if (!chaos_fires(item.sub.id, attempt)) break;
-    // Simulated worker crash: the attempt's result is discarded and the
-    // job re-runs. Payload determinism is untouched — run_single_job is a
-    // pure function of (spec, id, artifact bytes).
-    metrics_.add("daemon/chaos_crashes");
-    metrics_.add("daemon/retries");
+    done.outcome = std::visit(
+        [&](const auto& job) -> JobDone::Outcome {
+          try {
+            return run(job, done.id);
+          } catch (const std::exception& e) {
+            // Nothing a job throws escapes its worker: it becomes the
+            // job's error outcome.
+            decltype(run(job, done.id)) out;
+            out.status = "error";
+            out.error = e.what();
+            return out;
+          }
+        },
+        item.sub.job);
   }
 
+  const int attempts = std::visit(
+      [this](const auto& out) {
+        if (out.status == "error") metrics_.add("daemon/errors");
+        return fold_metrics(out);
+      },
+      done.outcome);
   metrics_.add("daemon/completed");
-  if (result.status == "deadline") metrics_.add("daemon/deadline_missed");
-  if (result.status == "error") metrics_.add("daemon/errors");
-  metrics_.taskgraph_completed(result.taskgraph);
-  metrics_.job_completed(item.sub.id, result.attempts);
-
-  if (item.done) {
-    JobDone done;
-    done.client = item.sub.client;
-    done.id = item.sub.id;
-    done.client_seq = item.client_seq;
-    done.result = std::move(result);
-    item.done(done);
-  }
+  metrics_.job_completed(done.id, attempts);
+  if (item.done) item.done(done);
 
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -270,6 +187,74 @@ void Dispatcher::execute(Item item) {
     --running_;
   }
   idle_cv_.notify_all();
+}
+
+serve::JobResult Dispatcher::run(const serve::JobSpec& spec,
+                                 std::uint64_t id) {
+  for (int attempt = 0;; ++attempt) {
+    serve::JobResult result =
+        serve::run_single_job(spec, id, opts_.batch, cache_);
+    if (!chaos_fires(id, attempt)) return result;
+    // Simulated worker crash: the attempt's result is discarded and the
+    // job re-runs. Payload determinism is untouched — run_single_job is a
+    // pure function of (spec, id, artifact bytes).
+    metrics_.add("daemon/chaos_crashes");
+    metrics_.add("daemon/retries");
+  }
+}
+
+query::QueryOutcome Dispatcher::run(
+    const std::shared_ptr<const query::QueryJob>& job, std::uint64_t) {
+  // Query jobs never install the fault injector and are pure functions of
+  // (job, artifact bytes), so chaos re-runs would buy nothing.
+  return query::run_query_job(*job, opts_.batch, cache_, &engine_cache_);
+}
+
+IngestOutcome Dispatcher::run(const std::shared_ptr<const IngestJob>& job,
+                              std::uint64_t) {
+  // Ingest jobs are pure functions of (text, options) plus one idempotent
+  // corpus write, so a single attempt suffices too.
+  ingest::IngestOptions opts = job->options;
+  opts.corpus_root = opts_.batch.corpus_dir;
+  IngestOutcome out;
+  try {
+    const ingest::IngestResult res = ingest::ingest_string(job->text, opts);
+    out.status = "ok";
+    out.fingerprint = res.meta.fingerprint;
+    out.corpus_path = res.corpus_file;
+    out.nodes = res.graph.num_nodes();
+    out.edges = res.graph.num_edges();
+  } catch (const ingest::IngestError& e) {
+    out.status = "rejected";
+    out.error_code = static_cast<std::uint8_t>(e.code());
+    out.error = e.what();
+    out.witness = e.witness();
+    if (out.witness.size() > kMaxWitnessEdges) {
+      out.witness.resize(kMaxWitnessEdges);
+    }
+  }
+  return out;
+}
+
+int Dispatcher::fold_metrics(const serve::JobResult& r) {
+  if (r.status == "deadline") metrics_.add("daemon/deadline_missed");
+  metrics_.taskgraph_completed(r.taskgraph);
+  return r.attempts;
+}
+
+int Dispatcher::fold_metrics(const query::QueryOutcome& q) {
+  metrics_.add("daemon/queries");
+  metrics_.add("daemon/query_answers",
+               static_cast<long long>(q.distances.size()));
+  if (q.engine_cache_hit) metrics_.add("daemon/query_engine_hits");
+  return 1;
+}
+
+int Dispatcher::fold_metrics(const IngestOutcome& o) {
+  metrics_.add("daemon/ingests");
+  if (o.status == "ok") metrics_.add("daemon/ingest_accepted");
+  if (o.status == "rejected") metrics_.add("daemon/ingest_rejected");
+  return 1;
 }
 
 void Dispatcher::worker_loop() {

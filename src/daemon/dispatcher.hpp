@@ -4,7 +4,8 @@
 /// The daemon's admission-controlled job dispatcher: bounded two-priority
 /// queue, per-client quotas, worker pool, chaos retries, graceful drain.
 
-// The dispatcher sits between protocol sessions and serve::run_single_job.
+// The dispatcher sits between protocol sessions and the job runners
+// (serve::run_single_job, query::run_query_job, ingest::ingest_string).
 //
 // Admission is synchronous and bounded: submit() either admits the job
 // (assigning the client's next delivery sequence number under the lock,
@@ -23,10 +24,10 @@
 // and fault injector for the dispatcher's lifetime and forces the CONGEST
 // round engine serial; jobs whose spec enables fault injection take an
 // exclusive lock (their injector hook is process-global) while fault-free
-// jobs share it. Optional chaos testing re-runs a job when a seeded coin
-// (a pure function of chaos_seed, job id and attempt index) fires,
-// discarding the crashed attempt's result — the delivered payload is
-// always the final attempt's, hence byte-identical to a chaos-free run.
+// jobs share it. Optional chaos testing re-runs a pipeline job when a
+// seeded coin (a pure function of chaos_seed, job id and attempt index)
+// fires, discarding the crashed attempt's result — the delivered payload
+// is always the final attempt's, hence byte-identical to a chaos-free run.
 //
 // pause()/resume() freeze dequeueing (admission keeps running). This is
 // the deterministic backpressure probe: pause an idle dispatcher, submit
@@ -43,6 +44,7 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 #include <condition_variable>
 
@@ -88,7 +90,9 @@ struct IngestJob {
 /// boundary: a rejection is a normal outcome ("rejected" + typed code),
 /// mirroring how query errors travel in QueryOutcome.
 struct IngestOutcome {
-  std::string status;             ///< "ok" / "rejected"
+  /// "ok", "rejected", or "error" (the job failed outside the ingest
+  /// pipeline's typed rejections, e.g. a failed corpus write).
+  std::string status;
   std::uint8_t error_code = 0;    ///< ingest::IngestErrorCode; 0 when ok
   std::string error;              ///< rejection message; "" when ok
   std::uint64_t fingerprint = 0;  ///< corpus identity when ok
@@ -98,35 +102,36 @@ struct IngestOutcome {
   std::vector<std::pair<long long, long long>> witness;  ///< non-planar
 };
 
-/// One admitted unit of work: a pipeline job (spec) or, when `query` /
-/// `ingest` is set, a batched distance-query job or an edge-list
-/// admission. All classes share the queue, the quota and the
-/// backpressure bound — a query or ingest is admitted (or rejected)
+/// One admitted unit of work. All classes share the queue, the quota and
+/// the backpressure bound — a query or ingest is admitted (or rejected)
 /// exactly like a submit.
 struct Submission {
+  /// A pipeline job, a batched distance-query job, or an edge-list
+  /// admission (the latter two shared so admitted items stay cheap to
+  /// move).
+  using Job = std::variant<serve::JobSpec,
+                           std::shared_ptr<const query::QueryJob>,
+                           std::shared_ptr<const IngestJob>>;
   std::uint64_t client = 0;  ///< session identity (quota + delivery order)
   std::uint64_t id = 0;      ///< client-chosen correlation id
   Priority priority = Priority::kNormal;  ///< scheduling class
-  serve::JobSpec spec;       ///< the job (ignored when `query`/`ingest` set)
-  /// Set for query jobs; shared so admitted items stay cheap to move.
-  std::shared_ptr<const query::QueryJob> query = nullptr;
-  /// Set for ingest jobs (at most one of `query`/`ingest` is set).
-  std::shared_ptr<const IngestJob> ingest = nullptr;
+  Job job;                   ///< what to run
 };
 
 /// Delivered to the completion callback, exactly once per admitted job.
 struct JobDone {
+  /// The outcome of each Submission::Job alternative, in the same order:
+  /// the row (pipeline jobs), the answers (query jobs), or the admission
+  /// verdict (ingest jobs).
+  using Outcome =
+      std::variant<serve::JobResult, query::QueryOutcome, IngestOutcome>;
   std::uint64_t client = 0;      ///< submitting session
   std::uint64_t id = 0;          ///< the submission's correlation id
   std::uint64_t client_seq = 0;  ///< admission order within the client
-  bool is_query = false;         ///< query_outcome is live
-  bool is_ingest = false;        ///< ingest_outcome is live
-  serve::JobResult result;       ///< the job's outcome row (pipeline jobs)
-  query::QueryOutcome query_outcome;  ///< the batch answers (query jobs)
-  IngestOutcome ingest_outcome;  ///< the admission verdict (ingest jobs)
+  Outcome outcome;               ///< what the job produced
 };
 
-/// Admission-controlled worker pool over serve::run_single_job.
+/// Admission-controlled worker pool over the job runners.
 class Dispatcher {
  public:
   /// Completion callback type. Invoked on a worker thread, before the
@@ -178,6 +183,17 @@ class Dispatcher {
 
   void worker_loop();
   void execute(Item item);
+  // One body per request class; execute() turns anything they throw into
+  // an error outcome.
+  serve::JobResult run(const serve::JobSpec& spec, std::uint64_t id);
+  query::QueryOutcome run(const std::shared_ptr<const query::QueryJob>& job,
+                          std::uint64_t id);
+  IngestOutcome run(const std::shared_ptr<const IngestJob>& job,
+                    std::uint64_t id);
+  // Folds one outcome's class counters in; returns its attempt count.
+  int fold_metrics(const serve::JobResult& r);
+  int fold_metrics(const query::QueryOutcome& q);
+  int fold_metrics(const IngestOutcome& o);
   bool chaos_fires(std::uint64_t id, int attempt) const;
 
   DispatcherOptions opts_;

@@ -65,7 +65,8 @@ class DaemonMetrics {
   /// daemon/taskgraph_tasks_run, daemon/taskgraph_cache_served,
   /// daemon/taskgraph_io_tasks, the daemon/taskgraph_overlapped_io_ms
   /// histogram, and per-task run counts under daemon/taskgraph_runs/<task>.
-  /// No-op for monolithic-path jobs (all counters zero).
+  /// No-op for jobs that failed before their execution finished (all
+  /// counters zero).
   void taskgraph_completed(const taskgraph::TaskGraphCounters& tg) {
     if (tg.tasks_run == 0 && tg.cache_served == 0 && tg.io_tasks == 0) return;
     std::lock_guard<std::mutex> lk(mu_);

@@ -10,8 +10,10 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "obs/json.hpp"
 #include "obs/trace_export.hpp"
@@ -35,6 +37,40 @@ bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// Parses a submit/query frame's job-file line.
+serve::JobSpec parse_spec(const std::string& line) {
+  auto parsed = serve::parse_job_line(line, 0);
+  if (!parsed) throw std::runtime_error("empty job spec");
+  return std::move(*parsed);
+}
+
+// The response frame of a finished job, one frame type per request class.
+std::vector<std::uint8_t> response_frame(const JobDone& done) {
+  if (const auto* r = std::get_if<serve::JobResult>(&done.outcome)) {
+    return make_frame(FrameType::kResponse, done.id,
+                      encode_response({r->status, r->attempts, r->row}));
+  }
+  if (const auto* q = std::get_if<query::QueryOutcome>(&done.outcome)) {
+    return make_frame(
+        FrameType::kQueryResp, done.id,
+        encode_query_response(
+            {q->status, q->error, q->distances,
+             static_cast<std::uint8_t>(q->engine_cache_hit ? 1 : 0)}));
+  }
+  const IngestOutcome& out = std::get<IngestOutcome>(done.outcome);
+  IngestResponsePayload resp;
+  resp.status = out.status;
+  resp.error_code = out.error_code;
+  resp.error = out.error;
+  resp.fingerprint = out.fingerprint;
+  resp.corpus_path = out.corpus_path;
+  resp.nodes = out.nodes;
+  resp.edges = out.edges;
+  resp.witness.assign(out.witness.begin(), out.witness.end());
+  return make_frame(FrameType::kIngestResp, done.id,
+                    encode_ingest_response(resp));
 }
 
 }  // namespace
@@ -236,13 +272,9 @@ void Server::handle_frame(const std::shared_ptr<Session>& s,
                           const io::Frame& f) {
   switch (static_cast<FrameType>(f.type)) {
     case FrameType::kSubmit:
-      handle_submit(s, f);
-      return;
     case FrameType::kQueryReq:
-      handle_query(s, f);
-      return;
     case FrameType::kIngestReq:
-      handle_ingest(s, f);
+      if (auto sub = decode_submission(*s, f)) admit(s, std::move(*sub));
       return;
     case FrameType::kPing:
       s->send_now(make_frame(FrameType::kPong, f.id));
@@ -273,53 +305,63 @@ void Server::handle_frame(const std::shared_ptr<Session>& s,
   }
 }
 
-void Server::handle_submit(const std::shared_ptr<Session>& s,
-                           const io::Frame& f) {
-  SubmitPayload sub;
+std::optional<Submission> Server::decode_submission(Session& s,
+                                                    const io::Frame& f) {
+  Submission sub;
+  sub.client = s.client;
+  sub.id = f.id;
   try {
-    sub = decode_submit(f.payload);
+    if (f.type == static_cast<std::uint8_t>(FrameType::kSubmit)) {
+      SubmitPayload req = decode_submit(f.payload);
+      sub.priority = req.priority;
+      sub.job = parse_spec(req.spec_line);
+    } else if (f.type == static_cast<std::uint8_t>(FrameType::kQueryReq)) {
+      QueryRequestPayload req = decode_query_request(f.payload);
+      auto job = std::make_shared<query::QueryJob>();
+      job->instance = parse_spec(req.spec_line);
+      job->leaf_size = req.leaf_size;
+      job->pairs.assign(req.pairs.begin(), req.pairs.end());
+      job->dead_edges.assign(req.dead_edges.begin(), req.dead_edges.end());
+      sub.priority = req.priority;
+      sub.job = std::move(job);
+    } else {
+      IngestRequestPayload req = decode_ingest_request(f.payload);
+      auto job = std::make_shared<IngestJob>();
+      job->options.format = static_cast<ingest::TextFormat>(req.format);
+      job->options.drop_self_loops = req.drop_self_loops != 0;
+      job->options.drop_duplicate_edges = req.drop_duplicates != 0;
+      job->options.triangulate = req.triangulate != 0;
+      if (!req.family.empty()) job->options.family = req.family;
+      // Client caps may only tighten the server defaults, never widen them.
+      ingest::IngestOptions& o = job->options;
+      if (req.max_nodes > 0) o.max_nodes = std::min(o.max_nodes, req.max_nodes);
+      if (req.max_edges > 0) o.max_edges = std::min(o.max_edges, req.max_edges);
+      job->text = std::move(req.text);
+      sub.priority = req.priority;
+      sub.job = std::move(job);
+    }
   } catch (const io::FormatError& e) {
     // The frame itself was sound (CRC passed), so the stream is still in
-    // sync — reject the submission, keep the session.
+    // sync — reject the request, keep the session.
     metrics_.add("daemon/malformed_frames");
-    s->send_now(
-        make_frame(FrameType::kError, f.id,
-                   encode_status({StatusCode::kMalformedFrame, e.what()})));
-    return;
-  }
-
-  serve::JobSpec spec;
-  try {
-    auto parsed = serve::parse_job_line(sub.spec_line, 0);
-    if (!parsed) throw std::runtime_error("empty job spec");
-    spec = std::move(*parsed);
-  } catch (const std::exception& e) {
-    s->send_now(make_frame(
+    s.send_now(make_frame(
         FrameType::kError, f.id,
-        encode_status({StatusCode::kBadJobSpec, e.what()})));
-    return;
+        encode_status({StatusCode::kMalformedFrame, e.what()})));
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    s.send_now(make_frame(FrameType::kError, f.id,
+                          encode_status({StatusCode::kBadJobSpec, e.what()})));
+    return std::nullopt;
   }
+  return sub;
+}
 
-  const std::uint64_t id = f.id;
-  Submission submission;
-  submission.client = s->client;
-  submission.id = id;
-  submission.priority = sub.priority;
-  submission.spec = std::move(spec);
+void Server::admit(const std::shared_ptr<Session>& s, Submission sub) {
+  const std::uint64_t id = sub.id;
   std::weak_ptr<Session> weak = s;
   const Admission adm = dispatcher_->submit(
-      std::move(submission), [this, weak](const JobDone& done) {
-        auto frame = make_frame(
-            FrameType::kResponse, done.id,
-            encode_response({done.result.status, done.result.attempts,
-                             done.result.row}));
-        const auto session = weak.lock();
-        if (session == nullptr || !session->deliver(done.client_seq,
-                                                    std::move(frame))) {
-          metrics_.add("daemon/orphaned_responses");
-        }
-      });
-
+      std::move(sub),
+      [this, weak](const JobDone& done) { deliver(weak, done); });
   switch (adm) {
     case Admission::kAdmitted:
       return;  // the response arrives through the reorder buffer
@@ -342,155 +384,11 @@ void Server::handle_submit(const std::shared_ptr<Session>& s,
   }
 }
 
-void Server::handle_query(const std::shared_ptr<Session>& s,
-                          const io::Frame& f) {
-  QueryRequestPayload req;
-  try {
-    req = decode_query_request(f.payload);
-  } catch (const io::FormatError& e) {
-    // Same contract as handle_submit: the frame's CRC passed, so the
-    // stream is in sync — reject the request, keep the session.
-    metrics_.add("daemon/malformed_frames");
-    s->send_now(
-        make_frame(FrameType::kError, f.id,
-                   encode_status({StatusCode::kMalformedFrame, e.what()})));
-    return;
-  }
-
-  auto job = std::make_shared<query::QueryJob>();
-  try {
-    auto parsed = serve::parse_job_line(req.spec_line, 0);
-    if (!parsed) throw std::runtime_error("empty job spec");
-    job->instance = std::move(*parsed);
-  } catch (const std::exception& e) {
-    s->send_now(make_frame(
-        FrameType::kError, f.id,
-        encode_status({StatusCode::kBadJobSpec, e.what()})));
-    return;
-  }
-  job->leaf_size = req.leaf_size;
-  job->pairs.assign(req.pairs.begin(), req.pairs.end());
-  job->dead_edges.assign(req.dead_edges.begin(), req.dead_edges.end());
-
-  const std::uint64_t id = f.id;
-  Submission sub;
-  sub.client = s->client;
-  sub.id = id;
-  sub.priority = req.priority;
-  sub.query = std::move(job);
-  std::weak_ptr<Session> weak = s;
-  const Admission adm = dispatcher_->submit(
-      std::move(sub), [this, weak](const JobDone& done) {
-        const query::QueryOutcome& out = done.query_outcome;
-        auto frame = make_frame(
-            FrameType::kQueryResp, done.id,
-            encode_query_response(
-                {out.status, out.error, out.distances,
-                 static_cast<std::uint8_t>(out.engine_cache_hit ? 1 : 0)}));
-        const auto session = weak.lock();
-        if (session == nullptr || !session->deliver(done.client_seq,
-                                                    std::move(frame))) {
-          metrics_.add("daemon/orphaned_responses");
-        }
-      });
-
-  switch (adm) {
-    case Admission::kAdmitted:
-      return;  // the response arrives through the reorder buffer
-    case Admission::kQueueFull:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status({StatusCode::kQueueFull, "admission queue full"})));
-      return;
-    case Admission::kQuotaExceeded:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status(
-              {StatusCode::kQuotaExceeded, "per-client quota exhausted"})));
-      return;
-    case Admission::kDraining:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status({StatusCode::kDraining, "daemon is draining"})));
-      return;
-  }
-}
-
-void Server::handle_ingest(const std::shared_ptr<Session>& s,
-                           const io::Frame& f) {
-  IngestRequestPayload req;
-  try {
-    req = decode_ingest_request(f.payload);
-  } catch (const io::FormatError& e) {
-    metrics_.add("daemon/malformed_frames");
-    s->send_now(
-        make_frame(FrameType::kError, f.id,
-                   encode_status({StatusCode::kMalformedFrame, e.what()})));
-    return;
-  }
-
-  auto job = std::make_shared<IngestJob>();
-  job->options.format = static_cast<ingest::TextFormat>(req.format);
-  job->options.drop_self_loops = req.drop_self_loops != 0;
-  job->options.drop_duplicate_edges = req.drop_duplicates != 0;
-  job->options.triangulate = req.triangulate != 0;
-  if (!req.family.empty()) job->options.family = req.family;
-  // Client caps may only tighten the server defaults, never widen them.
-  if (req.max_nodes > 0) {
-    job->options.max_nodes = std::min(job->options.max_nodes, req.max_nodes);
-  }
-  if (req.max_edges > 0) {
-    job->options.max_edges = std::min(job->options.max_edges, req.max_edges);
-  }
-  job->text = std::move(req.text);
-
-  const std::uint64_t id = f.id;
-  Submission sub;
-  sub.client = s->client;
-  sub.id = id;
-  sub.priority = req.priority;
-  sub.ingest = std::move(job);
-  std::weak_ptr<Session> weak = s;
-  const Admission adm = dispatcher_->submit(
-      std::move(sub), [this, weak](const JobDone& done) {
-        const IngestOutcome& out = done.ingest_outcome;
-        IngestResponsePayload resp;
-        resp.status = out.status;
-        resp.error_code = out.error_code;
-        resp.error = out.error;
-        resp.fingerprint = out.fingerprint;
-        resp.corpus_path = out.corpus_path;
-        resp.nodes = out.nodes;
-        resp.edges = out.edges;
-        resp.witness.assign(out.witness.begin(), out.witness.end());
-        auto frame = make_frame(FrameType::kIngestResp, done.id,
-                                encode_ingest_response(resp));
-        const auto session = weak.lock();
-        if (session == nullptr || !session->deliver(done.client_seq,
-                                                    std::move(frame))) {
-          metrics_.add("daemon/orphaned_responses");
-        }
-      });
-
-  switch (adm) {
-    case Admission::kAdmitted:
-      return;  // the response arrives through the reorder buffer
-    case Admission::kQueueFull:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status({StatusCode::kQueueFull, "admission queue full"})));
-      return;
-    case Admission::kQuotaExceeded:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status(
-              {StatusCode::kQuotaExceeded, "per-client quota exhausted"})));
-      return;
-    case Admission::kDraining:
-      s->send_now(make_frame(
-          FrameType::kReject, id,
-          encode_status({StatusCode::kDraining, "daemon is draining"})));
-      return;
+void Server::deliver(const std::weak_ptr<Session>& weak, const JobDone& done) {
+  const auto session = weak.lock();
+  if (session == nullptr ||
+      !session->deliver(done.client_seq, response_frame(done))) {
+    metrics_.add("daemon/orphaned_responses");
   }
 }
 

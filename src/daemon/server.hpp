@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,9 +108,13 @@ class Server {
   void session_loop(const std::shared_ptr<Session>& s);
   void dump_loop();
   void handle_frame(const std::shared_ptr<Session>& s, const io::Frame& f);
-  void handle_submit(const std::shared_ptr<Session>& s, const io::Frame& f);
-  void handle_query(const std::shared_ptr<Session>& s, const io::Frame& f);
-  void handle_ingest(const std::shared_ptr<Session>& s, const io::Frame& f);
+  // Decodes a submit/query/ingest frame, or answers its typed error and
+  // returns nullopt.
+  std::optional<Submission> decode_submission(Session& s, const io::Frame& f);
+  // Submits to the dispatcher; answers any rejection at once.
+  void admit(const std::shared_ptr<Session>& s, Submission sub);
+  // Delivers a finished job's response, or counts it as orphaned.
+  void deliver(const std::weak_ptr<Session>& weak, const JobDone& done);
   void handle_drain(const std::shared_ptr<Session>& s, std::uint64_t id);
   void write_dumps();
   std::string drain_summary_json() const;

@@ -77,6 +77,7 @@ RecoveredSeparator compute_separator_with_recovery(
       out.cost += engine.setup_cost();
       std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
       sub::PartSet ps = sub::build_part_set(g, part, 1, engine, {root});
+      out.cost += ps.cost;
       separator::SeparatorEngine se(engine);
       separator::SeparatorResult res = se.compute(ps);
       out.cost += res.cost;

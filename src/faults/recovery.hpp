@@ -72,7 +72,9 @@ RecoveredDfs build_dfs_tree_with_recovery(const planar::EmbeddedGraph& g,
 struct RecoveredSeparator {
   std::optional<separator::SeparatorResult> result;  ///< validated separator
   RetryStats recovery;        ///< how recovery went
-  shortcuts::RoundCost cost;  ///< attempts + backoff, both ledgers
+  /// Attempts + backoff, both ledgers; each attempt charges setup, part-set
+  /// build and engine, like core::compute_cycle_separator.
+  shortcuts::RoundCost cost;
 };
 
 /// Computes a cycle separator of connected g as one part (Theorem 1),

@@ -13,6 +13,7 @@ const char* ingest_error_code_name(IngestErrorCode code) {
     case IngestErrorCode::kEdgeLimit: return "edge-limit";
     case IngestErrorCode::kEmpty: return "empty";
     case IngestErrorCode::kNonPlanar: return "non-planar";
+    case IngestErrorCode::kNotBiconnected: return "not-biconnected";
   }
   return "unknown";
 }

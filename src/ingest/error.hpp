@@ -33,6 +33,7 @@ enum class IngestErrorCode : std::uint8_t {
   kEdgeLimit = 7,      ///< edge count exceeds max_edges
   kEmpty = 8,          ///< no edges survive parsing
   kNonPlanar = 9,      ///< DMP rejection; witness() has the subgraph
+  kNotBiconnected = 10,  ///< --triangulate on a graph that is not 2-connected
 };
 
 /// Stable lower-case name of a code ("parse", "overflow", ...). The

@@ -137,6 +137,11 @@ IngestResult ingest_text(std::istream& in, const IngestOptions& opts) {
 
   out.graph = std::move(*check.embedding);
   if (opts.triangulate) {
+    if (!planar::triangulable(out.graph)) {
+      throw IngestError(IngestErrorCode::kNotBiconnected, 0,
+                        "graph is not 2-connected (--triangulate needs a "
+                        "2-connected graph)");
+    }
     planar::Triangulation tri = planar::triangulate_with_apexes(out.graph);
     out.stats.apexes = tri.apexes;
     out.graph = std::move(tri.graph);

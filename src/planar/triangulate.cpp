@@ -54,4 +54,19 @@ Triangulation triangulate_with_apexes(const EmbeddedGraph& g) {
   return out;
 }
 
+bool triangulable(const EmbeddedGraph& g) {
+  if (g.num_components() != 1) return false;
+  const FaceStructure fs(g);
+  for (FaceId f = 0; f < fs.num_faces(); ++f) {
+    std::vector<NodeId> corners;
+    for (const DartId d : fs.walk(f)) corners.push_back(g.head(d));
+    std::sort(corners.begin(), corners.end());
+    if (corners.size() < 3 ||
+        std::adjacent_find(corners.begin(), corners.end()) != corners.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace plansep::planar

@@ -24,6 +24,12 @@ struct Triangulation {
 
 /// Triangulates every face of the (connected, embedded) graph by apex
 /// insertion. Faces that are already triangles are left untouched.
+/// Requires triangulable(g).
 Triangulation triangulate_with_apexes(const EmbeddedGraph& g);
+
+/// triangulate_with_apexes' precondition: g is connected and every face
+/// walk is a simple cycle of at least 3 corners, i.e. g is 2-connected (a
+/// repeated corner would force a parallel apex edge).
+bool triangulable(const EmbeddedGraph& g);
 
 }  // namespace plansep::planar

@@ -4,12 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fingerprint.hpp"
 #include "io/artifact.hpp"
-#include "io/corpus.hpp"
 #include "obs/metrics.hpp"
-#include "planar/generators.hpp"
-#include "shortcuts/partwise.hpp"
 #include "taskgraph/graph.hpp"
 #include "taskgraph/pipeline.hpp"
 
@@ -17,11 +13,8 @@ namespace plansep::query {
 
 serve::CacheKey index_cache_key(std::uint64_t fingerprint, NodeId root,
                                 int leaf_size) {
-  const std::uint64_t config_hash =
-      core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                     static_cast<std::uint64_t>(root),
-                     static_cast<std::uint64_t>(leaf_size));
-  return serve::CacheKey{fingerprint, kIndexAlgorithmId, config_hash};
+  return serve::CacheKey{fingerprint, kIndexAlgorithmId,
+                         taskgraph::cache_config_hash(root, leaf_size)};
 }
 
 EngineCache::EngineCache(std::size_t capacity)
@@ -102,85 +95,29 @@ QueryOutcome run_query_job(const QueryJob& job,
                                " outside [1, 2^20]");
     }
 
-    // --- acquire the instance (generate-or-load, as execute_job does) ----
-    planar::EmbeddedGraph g;
-    planar::NodeId root = 0;
-    std::string family = job.instance.family;
-    if (!job.instance.graph_path.empty()) {
-      io::LoadedGraph loaded = io::load_graph(job.instance.graph_path);
-      g = std::move(loaded.graph);
-      if (!loaded.meta.family.empty()) family = loaded.meta.family;
-    } else {
-      const auto fam = planar::family_from_name(job.instance.family);
-      if (!fam) {
-        throw std::runtime_error("unknown family '" + job.instance.family +
-                                 "'");
-      }
-      planar::GeneratedGraph gg =
-          planar::make_instance(*fam, job.instance.n, job.instance.seed);
-      g = std::move(gg.graph);
-      root = gg.root_hint;
-      if (!opts.corpus_dir.empty()) {
-        io::store_in_corpus(opts.corpus_dir, job.instance.family, g,
-                            job.instance.seed);
-      }
-    }
-    const NodeId n = g.num_nodes();
-    check_pairs(job.pairs, n, "query pair");
-    check_pairs(job.dead_edges, n, "dead edge");
+    // The recorded query graph replays spanning tree → engine → hierarchy
+    // → index. Its query_index task keys on index_cache_key's mix; the
+    // spanning tree keys on the plain root mix, shared with batch jobs on
+    // the same fingerprint. The corpus store starts now, overlapped with
+    // everything up to the answers.
+    const serve::Instance inst = serve::acquire_instance(job.instance);
+    taskgraph::JobInputs in = inst.inputs(opts.corpus_dir);
+    in.leaf_size = job.leaf_size;
+    in.build_threads = std::max(1, opts.threads);
+    taskgraph::Execution exec(taskgraph::query_graph(), in, &cache);
 
-    // --- the persisted index, through the shared result cache -----------
-    const std::uint64_t fingerprint = core::topology_fingerprint(g);
-    const serve::CacheKey key =
-        index_cache_key(fingerprint, root, job.leaf_size);
-    serve::ArtifactCache::Value bytes;
-    if (opts.taskgraph) {
-      // The recorded query graph replays the closure below stage by stage
-      // (spanning tree → engine → hierarchy → index). Its query_index
-      // task overrides the key config with index_cache_key's mix, so the
-      // persisted index artifact lands under exactly `key`; the
-      // spanning-tree sub-artifact keys on the plain root mix, shared
-      // with batch jobs on the same fingerprint.
-      taskgraph::JobInputs in;
-      in.graph = &g;
-      in.root = root;
-      in.fingerprint = fingerprint;
-      in.config_hash =
-          core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                         static_cast<std::uint64_t>(root));
-      in.family = family;
-      in.seed = job.instance.seed;
-      in.leaf_size = job.leaf_size;
-      in.build_threads = std::max(1, opts.threads);
-      taskgraph::ExecOptions eo;
-      eo.cache = &cache;
-      taskgraph::Execution exec(taskgraph::query_graph(), in, eo);
-      bytes = exec.request(taskgraph::kQueryIndexTask);
-      exec.finish_io();
-    } else {
-      bytes = cache.get_or_compute(key, [&] {
-        shortcuts::PartwiseEngine part_engine(g, root);
-        const separator::SeparatorHierarchy h =
-            separator::build_hierarchy(g, part_engine, job.leaf_size);
-        // Fanning the per-piece solves over opts.threads is byte-identical
-        // to the serial build (disjoint writes), so the cached artifact is
-        // the same no matter who computed it.
-        const QueryIndex qi =
-            build_query_index(g, h, job.leaf_size, std::max(1, opts.threads));
-        io::Artifact a;
-        a.add(io::SectionId::kMeta,
-              io::encode_meta({family, job.instance.seed, fingerprint}));
-        a.add(io::SectionId::kHierarchy, io::encode_hierarchy({n, h}));
-        a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
-        return io::assemble(a);
-      });
-    }
+    const planar::EmbeddedGraph& g = inst.graph;
+    check_pairs(job.pairs, g.num_nodes(), "query pair");
+    check_pairs(job.dead_edges, g.num_nodes(), "dead edge");
+    const serve::ArtifactCache::Value bytes =
+        exec.request(taskgraph::kQueryIndexTask);
 
     // --- one bytes→answers path, warm or cold ----------------------------
     std::shared_ptr<QueryEngine> engine;
     if (job.dead_edges.empty() && engines != nullptr) {
       engine = engines->get_or_build(
-          serve::cache_address(key),
+          serve::cache_address(
+              index_cache_key(inst.fingerprint, inst.root, job.leaf_size)),
           [&] { return engine_from_artifact_bytes(g, *bytes); },
           &out.engine_cache_hit);
     } else {
@@ -190,15 +127,16 @@ QueryOutcome run_query_job(const QueryJob& job,
       for (const auto& [a, b] : job.dead_edges) engine->kill_edge(a, b);
     }
     out.distances = engine->distances(job.pairs);
+    exec.finish_io();  // join the corpus store; rethrows its failure
     if (obs::MetricsRegistry* reg = obs::global_registry()) {
       reg->add("query/jobs");
       reg->add("query/answers",
                static_cast<long long>(out.distances.size()));
     }
   } catch (const std::exception& e) {
+    out = QueryOutcome{};
     out.status = "error";
     out.error = e.what();
-    out.distances.clear();
   }
   return out;
 }

@@ -8,13 +8,15 @@
 // n, seed, or an explicit .psg path), a hierarchy leaf size, a batch of
 // (u, v) pairs, and an optional list of dead edges. run_query_job:
 //
-//   1. acquires the instance exactly like serve::execute_job
-//      (generate-or-load, corpus store);
-//   2. get_or_computes the persisted hierarchy+index artifact through the
-//      shared serve::ArtifactCache under the key
+//   1. acquires the instance through serve::acquire_instance, the path
+//      batch jobs take (generate-or-load);
+//   2. requests the persisted hierarchy+index artifact from the recorded
+//      taskgraph::query_graph(), which resolves it through the shared
+//      serve::ArtifactCache under the key
 //      (fingerprint, "hier-index@v1", hash(root, leaf_size)) — a .psg
 //      container with kMeta + kHierarchy + kQueryIndex sections, so a
-//      disk-tier cache warm-loads the oracle across process restarts;
+//      disk-tier cache warm-loads the oracle across process restarts —
+//      and stores a generated instance in the corpus through its IO task;
 //   3. decodes the artifact bytes into a QueryEngine — cold and warm runs
 //      share this one bytes→answers path, which is why answers are
 //      byte-identical across cache temperature — optionally memoized in

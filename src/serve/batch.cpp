@@ -13,13 +13,13 @@
 
 #include "congest/thread_pool.hpp"
 #include "core/fingerprint.hpp"
-#include "core/plansep.hpp"
 #include "faults/controller.hpp"
 #include "io/artifact.hpp"
-#include "io/corpus.hpp"
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
+#include "planar/generators.hpp"
 #include "serve/verify.hpp"
+#include "subroutines/components.hpp"
 
 namespace plansep::serve {
 
@@ -136,13 +136,6 @@ std::string render_row(const JobRun& r) {
 
 // -------------------------------------------------------- job execution --
 
-std::vector<std::uint8_t> single_section(io::SectionId id,
-                                         std::vector<std::uint8_t> payload) {
-  io::Artifact a;
-  a.add(id, std::move(payload));
-  return io::assemble(a);
-}
-
 // Decodes a cached/computed separator artifact and fills the row — the one
 // bytes→row path shared by cold and warm runs.
 SepRow sep_row_from_bytes(const planar::EmbeddedGraph& g,
@@ -219,58 +212,54 @@ BaselineRow baseline_row_from_bytes(const planar::EmbeddedGraph& g,
   return row;
 }
 
+// Decodes one stage's artifact bytes into its row section.
+void fill_row(JobRun& run, const std::string& task,
+              const planar::EmbeddedGraph& g,
+              const std::vector<std::uint8_t>& bytes) {
+  if (task == taskgraph::kSeparatorTask) {
+    run.sep = sep_row_from_bytes(g, bytes);
+  } else if (task == taskgraph::kDfsTask) {
+    run.dfs = dfs_row_from_bytes(g, bytes);
+  } else {
+    run.baseline = baseline_row_from_bytes(g, bytes);
+  }
+}
+
+// The sink tasks a job requests, in stage order.
+std::vector<const char*> stage_tasks(Algo a) {
+  switch (a) {
+    case Algo::kSeparator:
+      return {taskgraph::kSeparatorTask};
+    case Algo::kDfs:
+      return {taskgraph::kDfsTask};
+    case Algo::kPipeline:
+      return {taskgraph::kSeparatorTask, taskgraph::kDfsTask};
+    case Algo::kBaselineSeparator:
+      return {taskgraph::kBaselineTask};
+  }
+  return {};
+}
+
 JobRun execute_job(const JobSpec& spec, std::uint64_t index,
                    const BatchOptions& opts, ArtifactCache& cache) {
   JobRun run;
   run.spec = &spec;
   run.index = index;
   const auto start = Clock::now();
-  const auto expired = [&] {
-    return spec.deadline_ms >= 0 && elapsed_ms(start) >= spec.deadline_ms;
-  };
 
   try {
-    // --- acquire the instance (generate-or-load) -------------------------
-    // Fault-injected jobs always take the monolithic recovery path; the
-    // task graph serves every fault-free job (unless PLANSEP_TASKGRAPH=0).
-    const bool faulty = spec.faults.enabled();
-    const bool dag = opts.taskgraph && !faulty;
-
-    planar::EmbeddedGraph g;
-    planar::NodeId root = 0;
-    bool generated = false;
-    if (!spec.graph_path.empty()) {
-      io::LoadedGraph loaded = io::load_graph(spec.graph_path);
-      g = std::move(loaded.graph);
-      run.family = loaded.meta.family;
-    } else {
-      const auto fam = planar::family_from_name(spec.family);
-      if (!fam) {
-        throw std::runtime_error("unknown family '" + spec.family + "'");
-      }
-      planar::GeneratedGraph gg =
-          planar::make_instance(*fam, spec.n, spec.seed);
-      g = std::move(gg.graph);
-      root = gg.root_hint;
-      generated = true;
-      // The DAG path stores through its IO task instead, overlapped with
-      // the compute stages.
-      if (!opts.corpus_dir.empty() && !dag) {
-        io::store_in_corpus(opts.corpus_dir, spec.family, g, spec.seed);
-      }
-    }
+    const Instance inst = acquire_instance(spec);
     run.have_graph = true;
-    run.nodes = g.num_nodes();
-    run.edges = g.num_edges();
-    run.fingerprint = core::topology_fingerprint(g);
-    const std::uint64_t config_hash =
-        core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                       static_cast<std::uint64_t>(root));
+    run.family = inst.family;
+    run.nodes = inst.graph.num_nodes();
+    run.edges = inst.graph.num_edges();
+    run.fingerprint = inst.fingerprint;
 
     // Faulty jobs install their controller for the whole job: both stages
     // draw from one deterministic epoch sequence, and retries see fresh
     // faults. run_batch guarantees such jobs execute serially, so the
     // process-global injector never leaks into a concurrent job.
+    const bool faulty = spec.faults.enabled();
     std::optional<faults::FaultController> ctl;
     std::optional<faults::ScopedFaultInjection> inj;
     if (faulty) {
@@ -278,125 +267,37 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
       inj.emplace(*ctl);
     }
 
-    // One task-graph execution per job: the memo shares the spanning tree
-    // between this job's stages; the cache's single-flight shares it with
-    // concurrent jobs on the same fingerprint. IO (the corpus store)
-    // starts now, overlapped with the stages below.
-    std::optional<taskgraph::Execution> exec;
-    if (dag) {
-      taskgraph::JobInputs tin;
-      tin.graph = &g;
-      tin.root = root;
-      tin.fingerprint = run.fingerprint;
-      tin.config_hash = config_hash;
-      tin.corpus_dir = opts.corpus_dir;
-      tin.family = spec.family;
-      tin.seed = spec.seed;
-      tin.store_corpus = generated && !opts.corpus_dir.empty();
-      taskgraph::ExecOptions topts;
-      topts.cache = &cache;
-      exec.emplace(taskgraph::pipeline_graph(), tin, topts);
-    }
+    // One execution per job: the memo shares the spanning tree between
+    // this job's stages; the cache's single-flight shares it with
+    // concurrent jobs on the same fingerprint. Fault jobs replay the
+    // recovery graph uncached, since their artifacts depend on the fault
+    // plan. IO (the corpus store) starts now, overlapped with the stages.
+    taskgraph::JobInputs in = inst.inputs(opts.corpus_dir);
+    in.retry = opts.retry;
+    taskgraph::Execution exec(
+        faulty ? taskgraph::recovery_graph() : taskgraph::pipeline_graph(),
+        in, faulty ? nullptr : &cache);
 
-    // --- separator stage -------------------------------------------------
-    if (spec.algo == Algo::kSeparator || spec.algo == Algo::kPipeline) {
-      if (expired()) {
+    for (const char* task : stage_tasks(spec.algo)) {
+      if (spec.deadline_ms >= 0 && elapsed_ms(start) >= spec.deadline_ms) {
         run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          faults::RecoveredSeparator rec =
-              faults::compute_separator_with_recovery(g, root, opts.retry);
-          run.attempts = std::max(run.attempts, rec.recovery.attempts);
-          if (!rec.recovery.ok) {
-            throw std::runtime_error("separator recovery failed: " +
-                                     rec.recovery.failure);
-          }
-          io::SeparatorArtifact sa{rec.result->parts.at(0), rec.cost};
-          bytes = single_section(io::SectionId::kSeparator,
-                                 io::encode_separator(sa));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kSeparatorTask);
-        } else {
-          const CacheKey key{run.fingerprint, "separator@v1", config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            SeparatorRun sr = compute_cycle_separator(g, root);
-            io::SeparatorArtifact sa{sr.separator, sr.cost};
-            return single_section(io::SectionId::kSeparator,
-                                  io::encode_separator(sa));
-          });
-        }
-        run.sep = sep_row_from_bytes(g, bytes);
+        break;
       }
+      const ArtifactCache::Value bytes = exec.request(task);
+      // Recovery stages hand their driver's retry history back.
+      if (const auto retry = std::static_pointer_cast<const faults::RetryStats>(
+              exec.value(task))) {
+        run.attempts = std::max(run.attempts, retry->attempts);
+        if (!retry->ok) {
+          throw std::runtime_error(std::string(task) + " recovery failed: " +
+                                   retry->failure);
+        }
+      }
+      fill_row(run, task, inst.graph, *bytes);
     }
 
-    // --- DFS stage -------------------------------------------------------
-    if ((spec.algo == Algo::kDfs || spec.algo == Algo::kPipeline) &&
-        run.status != "deadline") {
-      if (expired()) {
-        run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          faults::RecoveredDfs rec =
-              faults::build_dfs_tree_with_recovery(g, root, opts.retry);
-          run.attempts = std::max(run.attempts, rec.recovery.attempts);
-          if (!rec.recovery.ok) {
-            throw std::runtime_error("dfs recovery failed: " +
-                                     rec.recovery.failure);
-          }
-          io::DfsArtifact da = io::dfs_artifact_from_tree(rec.build->tree);
-          da.phases = rec.build->phases;
-          da.cost = rec.cost;
-          bytes = single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kDfsTask);
-        } else {
-          const CacheKey key{run.fingerprint, "dfs@v1", config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            DfsRun dr = compute_dfs_tree(g, root);
-            io::DfsArtifact da = io::dfs_artifact_from_tree(dr.build.tree);
-            da.phases = dr.build.phases;
-            da.cost = dr.build.cost;
-            return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-          });
-        }
-        run.dfs = dfs_row_from_bytes(g, bytes);
-      }
-    }
-
-    // --- baseline separator stage ---------------------------------------
-    if (spec.algo == Algo::kBaselineSeparator && run.status != "deadline") {
-      if (expired()) {
-        run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          // The level search is a pure function of the BFS wave, which is
-          // deterministic under a fault plan — no recovery driver needed.
-          io::LevelSeparatorArtifact la{baselines::bfs_level_separator(g, root)};
-          bytes = single_section(io::SectionId::kLevelSeparator,
-                                 io::encode_level_separator(la));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kBaselineTask);
-        } else {
-          const CacheKey key{run.fingerprint,
-                             taskgraph::kLevelSeparatorArtifactId, config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            io::LevelSeparatorArtifact la{
-                baselines::bfs_level_separator(g, root)};
-            return single_section(io::SectionId::kLevelSeparator,
-                                  io::encode_level_separator(la));
-          });
-        }
-        run.baseline = baseline_row_from_bytes(g, bytes);
-      }
-    }
-
-    if (exec) {
-      exec->finish_io();  // join the corpus store; rethrows its failure
-      run.tg = exec->counters();
-    }
+    exec.finish_io();  // join the corpus store; rethrows its failure
+    run.tg = exec.counters();
 
     if (run.status == "ok") {
       const bool sep_bad = run.sep && !run.sep->verified;
@@ -422,6 +323,39 @@ JobResult result_of(JobRun run) {
 }
 
 }  // namespace
+
+taskgraph::JobInputs Instance::inputs(const std::string& corpus_dir) const {
+  taskgraph::JobInputs in;
+  in.graph = &graph;
+  in.root = root;
+  in.fingerprint = fingerprint;
+  in.config_hash = taskgraph::cache_config_hash(root);
+  in.corpus_dir = corpus_dir;
+  in.family = family;
+  in.seed = seed;
+  in.store_corpus = generated && !corpus_dir.empty();
+  return in;
+}
+
+Instance acquire_instance(const JobSpec& spec) {
+  Instance inst;
+  inst.family = spec.family;
+  inst.seed = spec.seed;
+  if (!spec.graph_path.empty()) {
+    io::LoadedGraph loaded = io::load_graph(spec.graph_path);
+    inst.graph = std::move(loaded.graph);
+    if (!loaded.meta.family.empty()) inst.family = loaded.meta.family;
+  } else {
+    const auto fam = planar::family_from_name(spec.family);
+    if (!fam) throw std::runtime_error("unknown family '" + spec.family + "'");
+    planar::GeneratedGraph gg = planar::make_instance(*fam, spec.n, spec.seed);
+    inst.graph = std::move(gg.graph);
+    inst.root = gg.root_hint;
+    inst.generated = true;
+  }
+  inst.fingerprint = core::topology_fingerprint(inst.graph);
+  return inst;
+}
 
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,
                          const BatchOptions& opts, ArtifactCache& cache) {

@@ -22,9 +22,10 @@
 //   * rows carry no wall-clock fields and no per-job cache disposition
 //     (those live in the obs metrics, where single-flight makes the
 //     aggregate hit/miss counts thread-count-invariant too);
-//   * fault-injected jobs bypass the cache and always run serially on the
-//     admitting thread in admission order (the fault injector hook is
-//     process-global), so their retry histories are reproducible.
+//   * fault-injected jobs execute taskgraph::recovery_graph() without the
+//     cache and always run serially on the admitting thread in admission
+//     order (the fault injector hook is process-global), so their retry
+//     histories are reproducible.
 //
 // Inside the parallel section the scheduler forces the CONGEST round
 // engine serial (ScopedThreadConfig{threads = 1}) — ThreadPool::run_shards
@@ -41,6 +42,7 @@
 
 #include "faults/plan.hpp"
 #include "faults/recovery.hpp"
+#include "planar/embedded_graph.hpp"
 #include "serve/cache.hpp"
 #include "taskgraph/graph.hpp"
 #include "taskgraph/pipeline.hpp"
@@ -92,18 +94,32 @@ std::optional<JobSpec> parse_job_line(const std::string& text, int line_no);
 /// Parses a whole job file via parse_job_line.
 std::vector<JobSpec> parse_job_file(std::istream& in);
 
+/// A job's instance, generated or loaded, with everything its task graph
+/// is keyed on.
+struct Instance {
+  planar::EmbeddedGraph graph;    ///< the instance
+  planar::NodeId root = 0;        ///< generator root hint; 0 when loaded
+  std::string family;             ///< the .psg's family if set, else the spec's
+  std::uint64_t seed = 0;         ///< the spec's seed (corpus provenance)
+  bool generated = false;         ///< generated here, so corpus-storable
+  std::uint64_t fingerprint = 0;  ///< core::topology_fingerprint(graph)
+
+  /// The task-graph inputs of this instance: root-keyed config hash, and a
+  /// corpus store of generated instances under `corpus_dir` ("" = off).
+  /// The inputs point at `graph`, so the instance must outlive them.
+  taskgraph::JobInputs inputs(const std::string& corpus_dir) const;
+};
+
+/// Generates (family/n/seed) or loads (graph_path) a job's instance —
+/// the one acquisition path of batch, daemon and query jobs. Throws on an
+/// unknown family or an unreadable .psg.
+Instance acquire_instance(const JobSpec& spec);
+
 /// Scheduler configuration.
 struct BatchOptions {
   int threads = 1;             ///< worker shards for fault-free jobs
   std::string corpus_dir;      ///< store generated instances here ("" = off)
   faults::RetryPolicy retry;   ///< recovery policy for fault-injected jobs
-  /// Execute fault-free jobs through the recorded task graph
-  /// (taskgraph::pipeline_graph()): sub-artifact caching, cross-job
-  /// spanning-tree sharing, corpus IO overlapped with compute. Rows and
-  /// artifacts are byte-identical either way; the default follows
-  /// PLANSEP_TASKGRAPH (on unless =0/off). Fault-injected jobs always
-  /// take the monolithic recovery path.
-  bool taskgraph = taskgraph::taskgraph_enabled();
 };
 
 /// Outcome of one job, in admission order.
@@ -115,9 +131,9 @@ struct JobResult {
   std::string row;    ///< the emitted JSON row (no trailing newline)
   std::string error;  ///< diagnosis when status == "error"
   int attempts = 1;   ///< pipeline attempts (> 1 only under faults)
-  /// Task-graph execution counters for this job (all zero on the
-  /// monolithic path). Never rendered into the row — the row stays
-  /// byte-identical across execution modes.
+  /// Task-graph execution counters for this job (all zero when it failed
+  /// before its execution finished). Never rendered into the row — the
+  /// row stays byte-identical across thread counts and cache temperature.
   taskgraph::TaskGraphCounters taskgraph;
 };
 

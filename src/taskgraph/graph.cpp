@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "congest/network.hpp"
-#include "congest/thread_pool.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace plansep::taskgraph {
@@ -54,14 +51,16 @@ int TaskGraph::index_of(const std::string& name) const {
 
 // -------------------------------------------------------------- execution --
 
-Execution::Execution(const TaskGraph& g, const JobInputs& in, ExecOptions opts)
-    : graph_(g), in_(in), opts_(opts) {
+Execution::Execution(const TaskGraph& g, const JobInputs& in,
+                     serve::ArtifactCache* cache)
+    : graph_(g), in_(in), cache_(cache) {
   nodes_.resize(static_cast<std::size_t>(g.size()));
   start_ = Clock::now();
-  if (opts_.async_io && !g.io_tasks().empty()) {
-    io_ran_async_ = true;
+  if (!g.io_tasks().empty()) {
     io_thread_ = std::thread([this] {
-      run_io_tasks();
+      // Failures land in the node's error slot; finish_io() rethrows them
+      // on the requesting thread.
+      for (const int i : graph_.io_tasks()) resolve_noexcept(i);
       std::lock_guard<std::mutex> lk(mu_);
       io_end_ = Clock::now();
     });
@@ -70,12 +69,6 @@ Execution::Execution(const TaskGraph& g, const JobInputs& in, ExecOptions opts)
 
 Execution::~Execution() {
   if (io_thread_.joinable()) io_thread_.join();
-}
-
-void Execution::run_io_tasks() {
-  // Failures land in the node's error slot; finish_io() rethrows them on
-  // the requesting thread.
-  for (const int i : graph_.io_tasks()) resolve_noexcept(i);
 }
 
 void Execution::resolve_noexcept(int i) noexcept {
@@ -99,31 +92,12 @@ serve::ArtifactCache::Value Execution::request(const std::string& task) {
   return nodes_[static_cast<std::size_t>(i)].bytes;
 }
 
-void Execution::request_all(const std::vector<std::string>& tasks) {
-  if (!opts_.parallel_sinks || tasks.size() < 2) {
-    for (const std::string& t : tasks) request(t);
-    return;
-  }
-  // Parallel sinks share one process: detach the single-threaded obs
-  // globals for the section, exactly like serve::run_batch's parallel
-  // section, and force the round engine serial (run_shards is not
-  // reentrant).
-  obs::MetricsRegistry* const saved_reg = obs::set_global_registry(nullptr);
-  congest::TraceSink* const saved_sink =
-      congest::set_global_trace_sink(nullptr);
-  {
-    congest::ScopedThreadConfig serial_rounds(congest::ThreadConfig{});
-    congest::ThreadPool::instance().run_shards(
-        static_cast<int>(tasks.size()), [&](int s) {
-          // run_shards wants a non-throwing fn; errors stay recorded in
-          // the node and rethrow on the serial pass below.
-          const int i = graph_.index_of(tasks[static_cast<std::size_t>(s)]);
-          if (i >= 0) resolve_noexcept(i);
-        });
-  }
-  congest::set_global_trace_sink(saved_sink);
-  obs::set_global_registry(saved_reg);
-  for (const std::string& t : tasks) request(t);  // rethrow any failure
+std::shared_ptr<void> Execution::value(const std::string& task) {
+  const int i = graph_.index_of(task);
+  PLANSEP_CHECK_MSG(i >= 0, "unknown task requested");
+  resolve(i);
+  std::lock_guard<std::mutex> lk(mu_);
+  return nodes_[static_cast<std::size_t>(i)].value;
 }
 
 void Execution::resolve(int i) {
@@ -146,8 +120,8 @@ void Execution::resolve(int i) {
   bool ran = false;
   try {
     TaskContext ctx{*this, t, in_};
-    if (!t.artifact.empty() && opts_.cache != nullptr) {
-      bytes = opts_.cache->get_or_compute(key_of(t), [&] {
+    if (!t.artifact.empty() && cache_ != nullptr) {
+      bytes = cache_->get_or_compute(key_of(t), [&] {
         ran = true;
         return t.run(ctx).bytes;
       });
@@ -193,11 +167,8 @@ void Execution::resolve(int i) {
 void Execution::finish_io() {
   const Clock::time_point compute_end = Clock::now();
   if (io_thread_.joinable()) io_thread_.join();
-  if (!io_ran_async_) {
-    for (const int i : graph_.io_tasks()) resolve_noexcept(i);
-  }
   std::unique_lock<std::mutex> lk(mu_);
-  if (io_ran_async_ && !io_finished_) {
+  if (!graph_.io_tasks().empty() && !io_finished_) {
     io_finished_ = true;
     // The overlap window: IO finished at io_end_, compute at compute_end;
     // both ran from start_, so min(end) - start is time spent doing both.

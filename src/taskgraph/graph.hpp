@@ -6,23 +6,21 @@
 /// executor that caches sub-results through serve::ArtifactCache and
 /// overlaps side-effect IO with compute.
 
-// Why a task graph (ROADMAP "Phase-level task graph"):
+// Why a task graph (ROADMAP "One execution path"):
 //
-// The pipeline used to run as one monolithic call per algorithm — one
-// cache entry, nothing shared, nothing overlapped. This module splits it
-// into an explicit DAG whose nodes are the paper's natural stages
-// (spanning tree, separator compute, DFS build, hierarchy split, the
-// baseline's level search) plus side-effect IO (corpus store). A graph is
-// *recorded once* per algorithm family (pipeline.hpp) and *replayed* per
-// job against that job's inputs, Tenebris-render-graph style.
+// Every batch, daemon and query job computes its artifacts here, and
+// nowhere else. The stages are the paper's natural ones (spanning tree,
+// separator compute, DFS build, hierarchy split, the baseline's level
+// search) plus side-effect IO (corpus store). A graph is *recorded once*
+// per job kind (pipeline.hpp) and *replayed* per job against that job's
+// inputs, Tenebris-render-graph style.
 //
 // Execution model — demand-driven, not eager:
 //
 //   * A caller requests sink tasks by name; only the transitive
 //     dependencies actually needed ever run. Crucially, an artifact task
 //     answered by the cache prunes its whole subtree: a warm
-//     "separator@v1" never touches the spanning tree, so warm-cache
-//     counter behaviour is identical to the monolithic path.
+//     "separator@v1" never touches the spanning tree.
 //   * Artifact tasks (non-empty `artifact` id) resolve through
 //     serve::ArtifactCache::get_or_compute under the key
 //     {fingerprint, artifact, config_hash}. The cache's single-flight
@@ -40,10 +38,10 @@
 // pure function of its dependencies' bytes and the job inputs, consumers
 // decode dependency *bytes* (one bytes→value path, exactly like the
 // serving row contract), and the executor emits no spans or counters of
-// its own — so a DAG run produces byte-identical artifacts to the
-// monolithic call sequence, at any thread count, any cache temperature.
-// Counter totals (tasks_run, cache_served) are thread-count invariant by
-// the same single-flight argument as CacheCounters.
+// its own — so an execution's artifacts equal the core library's
+// (core/plansep.hpp) at any thread count, any cache temperature. Counter
+// totals (tasks_run, cache_served) are thread-count invariant by the same
+// single-flight argument as CacheCounters.
 
 #include <chrono>
 #include <condition_variable>
@@ -56,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "faults/recovery.hpp"
 #include "planar/embedded_graph.hpp"
 #include "serve/cache.hpp"
 
@@ -84,7 +83,8 @@ struct TaskContext;
 struct JobInputs;
 
 /// What one task produces: artifact tasks fill `bytes` (a canonical .psg
-/// container), ephemeral tasks fill `value`, IO tasks fill neither.
+/// container), ephemeral tasks fill `value` (and may fill `bytes` too, like
+/// the recovery graph's uncached stages), IO tasks fill neither.
 struct TaskOutput {
   std::vector<std::uint8_t> bytes;
   std::shared_ptr<void> value;
@@ -117,6 +117,7 @@ struct JobInputs {
   bool store_corpus = false;        ///< persist the instance to the corpus
   int leaf_size = 0;                ///< query hierarchy leaf bound (query jobs)
   int build_threads = 1;            ///< per-piece fan-out of the index build
+  faults::RetryPolicy retry;        ///< recovery policy (fault jobs)
 };
 
 /// A recorded DAG. Tasks are appended in dependency order (every dep must
@@ -149,28 +150,16 @@ class TaskGraph {
   std::vector<int> io_tasks_;
 };
 
-/// Execution knobs.
-struct ExecOptions {
-  /// Sub-artifact cache tier; null recomputes everything (tests).
-  serve::ArtifactCache* cache = nullptr;
-  /// Run multi-sink request_all() calls on congest::ThreadPool. Only legal
-  /// at top level (run_shards is not reentrant) and with the obs globals'
-  /// single-threaded-mutation rule in mind: request_all detaches them for
-  /// the parallel section, exactly like serve::run_batch.
-  bool parallel_sinks = false;
-  /// Start IO tasks on a helper thread at construction so they overlap
-  /// compute; false runs them inline at finish_io().
-  bool async_io = true;
-};
-
 /// One replay of a recorded graph against one job's inputs: a
 /// demand-driven memoizing executor. Thread-safe: concurrent request()
 /// calls for overlapping subtrees coalesce on per-task flights.
 class Execution {
  public:
-  /// Binds the graph to the inputs; starts the IO helper thread when
-  /// async_io and the graph has IO tasks.
-  Execution(const TaskGraph& g, const JobInputs& in, ExecOptions opts);
+  /// Binds the graph to the inputs and starts the IO helper thread when
+  /// the graph has IO tasks. Artifact tasks resolve through `cache`; null
+  /// recomputes everything (fault jobs, tests).
+  Execution(const TaskGraph& g, const JobInputs& in,
+            serve::ArtifactCache* cache = nullptr);
   /// Joins the IO thread (failures are swallowed here; call finish_io()
   /// first to observe them).
   ~Execution();
@@ -182,13 +171,12 @@ class Execution {
   /// cache. Exceptions from task bodies propagate to every requester.
   serve::ArtifactCache::Value request(const std::string& task);
 
-  /// Requests several sinks; with parallel_sinks they run concurrently on
-  /// congest::ThreadPool (obs globals detached for the section), sharing
-  /// dependencies through the per-task flights.
-  void request_all(const std::vector<std::string>& tasks);
+  /// Demand-runs the named task like request() and returns its ephemeral
+  /// value (null when the task produces none).
+  std::shared_ptr<void> value(const std::string& task);
 
-  /// Runs any IO task not yet executed (inline) or joins the helper
-  /// thread, then rethrows the first IO failure, if any.
+  /// Joins the IO helper thread, then rethrows the first IO failure, if
+  /// any.
   void finish_io();
 
   /// Counter snapshot. Stable once every request and finish_io returned.
@@ -211,13 +199,12 @@ class Execution {
   serve::CacheKey key_of(const TaskDef& t) const;
   /// Runs (or waits for) task i; returns with node kDone or rethrows.
   void resolve(int i);
-  /// resolve(i) with the error left in the node (IO thread / run_shards).
+  /// resolve(i) with the error left in the node (the IO thread).
   void resolve_noexcept(int i) noexcept;
-  void run_io_tasks();
 
   const TaskGraph& graph_;
   JobInputs in_;
-  ExecOptions opts_;
+  serve::ArtifactCache* cache_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -227,7 +214,6 @@ class Execution {
   std::thread io_thread_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point io_end_;
-  bool io_ran_async_ = false;
   bool io_finished_ = false;
 };
 

@@ -1,13 +1,15 @@
 #include "taskgraph/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "baselines/level_separator.hpp"
 #include "congest/bfs_tree.hpp"
 #include "core/fingerprint.hpp"
 #include "dfs/builder.hpp"
+#include "faults/recovery.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
 #include "obs/metrics.hpp"
@@ -68,7 +70,7 @@ void record_tree_and_engine(TaskGraph& g) {
                           "graph must be connected");
         congest::BfsResult bfs;
         {
-          // The monolithic PartwiseEngine ctor wraps its BFS in this span;
+          // The PartwiseEngine(g, root) ctor wraps its BFS in this span;
           // replay it here so serial metrics stay comparable.
           PLANSEP_SPAN("pa/setup_bfs");
           bfs = congest::distributed_bfs(graph, ctx.in.root);
@@ -91,6 +93,31 @@ void record_tree_and_engine(TaskGraph& g) {
         out.value = std::make_shared<shortcuts::PartwiseEngine>(
             *ctx.in.graph, std::move(bfs));
         return out;
+      },
+      nullptr});
+}
+
+// Every graph persists a freshly generated instance through this IO task,
+// overlapped with the compute stages.
+void record_corpus_store(TaskGraph& g) {
+  g.add(TaskDef{
+      kCorpusStoreTask,
+      "",
+      {},
+      true,
+      [](TaskContext& ctx) {
+        const JobInputs& in = ctx.in;
+        if (!in.store_corpus || in.corpus_dir.empty()) return TaskOutput{};
+        // The fingerprint is already known, so an instance stored by an
+        // earlier job (the warm case) costs one stat, not a second
+        // fingerprint pass inside store_in_corpus.
+        std::error_code ec;
+        const std::string path =
+            io::corpus_path(in.corpus_dir, in.family, in.fingerprint);
+        if (!std::filesystem::exists(path, ec)) {
+          io::store_in_corpus(in.corpus_dir, in.family, *in.graph, in.seed);
+        }
+        return TaskOutput{};
       },
       nullptr});
 }
@@ -129,8 +156,8 @@ TaskGraph record_pipeline() {
       false,
       [](TaskContext& ctx) {
         // Replays core::compute_dfs_tree; build_dfs_tree folds the
-        // engine's setup cost in, so the artifact bytes match the
-        // monolithic path exactly.
+        // engine's setup cost in, so the artifact bytes match the library
+        // reference exactly.
         auto engine = engine_of(ctx);
         dfs::DfsBuildResult build =
             dfs::build_dfs_tree(*ctx.in.graph, ctx.in.root, *engine);
@@ -160,19 +187,69 @@ TaskGraph record_pipeline() {
         return out;
       },
       nullptr});
+  record_corpus_store(g);
+  return g;
+}
+
+TaskGraph record_recovery() {
+  TaskGraph g("recovery");
   g.add(TaskDef{
-      kCorpusStoreTask,
+      kSeparatorTask,
       "",
       {},
-      true,
+      false,
       [](TaskContext& ctx) {
-        if (ctx.in.store_corpus && !ctx.in.corpus_dir.empty()) {
-          io::store_in_corpus(ctx.in.corpus_dir, ctx.in.family, *ctx.in.graph,
-                              ctx.in.seed);
+        faults::RecoveredSeparator rec =
+            faults::compute_separator_with_recovery(*ctx.in.graph, ctx.in.root,
+                                                    ctx.in.retry);
+        TaskOutput out;
+        if (rec.recovery.ok) {
+          io::SeparatorArtifact sa{rec.result->parts.at(0), rec.cost};
+          out.bytes = single_section(io::SectionId::kSeparator,
+                                     io::encode_separator(sa));
         }
-        return TaskOutput{};
+        out.value = std::make_shared<faults::RetryStats>(rec.recovery);
+        return out;
       },
       nullptr});
+  g.add(TaskDef{
+      kDfsTask,
+      "",
+      {},
+      false,
+      [](TaskContext& ctx) {
+        faults::RecoveredDfs rec = faults::build_dfs_tree_with_recovery(
+            *ctx.in.graph, ctx.in.root, ctx.in.retry);
+        TaskOutput out;
+        if (rec.recovery.ok) {
+          io::DfsArtifact da = io::dfs_artifact_from_tree(rec.build->tree);
+          da.phases = rec.build->phases;
+          da.cost = rec.cost;
+          out.bytes =
+              single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
+        }
+        out.value = std::make_shared<faults::RetryStats>(rec.recovery);
+        return out;
+      },
+      nullptr});
+  g.add(TaskDef{
+      kBaselineTask,
+      "",
+      {},
+      false,
+      [](TaskContext& ctx) {
+        // The level search is a pure function of the BFS wave, which is
+        // deterministic under a fault plan. It has no recovery driver: a
+        // wave the plan breaks fails the job (the search checks depths).
+        TaskOutput out;
+        out.bytes = single_section(
+            io::SectionId::kLevelSeparator,
+            io::encode_level_separator(
+                {baselines::bfs_level_separator(*ctx.in.graph, ctx.in.root)}));
+        return out;
+      },
+      nullptr});
+  record_corpus_store(g);
   return g;
 }
 
@@ -218,17 +295,27 @@ TaskGraph record_query() {
       // spanning tree above keeps the plain root mix so batch and query
       // jobs share one tree per (fingerprint, root).
       [](const JobInputs& in) {
-        return core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                              static_cast<std::uint64_t>(in.root),
-                              static_cast<std::uint64_t>(in.leaf_size));
+        return cache_config_hash(in.root, in.leaf_size);
       }});
+  record_corpus_store(g);
   return g;
 }
 
 }  // namespace
 
+std::uint64_t cache_config_hash(planar::NodeId root, int leaf_size) {
+  return core::mix_seed(0x726f6f7400000000ULL /* "root" */,
+                        static_cast<std::uint64_t>(root),
+                        static_cast<std::uint64_t>(leaf_size));
+}
+
 const TaskGraph& pipeline_graph() {
   static const TaskGraph graph = record_pipeline();
+  return graph;
+}
+
+const TaskGraph& recovery_graph() {
+  static const TaskGraph graph = record_recovery();
   return graph;
 }
 
@@ -251,8 +338,7 @@ WarmReport warm_from_corpus(serve::ArtifactCache& cache,
   // Root 0 is the configuration every graph-path job binds (batch.cpp
   // leaves root at 0 for loaded instances), so it is the one a daemon
   // serving corpus-addressed jobs re-keys on.
-  const std::uint64_t config_hash =
-      core::mix_seed(0x726f6f7400000000ULL /* "root" */, 0);
+  const std::uint64_t config_hash = cache_config_hash(0);
   for (const io::CorpusEntry& entry : io::list_corpus(corpus_root)) {
     ++rep.instances;
     for (const std::string& id : warmable_artifact_ids()) {
@@ -261,13 +347,6 @@ WarmReport warm_from_corpus(serve::ArtifactCache& cache,
     }
   }
   return rep;
-}
-
-bool taskgraph_enabled() {
-  const char* env = std::getenv("PLANSEP_TASKGRAPH");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "OFF");
 }
 
 }  // namespace plansep::taskgraph

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file
-/// The recorded task graphs of the separator/DFS pipeline and the query
-/// index build, plus the artifact-id registry the daemon's boot warm-up
-/// preloads from.
+/// The recorded task graphs of the separator/DFS pipeline, its fault-job
+/// recovery twin and the query index build, plus the artifact-id registry
+/// the daemon's boot warm-up preloads from.
 
-// Two graphs, recorded once at first use and replayed per job:
+// Three graphs, recorded once at first use and replayed per job:
 //
 //   pipeline_graph() — the batch/daemon job stages:
 //     spanning_tree ──> engine ──> separator        ("separator@v1")
@@ -14,21 +14,27 @@
 //     spanning_tree ──────────────> baseline        ("lt-level@v1")
 //     corpus_store   (IO; overlapped with compute)
 //
+//   recovery_graph() — the same sinks for fault jobs (any of --drop/--dup/
+//   --stall/--reorder/--crash/--outage), executed without a cache:
+//     separator  (faults::compute_separator_with_recovery)
+//     dfs        (faults::build_dfs_tree_with_recovery)
+//     baseline   (the level search; its BFS wave is fault-deterministic)
+//     corpus_store
+//   The separator and dfs tasks fill the same payload as their pipeline
+//   twins and hand the driver's faults::RetryStats back as their
+//   ephemeral value; a driver that gave up leaves the bytes empty.
+//
 //   query_graph() — the persisted distance-oracle index:
 //     spanning_tree ──> engine ──> hierarchy ──> query_index
 //                                  (ephemeral)   (query::kIndexAlgorithmId)
+//     corpus_store
 //
-// The "separator@v1"/"dfs@v1"/"hier-index@v1" artifact ids and payloads
-// are exactly the historical monolithic ones, so a disk tier written
-// before the task-graph cutover stays warm after it — and the byte-for-
-// byte CI smoke can compare the two paths directly. The spanning tree
-// ("spantree@v1", .psg kSpanningTree) and the baseline's level separator
-// ("lt-level@v1", kLevelSeparator) are the new sub-artifact sections.
-//
-// Task bodies replay the monolithic call sequences verbatim (down to the
-// "pa/setup_bfs" span around the BFS wave), and consumers decode
+// Task bodies replay the core library's call sequences verbatim (down to
+// the "pa/setup_bfs" span around the BFS wave), and consumers decode
 // dependency *bytes* — never live sibling state — which is the byte-
-// identity argument spelled out in docs/TASKGRAPH.md.
+// identity argument spelled out in docs/TASKGRAPH.md. The spanning tree
+// ("spantree@v1", .psg kSpanningTree) and the baseline's level separator
+// ("lt-level@v1", kLevelSeparator) are sub-artifact sections.
 
 #include <string>
 #include <vector>
@@ -52,8 +58,16 @@ inline constexpr const char* kQueryIndexTask = "query_index";
 inline constexpr const char* kSpanningTreeArtifactId = "spantree@v1";
 inline constexpr const char* kLevelSeparatorArtifactId = "lt-level@v1";
 
+/// The cache-key config hash of a job rooted at `root`; the query index
+/// mixes its hierarchy leaf bound in too (leaf_size 0 mixes nothing).
+std::uint64_t cache_config_hash(planar::NodeId root, int leaf_size = 0);
+
 /// The recorded batch/daemon pipeline graph (process-wide, immutable).
 const TaskGraph& pipeline_graph();
+
+/// The recorded fault-job graph (process-wide, immutable): execute it
+/// without a cache, under the job's faults::FaultController.
+const TaskGraph& recovery_graph();
 
 /// The recorded query-index graph (process-wide, immutable).
 const TaskGraph& query_graph();
@@ -76,9 +90,5 @@ struct WarmReport {
 /// is ever computed, absent disk payloads are skipped silently.
 WarmReport warm_from_corpus(serve::ArtifactCache& cache,
                             const std::string& corpus_root);
-
-/// DAG execution toggle: true unless PLANSEP_TASKGRAPH is "0" or "off"
-/// (the monolithic fallback the byte-for-byte CI smoke compares against).
-bool taskgraph_enabled();
 
 }  // namespace plansep::taskgraph

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "dfs/builder.hpp"
-#include "planar/face_structure.hpp"
 #include "separator/hierarchy.hpp"
 #include "shortcuts/partwise_message.hpp"
 #include "util/check.hpp"
@@ -151,11 +150,10 @@ std::string CaseSpec::replay() const {
 
 std::string replay_env_prefix() {
   // The env vars that change how a case executes (thread fan-out, round
-  // fusion, DAG-vs-monolithic path) without changing what it computes —
-  // a failure in any of those configurations must replay under it.
+  // fusion) without changing what it computes — a failure in any of those
+  // configurations must replay under it.
   static constexpr const char* kVars[] = {
-      "PLANSEP_THREADS", "PLANSEP_PAR_THRESHOLD", "PLANSEP_FUSION",
-      "PLANSEP_TASKGRAPH"};
+      "PLANSEP_THREADS", "PLANSEP_PAR_THRESHOLD", "PLANSEP_FUSION"};
   std::string prefix;
   for (const char* var : kVars) {
     const char* value = std::getenv(var);
@@ -247,24 +245,11 @@ PipelineStats run_pipeline_checked(const Instance& inst,
   check_embedding(g, /*require_connected=*/true, rep);
   if (!rep.ok()) return st;  // downstream stages require a connected plane graph
 
-  // Apex triangulation is specified for 2-connected inputs only (a face
-  // walk repeating a corner would force a parallel apex edge), so the
-  // stage is gated on corner-simple face walks; the separator/DFS stages
-  // run regardless.
-  {
-    const planar::FaceStructure fs(g);
-    bool corner_simple = true;
-    for (planar::FaceId f = 0; corner_simple && f < fs.num_faces(); ++f) {
-      std::vector<NodeId> corners;
-      for (planar::DartId d : fs.walk(f)) corners.push_back(g.head(d));
-      std::sort(corners.begin(), corners.end());
-      corner_simple =
-          std::adjacent_find(corners.begin(), corners.end()) == corners.end();
-    }
-    if (corner_simple) {
-      const planar::Triangulation tri = planar::triangulate_with_apexes(g);
-      check_triangulation(g, tri, rep);
-    }
+  // Apex triangulation is specified for 2-connected inputs only, so the
+  // stage is gated on them; the separator/DFS stages run regardless.
+  if (planar::triangulable(g)) {
+    const planar::Triangulation tri = planar::triangulate_with_apexes(g);
+    check_triangulation(g, tri, rep);
   }
 
   TraceRecorder rec;

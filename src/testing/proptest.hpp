@@ -91,11 +91,11 @@ std::optional<CaseSpec> parse_replay(std::string_view line);
 
 /// Shell-style prefix naming every execution-affecting PLANSEP_* env var
 /// active in this process — PLANSEP_THREADS, PLANSEP_PAR_THRESHOLD,
-/// PLANSEP_FUSION, PLANSEP_TASKGRAPH — e.g. "PLANSEP_THREADS=4
-/// PLANSEP_FUSION=off " (note the trailing space), or "" when none is
-/// set. Printed ahead of every replay command so a failure observed under
-/// a parallel, fused, or monolithic-fallback configuration replays under
-/// exactly that configuration, not the defaults.
+/// PLANSEP_FUSION — e.g. "PLANSEP_THREADS=4 PLANSEP_FUSION=off " (note
+/// the trailing space), or "" when none is set. Printed ahead of every
+/// replay command so a failure observed under a parallel or fused
+/// configuration replays under exactly that configuration, not the
+/// defaults.
 std::string replay_env_prefix();
 
 /// A materialized case: the spec plus the generated graph and weights.

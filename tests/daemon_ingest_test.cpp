@@ -10,11 +10,15 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "daemon/client.hpp"
+#include "daemon/dispatcher.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/server.hpp"
 #include "core/fingerprint.hpp"
@@ -259,6 +263,56 @@ TEST(DaemonIngest, RejectionsCarryTypedCodeAndWitness) {
   const auto ok = c.ingest(3, grid_request());
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->status, "ok");
+}
+
+TEST(DaemonIngest, TriangulateOnPathIsRejectedAndDaemonSurvives) {
+  TestDaemon d;
+  daemon::Client c = d.connect();
+
+  // Planar but not 2-connected: apex triangulation cannot run on it, so
+  // the request gets the typed verdict instead of taking the daemon down.
+  daemon::IngestRequestPayload req;
+  req.text = "1 2\n2 3\n3 4\n";
+  req.triangulate = 1;
+  const auto resp = c.ingest(1, req);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, "rejected");
+  EXPECT_EQ(resp->error_code, 10);  // IngestErrorCode::kNotBiconnected
+  EXPECT_NE(resp->error.find("[not-biconnected]"), std::string::npos);
+
+  EXPECT_TRUE(c.ping(2));
+}
+
+// A job that fails outside its class's typed outcomes — here a corpus
+// write whose directory cannot be created — becomes an "error" outcome
+// on its worker instead of escaping it.
+TEST(DaemonIngest, FailedCorpusWriteIsAnErrorOutcome) {
+  ScratchDir dir("blocked");
+  const std::string blocker = dir.path() + "/not-a-directory";
+  std::ofstream(blocker) << "x";
+  daemon::DaemonMetrics metrics;
+  serve::ShardedResultCache cache({1u << 20, 2, ""});
+  daemon::DispatcherOptions opts;
+  opts.workers = 1;
+  opts.batch.corpus_dir = blocker + "/corpus";
+  daemon::Dispatcher disp(opts, cache, metrics);
+
+  auto job = std::make_shared<daemon::IngestJob>();
+  job->text = grid_text();
+  std::optional<daemon::IngestOutcome> got;
+  ASSERT_EQ(disp.submit({1, 7, daemon::Priority::kNormal, job},
+                        [&](const daemon::JobDone& done) {
+                          got = std::get<daemon::IngestOutcome>(done.outcome);
+                        }),
+            daemon::Admission::kAdmitted);
+  disp.drain();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->status, "error");
+  EXPECT_EQ(got->error_code, 0);
+  EXPECT_NE(got->error.find("cannot create corpus directory"),
+            std::string::npos)
+      << got->error;
+  EXPECT_EQ(metrics.counter("daemon/errors"), 1);
 }
 
 TEST(DaemonIngest, MalformedFramePayloadKeepsSessionAlive) {

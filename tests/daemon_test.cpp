@@ -350,11 +350,11 @@ TEST(DaemonDispatcher, HighPriorityDequeuesFirst) {
   };
   const auto spec = *serve::parse_job_line(kSpecA, 0);
   for (std::uint64_t id = 0; id < 3; ++id) {
-    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kNormal, spec, {}}, record),
+    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kNormal, spec}, record),
               daemon::Admission::kAdmitted);
   }
   for (std::uint64_t id = 10; id < 13; ++id) {
-    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kHigh, spec, {}}, record),
+    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kHigh, spec}, record),
               daemon::Admission::kAdmitted);
   }
   disp.resume();
@@ -640,10 +640,11 @@ TEST(DaemonSoak, TenThousandMixedJobsUnderChaosMatchFaultFreeSerial) {
     daemon::Dispatcher disp(opts, cache, metrics);
     for (std::uint64_t id = 0; id < kJobs; ++id) {
       const auto adm = disp.submit(
-          {1, id, daemon::Priority::kNormal, pool[id % pool.size()], {}},
+          {1, id, daemon::Priority::kNormal, pool[id % pool.size()]},
           [&](const daemon::JobDone& done) {
             std::lock_guard<std::mutex> lk(mu);
-            rows.emplace(done.id, done.result.row);
+            rows.emplace(done.id,
+                         std::get<serve::JobResult>(done.outcome).row);
           });
       EXPECT_EQ(adm, daemon::Admission::kAdmitted) << "id " << id;
     }

@@ -4,8 +4,8 @@
 // byte-identity regression (metrics JSON and trace, serial and 4-thread),
 // serial-vs-threaded trace equivalence under active plans, round-fusion
 // equivalence (fused vs unfused crash gaps, with and without the
-// next_alive_round lookahead), the recovery drivers, and `--faults=`
-// replay round-trips.
+// next_alive_round lookahead), the recovery drivers (clean runs charge
+// exactly the core library's cost), and `--faults=` replay round-trips.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 
 #include "congest/bfs_tree.hpp"
 #include "congest/network.hpp"
+#include "core/plansep.hpp"
 #include "dfs/validate.hpp"
 #include "faults/controller.hpp"
 #include "faults/plan.hpp"
@@ -586,6 +587,28 @@ TEST(Recovery, CleanRunSucceedsFirstAttempt) {
   ASSERT_TRUE(s.result.has_value());
 }
 
+// With no injector a recovery run is one clean attempt, and it charges
+// exactly what the core library does — the separator driver included the
+// part-set build, like compute_cycle_separator.
+TEST(Recovery, CleanRunCostMatchesLibraryReference) {
+  for (const planar::Family family : planar::all_families()) {
+    const GeneratedGraph gg = planar::make_instance(family, 120, 3);
+    const char* name = planar::family_name(family);
+    const RecoveredSeparator s =
+        compute_separator_with_recovery(gg.graph, gg.root_hint);
+    ASSERT_TRUE(s.recovery.ok) << name << ": " << s.recovery.failure;
+    const SeparatorRun sep = compute_cycle_separator(gg.graph, gg.root_hint);
+    EXPECT_EQ(s.cost.measured, sep.cost.measured) << name;
+    EXPECT_EQ(s.cost.charged, sep.cost.charged) << name;
+
+    const RecoveredDfs d = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
+    ASSERT_TRUE(d.recovery.ok) << name << ": " << d.recovery.failure;
+    const DfsRun dfs = compute_dfs_tree(gg.graph, gg.root_hint);
+    EXPECT_EQ(d.cost.measured, dfs.build.cost.measured) << name;
+    EXPECT_EQ(d.cost.charged, dfs.build.cost.charged) << name;
+  }
+}
+
 TEST(Recovery, SurvivesOrDiagnosesUnderDrops) {
   const GeneratedGraph gg = planar::grid(6, 7);
   FaultSpec spec;
@@ -678,9 +701,9 @@ TEST(FaultReplay, RoundTripsThroughParseReplay) {
 }
 
 // The replay line carries the active execution env: a failure seen under
-// PLANSEP_THREADS / PLANSEP_FUSION / PLANSEP_TASKGRAPH (e.g. a task-graph
-// divergence that only shows fused and parallel) must replay under
-// exactly that configuration, not the defaults.
+// PLANSEP_THREADS / PLANSEP_FUSION (e.g. a divergence that only shows
+// fused and parallel) must replay under exactly that configuration, not
+// the defaults.
 TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   const auto saved = [](const char* var) -> std::optional<std::string> {
     const char* v = std::getenv(var);
@@ -698,21 +721,16 @@ TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   const auto threads = saved("PLANSEP_THREADS");
   const auto threshold = saved("PLANSEP_PAR_THRESHOLD");
   const auto fusion = saved("PLANSEP_FUSION");
-  const auto dag = saved("PLANSEP_TASKGRAPH");
 
   ::unsetenv("PLANSEP_THREADS");
   ::unsetenv("PLANSEP_PAR_THRESHOLD");
   ::unsetenv("PLANSEP_FUSION");
-  ::unsetenv("PLANSEP_TASKGRAPH");
   EXPECT_EQ(testing::replay_env_prefix(), "");
 
   ::setenv("PLANSEP_THREADS", "4", 1);
   ::setenv("PLANSEP_FUSION", "off", 1);
   EXPECT_EQ(testing::replay_env_prefix(),
             "PLANSEP_THREADS=4 PLANSEP_FUSION=off ");
-  ::setenv("PLANSEP_TASKGRAPH", "0", 1);
-  EXPECT_EQ(testing::replay_env_prefix(),
-            "PLANSEP_THREADS=4 PLANSEP_FUSION=off PLANSEP_TASKGRAPH=0 ");
 
   // The prefixed line still replays: the parser sees only the -- tokens.
   testing::CaseSpec spec;
@@ -741,7 +759,6 @@ TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   restore("PLANSEP_THREADS", threads);
   restore("PLANSEP_PAR_THRESHOLD", threshold);
   restore("PLANSEP_FUSION", fusion);
-  restore("PLANSEP_TASKGRAPH", dag);
 }
 
 TEST(FaultReplay, FamilyNamesRoundTrip) {

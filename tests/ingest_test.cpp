@@ -256,6 +256,26 @@ TEST(IngestCanonical, TriangulationAddsFlaggedApexes) {
   EXPECT_TRUE(planar::validate_embedding(res.graph));
 }
 
+TEST(IngestCanonical, TriangulateRejectsGraphsThatAreNot2Connected) {
+  ingest::IngestOptions opts;
+  opts.triangulate = true;
+  // A path is planar but has cut vertices: apex triangulation would need
+  // a parallel apex edge, so admission rejects it with a typed code.
+  const auto e = reject("1 2\n2 3\n3 4\n", opts);
+  EXPECT_EQ(e.code(), ingest::IngestErrorCode::kNotBiconnected);
+  EXPECT_EQ(static_cast<int>(e.code()), 10);
+  EXPECT_STREQ(e.what(),
+               "ingest rejected [not-biconnected]: graph is not 2-connected "
+               "(--triangulate needs a 2-connected graph)");
+  // A single edge and two triangles glued at a vertex fail the same way.
+  EXPECT_EQ(reject("1 2\n", opts).code(),
+            ingest::IngestErrorCode::kNotBiconnected);
+  EXPECT_EQ(reject("1 2\n2 3\n3 1\n3 4\n4 5\n5 3\n", opts).code(),
+            ingest::IngestErrorCode::kNotBiconnected);
+  // Without triangulation the same text is admitted as is.
+  EXPECT_EQ(run("1 2\n2 3\n3 4\n").graph.num_edges(), 3);
+}
+
 // ------------------------------------------------------ corpus round-trip -
 
 TEST(IngestCorpus, AcceptedGraphLandsContentAddressedAndReloads) {

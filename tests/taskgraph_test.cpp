@@ -1,23 +1,27 @@
 // The phase-level task graph (src/taskgraph/): recording validation,
 // demand-driven execution with per-execution memoization, cache
 // short-circuiting that prunes whole subtrees, IO overlap, error
-// propagation — and the acceptance properties the rewired serving layer
-// rides on: cross-job spanning-tree sharing (counter-asserted), and
-// DAG-vs-monolithic byte identity of rows and persisted artifacts across
+// propagation — and the acceptance properties the serving layer rides
+// on: cross-job spanning-tree sharing (counter-asserted), and rows whose
+// artifacts equal the core library's, clean and under faults, across
 // thread counts and cache temperatures.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/level_separator.hpp"
 #include "congest/bfs_tree.hpp"
+#include "core/plansep.hpp"
+#include "faults/controller.hpp"
+#include "faults/recovery.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
 #include "serve/batch.hpp"
@@ -142,7 +146,18 @@ TEST(TaskGraphRecord, PipelineAndQueryGraphsAreWellFormed) {
   }
   const taskgraph::TaskGraph& q = taskgraph::query_graph();
   EXPECT_GE(q.index_of(taskgraph::kQueryIndexTask), 0);
-  EXPECT_TRUE(p.io_tasks().size() == 1 && q.io_tasks().empty());
+  // The fault-job twin answers the same sinks, with no cacheable task.
+  const taskgraph::TaskGraph& r = taskgraph::recovery_graph();
+  for (const char* task : {taskgraph::kSeparatorTask, taskgraph::kDfsTask,
+                           taskgraph::kBaselineTask}) {
+    EXPECT_GE(r.index_of(task), 0) << task;
+  }
+  for (int i = 0; i < r.size(); ++i) EXPECT_TRUE(r.task(i).artifact.empty());
+  // Every graph stores a generated instance through one corpus IO task.
+  for (const taskgraph::TaskGraph* g : {&p, &q, &r}) {
+    ASSERT_EQ(g->io_tasks().size(), 1u) << g->name();
+    EXPECT_EQ(g->task(g->io_tasks()[0]).name, taskgraph::kCorpusStoreTask);
+  }
 }
 
 // ----------------------------------------------------------- execution ----
@@ -176,19 +191,14 @@ TEST(TaskGraphExec, WarmCachePrunesTheWholeSubtree) {
   serve::ResultCache cache({1 << 20, ""});
   ToyGraph cold;
   {
-    taskgraph::ExecOptions opts;
-    opts.cache = &cache;
-    taskgraph::Execution exec(cold.g, toy_inputs(), opts);
+    taskgraph::Execution exec(cold.g, toy_inputs(), &cache);
     exec.request("c");
     EXPECT_EQ(exec.counters().tasks_run, 3);
   }
   // Same key set, fresh execution: "c" answers from the cache and its
-  // deps ("b", "a") are never touched — warm behaviour is indistinguishable
-  // from the monolithic path's single cache entry.
+  // deps ("b", "a") are never touched — a warm job costs one cache entry.
   ToyGraph warm;
-  taskgraph::ExecOptions opts;
-  opts.cache = &cache;
-  taskgraph::Execution exec(warm.g, toy_inputs(), opts);
+  taskgraph::Execution exec(warm.g, toy_inputs(), &cache);
   const auto bytes = exec.request("c");
   EXPECT_EQ(*bytes, (std::vector<std::uint8_t>{1, 2, 3, 9}));
   EXPECT_EQ(warm.runs_a.load(), 0);
@@ -200,16 +210,14 @@ TEST(TaskGraphExec, WarmCachePrunesTheWholeSubtree) {
 
 TEST(TaskGraphExec, DifferentConfigHashesDoNotShare) {
   serve::ResultCache cache({1 << 20, ""});
-  taskgraph::ExecOptions opts;
-  opts.cache = &cache;
   ToyGraph toy1;
   taskgraph::JobInputs in1 = toy_inputs();
-  taskgraph::Execution e1(toy1.g, in1, opts);
+  taskgraph::Execution e1(toy1.g, in1, &cache);
   e1.request("c");
   ToyGraph toy2;
   taskgraph::JobInputs in2 = toy_inputs();
   in2.config_hash = 0xdead;  // different config: its own artifacts
-  taskgraph::Execution e2(toy2.g, in2, opts);
+  taskgraph::Execution e2(toy2.g, in2, &cache);
   e2.request("c");
   EXPECT_EQ(toy2.runs_c.load(), 1);
   EXPECT_EQ(cache.counters().misses, 4);  // a and c, for each config
@@ -264,9 +272,7 @@ TEST(TaskGraphExec, ConcurrentRequestersCoalesceOnOneRun) {
 
 TEST(TaskGraphExec, AsyncIoRunsOnceAndOverlapIsMeasured) {
   ToyGraph toy(/*with_io=*/true);
-  taskgraph::ExecOptions opts;
-  opts.async_io = true;
-  taskgraph::Execution exec(toy.g, toy_inputs(), opts);
+  taskgraph::Execution exec(toy.g, toy_inputs());
   exec.request("c");
   exec.finish_io();
   exec.finish_io();  // idempotent
@@ -276,7 +282,7 @@ TEST(TaskGraphExec, AsyncIoRunsOnceAndOverlapIsMeasured) {
   EXPECT_GE(counters.overlapped_io_ms, 0);
 }
 
-TEST(TaskGraphExec, SyncIoRunsAtFinishAndFailuresSurfaceThere) {
+TEST(TaskGraphExec, IoFailureSurfacesAtFinishIo) {
   using taskgraph::TaskContext;
   using taskgraph::TaskOutput;
   taskgraph::TaskGraph g("iofail");
@@ -285,10 +291,9 @@ TEST(TaskGraphExec, SyncIoRunsAtFinishAndFailuresSurfaceThere) {
            throw std::runtime_error("disk on fire");
          },
          nullptr});
-  taskgraph::ExecOptions opts;
-  opts.async_io = false;
-  taskgraph::Execution exec(g, toy_inputs(), opts);
+  taskgraph::Execution exec(g, toy_inputs());
   EXPECT_THROW(exec.finish_io(), std::runtime_error);
+  EXPECT_THROW(exec.finish_io(), std::runtime_error);  // still recorded
 }
 
 TEST(TaskGraphCounters, MergeAccumulatesComponentWise) {
@@ -368,7 +373,7 @@ TEST(TaskGraphSharing, ByteIdenticalAcrossThreadCountsAndTemperature) {
   }
 }
 
-// ------------------------------------------- DAG vs monolithic parity ----
+// ------------------------------------------------- library reference ----
 
 std::vector<serve::JobSpec> parity_jobs() {
   std::istringstream file(
@@ -376,66 +381,173 @@ std::vector<serve::JobSpec> parity_jobs() {
       "--family=triangulation --n=60 --seed=2 --algo=separator\n"
       "--family=cycle --n=24 --seed=3 --algo=dfs\n"
       "--family=triangulation --n=60 --seed=2 --algo=baseline-separator\n"
-      "--family=outerplanar --n=40 --seed=4 --algo=pipeline\n");
+      "--family=outerplanar --n=40 --seed=4 --algo=pipeline\n"
+      "--family=triangulation --n=80 --seed=5 --algo=separator --drop=0.02 "
+      "--fault-seed=3\n"
+      "--family=grid --n=64 --seed=6 --algo=dfs --dup=0.05 --fault-seed=4\n"
+      "--family=grid --n=100 --seed=11 --algo=pipeline --drop=0.15 "
+      "--fault-seed=3\n"
+      "--family=random_planar --n=120 --seed=10 --algo=baseline-separator "
+      "--drop=0.02 --fault-seed=8\n");
   return serve::parse_job_file(file);
 }
 
-// The acceptance criterion: a job executed through the task graph
-// produces byte-identical rows and persisted .psg artifacts to the
-// monolithic path, at thread counts {1, 4, 8}.
-TEST(TaskGraphParity, DagAndMonolithicRowsAndArtifactsAreByteIdentical) {
-  ScratchDir mono_dir("mono");
-  serve::BatchOptions mono;
-  mono.taskgraph = false;
-  mono.corpus_dir = mono_dir.path();
-  serve::ResultCache mono_cache({1 << 22, ""});
-  const auto mono_rep =
-      serve::run_batch(parity_jobs(), mono, mono_cache, nullptr);
-  ASSERT_EQ(mono_rep.ok, mono_rep.jobs);
-  EXPECT_EQ(mono_rep.taskgraph.tasks_run, 0);  // truly monolithic
+std::vector<std::uint8_t> single_section(io::SectionId id,
+                                         std::vector<std::uint8_t> payload) {
+  io::Artifact a;
+  a.add(id, std::move(payload));
+  return io::assemble(a);
+}
 
+// The integer after "key": in a row — inside the `section` object when
+// one is named.
+long long row_int(const std::string& row, const std::string& section,
+                  const std::string& key) {
+  std::size_t at = 0;
+  if (!section.empty()) at = row.find("\"" + section + "\":{");
+  at = row.find("\"" + key + "\":", at);
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << row;
+  return at == std::string::npos ? -1
+                                 : std::stoll(row.substr(at + key.size() + 3));
+}
+
+// The acceptance criterion of the one execution path: the artifact behind
+// every row equals the core library's — compute_cycle_separator,
+// compute_dfs_tree and bfs_level_separator for clean jobs (peeked from the
+// cache that served the row), the recovery drivers under an identically
+// seeded FaultController for fault jobs — at thread counts {1, 4, 8};
+// rows are byte-identical across those counts, and the corpus holds
+// exactly the bytes a direct store writes.
+TEST(TaskGraphParity, RowsMatchLibraryReference) {
+  const std::vector<serve::JobSpec> jobs = parity_jobs();
+  ScratchDir ref_dir("ref");
+  std::string reference_rows;
   for (const int threads : {1, 4, 8}) {
-    ScratchDir dag_dir("dag");
-    serve::BatchOptions dag;
-    dag.taskgraph = true;
-    dag.threads = threads;
-    dag.corpus_dir = dag_dir.path();
-    serve::ResultCache dag_cache({1 << 22, ""});
-    const auto dag_rep =
-        serve::run_batch(parity_jobs(), dag, dag_cache, nullptr);
-    ASSERT_EQ(dag_rep.ok, dag_rep.jobs) << "threads=" << threads;
-    EXPECT_GT(dag_rep.taskgraph.tasks_run, 0);
-    EXPECT_EQ(joined_rows(mono_rep), joined_rows(dag_rep))
-        << "threads=" << threads;
+    ScratchDir dir("run");
+    serve::BatchOptions opts;
+    opts.threads = threads;
+    opts.corpus_dir = dir.path();
+    serve::ResultCache cache({1 << 22, ""});
+    const auto rep = serve::run_batch(jobs, opts, cache, nullptr);
+    ASSERT_EQ(rep.ok, rep.jobs) << "threads=" << threads;
+    EXPECT_GT(rep.taskgraph.tasks_run, 0);
+    if (reference_rows.empty()) reference_rows = joined_rows(rep);
+    EXPECT_EQ(reference_rows, joined_rows(rep)) << "threads=" << threads;
 
-    // The corpus artifacts (stored by the DAG's overlapped IO task vs the
-    // monolithic inline store) are byte-identical too.
-    const auto mono_entries = io::list_corpus(mono_dir.path());
-    const auto dag_entries = io::list_corpus(dag_dir.path());
-    ASSERT_EQ(mono_entries.size(), dag_entries.size());
-    for (std::size_t i = 0; i < mono_entries.size(); ++i) {
-      EXPECT_EQ(mono_entries[i].family, dag_entries[i].family);
-      EXPECT_EQ(mono_entries[i].fingerprint, dag_entries[i].fingerprint);
-      EXPECT_EQ(io::read_file(mono_entries[i].path),
-                io::read_file(dag_entries[i].path));
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const serve::JobSpec& spec = jobs[j];
+      const std::string& row = rep.results[j].row;
+      const serve::Instance inst = serve::acquire_instance(spec);
+      const planar::EmbeddedGraph& g = inst.graph;
+      const bool sep = spec.algo == serve::Algo::kSeparator ||
+                       spec.algo == serve::Algo::kPipeline;
+      const bool dfs = spec.algo == serve::Algo::kDfs ||
+                       spec.algo == serve::Algo::kPipeline;
+      if (threads == 1) {
+        io::store_in_corpus(ref_dir.path(), spec.family, g, spec.seed);
+      }
+      if (!spec.faults.enabled()) {
+        const auto peek = [&](const char* id) {
+          const auto bytes = cache.peek(
+              {inst.fingerprint, id, taskgraph::cache_config_hash(inst.root)});
+          return bytes ? *bytes : std::vector<std::uint8_t>{};
+        };
+        if (sep) {
+          const SeparatorRun run = compute_cycle_separator(g, inst.root);
+          EXPECT_EQ(peek("separator@v1"),
+                    single_section(io::SectionId::kSeparator,
+                                   io::encode_separator(
+                                       {run.separator, run.cost})))
+              << row;
+        }
+        if (dfs) {
+          const DfsRun run = compute_dfs_tree(g, inst.root);
+          io::DfsArtifact da = io::dfs_artifact_from_tree(run.build.tree);
+          da.phases = run.build.phases;
+          da.cost = run.build.cost;
+          EXPECT_EQ(peek("dfs@v1"),
+                    single_section(io::SectionId::kDfsTree,
+                                   io::encode_dfs(da)))
+              << row;
+        }
+        if (spec.algo == serve::Algo::kBaselineSeparator) {
+          EXPECT_EQ(peek(taskgraph::kLevelSeparatorArtifactId),
+                    single_section(io::SectionId::kLevelSeparator,
+                                   io::encode_level_separator(
+                                       {baselines::bfs_level_separator(
+                                           g, inst.root)})))
+              << row;
+        }
+        continue;
+      }
+      // Fault jobs are never cached: replay the drivers in stage order
+      // under the job's controller and compare the row's numbers.
+      faults::FaultController ctl(spec.faults, spec.fault_seed);
+      faults::ScopedFaultInjection inject(ctl);
+      int attempts = 1;
+      if (sep) {
+        const faults::RecoveredSeparator rec =
+            faults::compute_separator_with_recovery(g, inst.root,
+                                                    opts.retry);
+        ASSERT_TRUE(rec.recovery.ok) << row;
+        attempts = std::max(attempts, rec.recovery.attempts);
+        const auto& part = rec.result->parts.at(0);
+        EXPECT_EQ(row_int(row, "separator", "phase"), part.phase);
+        EXPECT_EQ(row_int(row, "separator", "path"),
+                  static_cast<long long>(part.path.size()));
+        EXPECT_EQ(row_int(row, "separator", "measured"), rec.cost.measured);
+        EXPECT_EQ(row_int(row, "separator", "charged"), rec.cost.charged);
+      }
+      if (dfs) {
+        const faults::RecoveredDfs rec =
+            faults::build_dfs_tree_with_recovery(g, inst.root, opts.retry);
+        ASSERT_TRUE(rec.recovery.ok) << row;
+        attempts = std::max(attempts, rec.recovery.attempts);
+        EXPECT_EQ(row_int(row, "dfs", "phases"), rec.build->phases);
+        EXPECT_EQ(row_int(row, "dfs", "measured"), rec.cost.measured);
+        EXPECT_EQ(row_int(row, "dfs", "charged"), rec.cost.charged);
+      }
+      if (spec.algo == serve::Algo::kBaselineSeparator) {
+        const baselines::LevelSeparatorResult res =
+            baselines::bfs_level_separator(g, inst.root);
+        EXPECT_EQ(row_int(row, "baseline", "size"),
+                  static_cast<long long>(res.separator.size()));
+        EXPECT_EQ(row_int(row, "baseline", "levels"), res.levels_used);
+      }
+      EXPECT_EQ(row_int(row, "", "attempts"), attempts) << row;
+    }
+
+    // The corpus store (the overlapped IO task of every graph) writes the
+    // same bytes as a direct store of each instance.
+    const auto ref_entries = io::list_corpus(ref_dir.path());
+    const auto entries = io::list_corpus(dir.path());
+    ASSERT_EQ(ref_entries.size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(ref_entries[i].family, entries[i].family);
+      EXPECT_EQ(ref_entries[i].fingerprint, entries[i].fingerprint);
+      EXPECT_EQ(io::read_file(ref_entries[i].path),
+                io::read_file(entries[i].path));
     }
   }
 }
 
-// PLANSEP_TASKGRAPH=0 is the monolithic fallback the CI smoke compares
-// against; the default is on.
-TEST(TaskGraphParity, EnvToggleParsesAllSpellings) {
-  const char* saved = std::getenv("PLANSEP_TASKGRAPH");
-  const std::string saved_value = saved ? saved : "";
-  ::setenv("PLANSEP_TASKGRAPH", "0", 1);
-  EXPECT_FALSE(taskgraph::taskgraph_enabled());
-  ::setenv("PLANSEP_TASKGRAPH", "off", 1);
-  EXPECT_FALSE(taskgraph::taskgraph_enabled());
-  ::setenv("PLANSEP_TASKGRAPH", "1", 1);
-  EXPECT_TRUE(taskgraph::taskgraph_enabled());
-  ::unsetenv("PLANSEP_TASKGRAPH");
-  EXPECT_TRUE(taskgraph::taskgraph_enabled());
-  if (saved) ::setenv("PLANSEP_TASKGRAPH", saved_value.c_str(), 1);
+// A fault plan can break the baseline's BFS wave before it reaches every
+// node. The level search has no recovery driver, so the job reports a
+// typed error row and the batch carries on.
+TEST(TaskGraphParity, BrokenBaselineWaveIsAnErrorRow) {
+  std::istringstream file(
+      "--family=random_planar --n=60 --seed=8 --algo=baseline-separator "
+      "--drop=0.02 --fault-seed=6\n"
+      "--family=grid --n=49 --seed=1 --algo=baseline-separator\n");
+  serve::ResultCache cache({1 << 22, ""});
+  const auto rep =
+      serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr);
+  ASSERT_EQ(rep.jobs, 2);
+  EXPECT_EQ(rep.results[0].status, "error");
+  EXPECT_NE(rep.results[0].error.find("BFS wave did not reach every node"),
+            std::string::npos)
+      << rep.results[0].error;
+  EXPECT_EQ(rep.results[1].status, "ok");
 }
 
 // -------------------------------------------------- sub-artifact codecs ----

@@ -17,6 +17,11 @@ Two checks over the repo's markdown:
    the C++ sources (as the literal ``--flag`` or the quoted flag name) —
    so a renamed binary or flag turns the stale doc into a CI failure.
 
+3. Env names stay real: every ``PLANSEP_*`` name in README.md,
+   DESIGN.md, EXPERIMENTS.md or a docs/ markdown file must occur in the
+   C++ sources, so a deleted environment variable cannot linger in the
+   docs.
+
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -31,6 +36,8 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 SHELL_INFO = {"sh", "bash", "console", "shell"}
 BINARY_RE = re.compile(r"^(plansep\w*|bench_\w+)$")
 FLAG_RE = re.compile(r"^--([a-zA-Z0-9][a-zA-Z0-9-]*)(=.*)?$")
+ENV_RE = re.compile(r"\bPLANSEP_[A-Z0-9_]+")
+ENV_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def markdown_files():
@@ -151,6 +158,15 @@ def check_snippets(path, lines, blob, errors):
                                   f"({base}) not found in any source")
 
 
+def check_env_names(path, lines, blob, errors):
+    rel = os.path.relpath(path, REPO)
+    for ln, line in enumerate(lines, 1):
+        for m in ENV_RE.finditer(line):
+            if m.group(0) not in blob:
+                errors.append(f"{rel}:{ln}: env name '{m.group(0)}' not "
+                              f"found in any source")
+
+
 def main():
     errors = []
     blob = source_blob()
@@ -158,9 +174,11 @@ def main():
         with open(path, errors="replace") as f:
             lines = f.read().splitlines()
         check_links(path, lines, errors)
-        if path.startswith(os.path.join(REPO, "docs")) or \
-                os.path.basename(path) == "README.md":
+        in_docs = path.startswith(os.path.join(REPO, "docs"))
+        if in_docs or os.path.basename(path) == "README.md":
             check_snippets(path, lines, blob, errors)
+        if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
+            check_env_names(path, lines, blob, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
