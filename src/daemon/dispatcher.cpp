@@ -19,8 +19,7 @@ Dispatcher::Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
   opts_.chaos_max_attempts = std::max(1, opts_.chaos_max_attempts);
 
   // Settle the PLANSEP_METRICS bootstrap, then detach every process-global
-  // hook for the dispatcher's lifetime — same reasoning as run_batch's
-  // parallel section (batch.cpp): the registry and sink demand
+  // hook for the dispatcher's lifetime: the registry and sink demand
   // single-threaded mutation, and a fault injector must never observe two
   // concurrent networks.
   obs::ensure_env_metrics();
@@ -52,7 +51,6 @@ Dispatcher::~Dispatcher() {
 }
 
 Admission Dispatcher::submit(Submission s, CompletionFn done) {
-  std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     metrics_.add("daemon/submitted");
@@ -60,7 +58,9 @@ Admission Dispatcher::submit(Submission s, CompletionFn done) {
       metrics_.add("daemon/rejected_draining");
       return Admission::kDraining;
     }
-    if (outstanding_[s.client] >= opts_.per_client_quota) {
+    const auto held = clients_.find(s.client);
+    if ((held == clients_.end() ? 0 : held->second.outstanding) >=
+        opts_.per_client_quota) {
       metrics_.add("daemon/rejected_quota");
       return Admission::kQuotaExceeded;
     }
@@ -69,11 +69,11 @@ Admission Dispatcher::submit(Submission s, CompletionFn done) {
       metrics_.add("daemon/rejected_backpressure");
       return Admission::kQueueFull;
     }
-    seq = next_seq_[s.client]++;
-    ++outstanding_[s.client];
+    Client& c = clients_[s.client];
+    ++c.outstanding;
     metrics_.add("daemon/admitted");
     metrics_.sample("daemon/queue_depth", static_cast<long long>(depth + 1));
-    Item item{std::move(s), std::move(done), seq};
+    Item item{std::move(s), std::move(done), c.next_seq++};
     if (item.sub.priority == Priority::kHigh) {
       high_.push_back(std::move(item));
     } else {
@@ -98,13 +98,13 @@ void Dispatcher::resume() {
 }
 
 void Dispatcher::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  draining_ = true;
-  paused_ = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    draining_ = true;
+    paused_ = false;
+  }
   work_cv_.notify_all();
-  idle_cv_.wait(lk, [&] {
-    return high_.empty() && normal_.empty() && running_ == 0;
-  });
+  wait_idle();
 }
 
 void Dispatcher::wait_idle() {
@@ -121,8 +121,8 @@ std::size_t Dispatcher::queue_depth() const {
 
 long long Dispatcher::outstanding(std::uint64_t client) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = outstanding_.find(client);
-  return it == outstanding_.end() ? 0 : it->second;
+  const auto it = clients_.find(client);
+  return it == clients_.end() ? 0 : it->second.outstanding;
 }
 
 bool Dispatcher::draining() const {
@@ -143,7 +143,7 @@ bool Dispatcher::chaos_fires(std::uint64_t id, int attempt) const {
 }
 
 void Dispatcher::execute(Item item) {
-  JobDone done{item.sub.client, item.sub.id, item.client_seq, {}};
+  JobDone done{item.sub.client, item.sub.id, {}};
   {
     // Fault jobs install the process-global fault injector: they hold the
     // fault lock exclusively, every other job shares it.
@@ -179,13 +179,34 @@ void Dispatcher::execute(Item item) {
       done.outcome);
   metrics_.add("daemon/completed");
   metrics_.job_completed(done.id, attempts);
-  if (item.done) item.done(done);
+  finish(item.seq, std::move(item.done), std::move(done));
+}
 
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --outstanding_[item.sub.client];
-    --running_;
+void Dispatcher::finish(std::uint64_t seq, CompletionFn fn, JobDone done) {
+  const std::uint64_t client = done.client;
+  std::unique_lock<std::mutex> lk(mu_);
+  Client& c = clients_.at(client);
+  c.finished.emplace(seq, std::make_pair(std::move(fn), std::move(done)));
+  if (!c.flushing) {
+    // Only the flusher delivers, frees slots or erases the entry, so `c`
+    // stays valid across the unlocked callbacks.
+    c.flushing = true;
+    for (auto it = c.finished.begin();
+         it != c.finished.end() && it->first == c.next_deliver;
+         it = c.finished.begin()) {
+      auto [cb, ready] = std::move(it->second);
+      c.finished.erase(it);
+      ++c.next_deliver;
+      lk.unlock();
+      if (cb) cb(ready);
+      lk.lock();
+      --c.outstanding;
+    }
+    c.flushing = false;
+    if (c.outstanding == 0) clients_.erase(client);
   }
+  --running_;
+  lk.unlock();
   idle_cv_.notify_all();
 }
 

@@ -1,43 +1,47 @@
 #pragma once
 
 /// \file
-/// The daemon's admission-controlled job dispatcher: bounded two-priority
-/// queue, per-client quotas, worker pool, chaos retries, graceful drain.
+/// plansep's job scheduler: bounded two-priority admission queue,
+/// per-client quotas and delivery order, worker pool, chaos retries,
+/// graceful drain.
 
-// The dispatcher sits between protocol sessions and the job runners
-// (serve::run_single_job, query::run_query_job, ingest::ingest_string).
+// plansep's one job scheduler. Its clients are protocol sessions and
+// serve::run_batch, which submits a job file as client 0 and drains; its
+// job runners are serve::run_single_job, query::run_query_job and
+// ingest::ingest_string.
 //
 // Admission is synchronous and bounded: submit() either admits the job
-// (assigning the client's next delivery sequence number under the lock,
-// so per-client response order is fixed at admission) or reports exactly
-// why not — the queue is full (backpressure), the client's outstanding
-// quota is exhausted, or the daemon is draining. Rejections are decided
-// immediately on the session thread; nothing about a rejected job ever
-// reaches a worker.
+// under the lock, assigning the client's next admission sequence, or
+// reports why not — queue full (backpressure), the client's quota
+// exhausted, or draining. A rejected job never reaches a worker. Two
+// priority classes share the capacity bound; high-priority jobs dequeue
+// first, so priority affects latency, never admission.
 //
-// Two priority classes share one capacity bound: high-priority jobs
-// dequeue before every queued normal job, but admission treats the
-// classes identically, so priority affects latency, never admission.
+// Delivery follows each client's admission order: a finished job waits
+// for its predecessors, and the worker that completes the ready prefix
+// runs those callbacks outside the lock (one flusher per client), then
+// frees their quota slots.
 //
-// Execution mirrors run_batch's parallel section (batch.hpp): the
-// constructor detaches the process-global metrics registry, trace sink
-// and fault injector for the dispatcher's lifetime and forces the CONGEST
-// round engine serial; jobs whose spec enables fault injection take an
-// exclusive lock (their injector hook is process-global) while fault-free
-// jobs share it. Optional chaos testing re-runs a pipeline job when a
-// seeded coin (a pure function of chaos_seed, job id and attempt index)
-// fires, discarding the crashed attempt's result — the delivered payload
-// is always the final attempt's, hence byte-identical to a chaos-free run.
+// It is the one place that meets the job runners' concurrency
+// obligations: for its lifetime it detaches the process-global metrics
+// registry, trace sink and fault injector and forces the CONGEST round
+// engine serial, and a fault job holds the fault lock exclusively (its
+// injector hook is process-global) while other jobs share it. A fault
+// job's own FaultController makes its retry history depend only on its
+// seed. Chaos testing re-runs a pipeline job when a seeded coin
+// (chaos_seed, job id, attempt) fires; the final attempt's payload is
+// delivered, so it equals a chaos-free run's byte for byte.
 //
-// pause()/resume() freeze dequeueing (admission keeps running). This is
-// the deterministic backpressure probe: pause an idle dispatcher, submit
-// capacity + k jobs, and exactly k rejections come back, independent of
-// worker speed. drain() stops admissions, resumes dequeueing, and blocks
-// until every admitted job has been delivered.
+// pause()/resume() freeze dequeueing while admission keeps running — the
+// deterministic backpressure probe: pause an idle dispatcher, submit
+// capacity + k jobs, and exactly k are rejected. drain() stops
+// admissions, resumes dequeueing, and blocks until every admitted job
+// has been delivered.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -112,7 +116,7 @@ struct Submission {
   using Job = std::variant<serve::JobSpec,
                            std::shared_ptr<const query::QueryJob>,
                            std::shared_ptr<const IngestJob>>;
-  std::uint64_t client = 0;  ///< session identity (quota + delivery order)
+  std::uint64_t client = 0;  ///< client identity (quota + delivery order)
   std::uint64_t id = 0;      ///< client-chosen correlation id
   Priority priority = Priority::kNormal;  ///< scheduling class
   Job job;                   ///< what to run
@@ -125,18 +129,18 @@ struct JobDone {
   /// verdict (ingest jobs).
   using Outcome =
       std::variant<serve::JobResult, query::QueryOutcome, IngestOutcome>;
-  std::uint64_t client = 0;      ///< submitting session
-  std::uint64_t id = 0;          ///< the submission's correlation id
-  std::uint64_t client_seq = 0;  ///< admission order within the client
-  Outcome outcome;               ///< what the job produced
+  std::uint64_t client = 0;  ///< submitting client
+  std::uint64_t id = 0;      ///< the submission's correlation id
+  Outcome outcome;           ///< what the job produced
 };
 
 /// Admission-controlled worker pool over the job runners.
 class Dispatcher {
  public:
-  /// Completion callback type. Invoked on a worker thread, before the
-  /// job's quota slot is released — when drain() returns, every callback
-  /// has returned too.
+  /// Completion callback type. Invoked on a worker thread, in the
+  /// client's admission order and never concurrently with another of
+  /// that client's callbacks, before the job's quota slot is released —
+  /// when drain() returns, every callback has returned too.
   using CompletionFn = std::function<void(const JobDone&)>;
 
   /// Starts the worker pool and detaches the process-global observability
@@ -178,11 +182,23 @@ class Dispatcher {
   struct Item {
     Submission sub;
     CompletionFn done;
-    std::uint64_t client_seq = 0;
+    std::uint64_t seq = 0;  // admission order within the client
+  };
+  // One client's delivery state; erased once nothing is outstanding.
+  struct Client {
+    long long outstanding = 0;       // admitted, not yet delivered
+    std::uint64_t next_seq = 0;      // next admission sequence
+    std::uint64_t next_deliver = 0;  // next sequence to deliver
+    // Finished jobs waiting for a predecessor, by admission sequence.
+    std::map<std::uint64_t, std::pair<CompletionFn, JobDone>> finished;
+    bool flushing = false;  // a worker is running this client's callbacks
   };
 
   void worker_loop();
   void execute(Item item);
+  // Stashes a finished job; delivers the client's ready prefix unless
+  // another worker is already flushing it.
+  void finish(std::uint64_t seq, CompletionFn fn, JobDone done);
   // One body per request class; execute() turns anything they throw into
   // an error outcome.
   serve::JobResult run(const serve::JobSpec& spec, std::uint64_t id);
@@ -206,8 +222,7 @@ class Dispatcher {
   std::condition_variable idle_cv_;   // drain/wait_idle: queue empty + idle
   std::deque<Item> high_;
   std::deque<Item> normal_;
-  std::unordered_map<std::uint64_t, long long> outstanding_;
-  std::unordered_map<std::uint64_t, std::uint64_t> next_seq_;
+  std::unordered_map<std::uint64_t, Client> clients_;
   bool paused_ = false;
   bool draining_ = false;
   bool stopping_ = false;
@@ -218,7 +233,7 @@ class Dispatcher {
   std::shared_mutex fault_mu_;
 
   // Process-global hooks detached for the dispatcher's lifetime, and the
-  // serial round-engine config (batch.hpp's caller obligations).
+  // serial round-engine config (run_single_job's caller obligations).
   obs::MetricsRegistry* saved_registry_ = nullptr;
   congest::TraceSink* saved_sink_ = nullptr;
   congest::FaultInjector* saved_injector_ = nullptr;

@@ -15,7 +15,7 @@
 // Everything recorded here is deterministic given the request stream and
 // admission decisions: counters, the queue-depth histogram, and per-job
 // spans on the analytic clock (1 completed job = 1 round, so the Perfetto
-// dump shows jobs as unit slices in completion-callback order). Wall-clock
+// dump shows jobs as unit slices in completion order). Wall-clock
 // latency is deliberately absent — it lives only in the load generator's
 // bench rows, keeping metrics snapshots diffable across runs.
 //
@@ -50,8 +50,8 @@ class DaemonMetrics {
 
   /// Records one completed job: a unit span named "daemon/job" on the
   /// analytic clock, annotated with the client-assigned id and attempt
-  /// count. Called from the completion path, so the Perfetto dump shows
-  /// jobs in delivery order.
+  /// count. Called when a job finishes, so the Perfetto dump shows jobs
+  /// in completion order.
   void job_completed(std::uint64_t id, int attempts) {
     std::lock_guard<std::mutex> lk(mu_);
     const int token = reg_.begin_span("daemon/job");

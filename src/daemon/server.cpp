@@ -5,11 +5,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -75,21 +75,19 @@ std::vector<std::uint8_t> response_frame(const JobDone& done) {
 
 }  // namespace
 
-// One connected client. The write mutex guards the fd's write side, the
-// closed flag and the reorder buffer; the session thread owns the read
-// side exclusively.
+// One connected client. The write mutex guards the fd's write side and
+// the closed flag; the session thread owns the read side exclusively.
 struct Server::Session {
   std::uint64_t client = 0;  ///< dispatcher client identity
   int fd = -1;
 
   std::mutex write_mu;
   bool closed = false;  // write side gone (disconnect or server stop)
-  std::map<std::uint64_t, std::vector<std::uint8_t>> pending;  // seq → frame
-  std::uint64_t next_seq = 0;  // next admission sequence to flush
 
+  std::atomic<bool> ended{false};  // session_loop returned; thread joinable
   std::thread thread;
 
-  /// Immediate write (rejects, errors, pongs, ...). False if closed/broken.
+  /// Writes one frame. False if the client is closed or the write broke.
   bool send_now(const std::vector<std::uint8_t>& frame) {
     std::lock_guard<std::mutex> lk(write_mu);
     if (closed) return false;
@@ -100,31 +98,22 @@ struct Server::Session {
     return true;
   }
 
-  /// Reorder-buffered response delivery: stash at seq, flush the ready
-  /// prefix. Returns false when the client is gone (response orphaned).
-  bool deliver(std::uint64_t seq, std::vector<std::uint8_t> frame) {
-    std::lock_guard<std::mutex> lk(write_mu);
-    if (closed) return false;
-    pending.emplace(seq, std::move(frame));
-    while (true) {
-      const auto it = pending.find(next_seq);
-      if (it == pending.end()) break;
-      if (!send_all(fd, it->second)) {
-        closed = true;
-        return false;
-      }
-      pending.erase(it);
-      ++next_seq;
-    }
-    return true;
-  }
-
   /// Severs the connection (both directions); the session thread's recv
   /// unblocks with EOF.
   void sever() {
     std::lock_guard<std::mutex> lk(write_mu);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
     closed = true;
+  }
+
+  /// Joins the session thread, then closes the fd under the write lock:
+  /// a late delivery sees `closed` and never touches the fd again.
+  void release() {
+    if (thread.joinable()) thread.join();
+    std::lock_guard<std::mutex> lk(write_mu);
+    closed = true;
+    if (fd >= 0) ::close(fd);
+    fd = -1;
   }
 };
 
@@ -178,6 +167,7 @@ void Server::start() {
 
 void Server::listener_loop() {
   while (accepting_.load()) {
+    reap_sessions();
     pollfd p{listen_fd_, POLLIN, 0};
     const int r = ::poll(&p, 1, 100);
     if (r <= 0) continue;
@@ -197,6 +187,19 @@ void Server::listener_loop() {
     metrics_.add("daemon/connections");
     s->thread = std::thread([this, s] { session_loop(s); });
   }
+}
+
+void Server::reap_sessions() {
+  std::vector<std::shared_ptr<Session>> ended;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    const auto gone = std::partition(
+        sessions_.begin(), sessions_.end(),
+        [](const std::shared_ptr<Session>& s) { return !s->ended.load(); });
+    ended.assign(gone, sessions_.end());
+    sessions_.erase(gone, sessions_.end());
+  }
+  for (const auto& s : ended) s->release();
 }
 
 void Server::dump_loop() {
@@ -266,6 +269,7 @@ void Server::session_loop(const std::shared_ptr<Session>& s) {
     metrics_.add("daemon/partial_disconnects");
   }
   s->sever();
+  s->ended.store(true);  // the listener reaps the thread and the fd
 }
 
 void Server::handle_frame(const std::shared_ptr<Session>& s,
@@ -364,7 +368,7 @@ void Server::admit(const std::shared_ptr<Session>& s, Submission sub) {
       [this, weak](const JobDone& done) { deliver(weak, done); });
   switch (adm) {
     case Admission::kAdmitted:
-      return;  // the response arrives through the reorder buffer
+      return;  // the dispatcher delivers the response in admission order
     case Admission::kQueueFull:
       s->send_now(make_frame(
           FrameType::kReject, id,
@@ -386,8 +390,7 @@ void Server::admit(const std::shared_ptr<Session>& s, Submission sub) {
 
 void Server::deliver(const std::weak_ptr<Session>& weak, const JobDone& done) {
   const auto session = weak.lock();
-  if (session == nullptr ||
-      !session->deliver(done.client_seq, response_frame(done))) {
+  if (session == nullptr || !session->send_now(response_frame(done))) {
     metrics_.add("daemon/orphaned_responses");
   }
 }
@@ -448,13 +451,7 @@ void Server::stop() {
     sessions.swap(sessions_);
   }
   for (const auto& s : sessions) s->sever();
-  for (const auto& s : sessions) {
-    if (s->thread.joinable()) s->thread.join();
-    if (s->fd >= 0) {
-      ::close(s->fd);
-      s->fd = -1;
-    }
-  }
+  for (const auto& s : sessions) s->release();
   if (dumper_.joinable()) dumper_.join();
   if (!opts_.socket_path.empty()) ::unlink(opts_.socket_path.c_str());
 }

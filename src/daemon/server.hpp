@@ -2,7 +2,7 @@
 
 /// \file
 /// plansepd's server core: UNIX-socket listener, per-session protocol
-/// loops, per-client response reordering, drain, and metrics dumps.
+/// loops, drain, and metrics dumps.
 
 // The serving daemon's server core.
 //
@@ -14,10 +14,10 @@
 //
 //   * immediate frames — rejects, errors, pongs, metrics replies — are
 //     written by the session thread the moment they are decided;
-//   * responses are delivered through a per-session reorder buffer keyed
-//     by the dispatcher-assigned admission sequence, so each client reads
-//     its responses in its own admission order no matter which worker
-//     finished first (the same reorder-buffer idiom as run_batch).
+//   * responses are written by the dispatcher's completion callback,
+//     which fires in the client's admission order (dispatcher.hpp), so
+//     each client reads its responses in that order no matter which
+//     worker finished first.
 //
 // A client that disconnects mid-stream orphans its in-flight jobs: they
 // still execute (admission is a promise of work, not of delivery) and
@@ -105,6 +105,9 @@ class Server {
   struct Session;
 
   void listener_loop();
+  // Joins, closes and forgets every session whose loop has ended, so the
+  // daemon holds one thread and one fd per live connection only.
+  void reap_sessions();
   void session_loop(const std::shared_ptr<Session>& s);
   void dump_loop();
   void handle_frame(const std::shared_ptr<Session>& s, const io::Frame& f);

@@ -519,10 +519,50 @@ query::QueryIndex decode_query_index(const std::vector<std::uint8_t>& bytes) {
   if (qi.block_off.size() != qi.path_piece.size()) {
     malformed("query index: block_off/path_piece sizes disagree");
   }
-  for (const std::int32_t p : qi.path_piece) {
+  // Ids and offsets the query walk dereferences unchecked: every distance
+  // block inside `dist`, chain position l at level l, separator ids in
+  // [0, n), and leaf positions inside their leaf's table.
+  const auto dist_size = static_cast<std::int64_t>(qi.dist.size());
+  for (std::size_t i = 0; i < qi.path_piece.size(); ++i) {
+    const std::int32_t p = qi.path_piece[i];
     if (p < 0 || static_cast<std::size_t>(p) >= pieces) {
       malformed("query index: chain references unknown piece " +
                 std::to_string(p));
+    }
+    if (qi.block_off[i] < 0 ||
+        qi.block_off[i] > dist_size - qi.sep_count(p)) {
+      malformed("query index: distance block " + std::to_string(i) +
+                " outside the distance table");
+    }
+  }
+  for (const planar::NodeId s : qi.sep_nodes) {
+    if (s < 0 || s >= qi.num_nodes) {
+      malformed("query index: separator node " + std::to_string(s) +
+                " out of range");
+    }
+  }
+  for (planar::NodeId v = 0; v < qi.num_nodes; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const auto at = static_cast<std::size_t>(qi.path_off[vi]);
+    const std::int32_t len = qi.path_len(v);
+    for (std::int32_t l = 0; l < len; ++l) {
+      const auto p = static_cast<std::size_t>(qi.path_piece[at + l]);
+      if (qi.piece_level[p] != l) {
+        malformed("query index: chain of node " + std::to_string(v) +
+                  " is out of level order");
+      }
+    }
+    const std::int64_t pos = qi.leaf_pos[vi];
+    if (pos == -1) continue;
+    bool ok = pos >= 0 && len >= 1;
+    if (ok) {
+      const auto leaf = static_cast<std::size_t>(qi.path_piece[at + len - 1]);
+      ok = (pos + 1) * (pos + 1) <=
+           qi.leaf_tab_off[leaf + 1] - qi.leaf_tab_off[leaf];
+    }
+    if (!ok) {
+      malformed("query index: leaf position of node " + std::to_string(v) +
+                " outside its leaf table");
     }
   }
   return qi;

@@ -174,7 +174,7 @@ std::vector<std::uint8_t> encode_hierarchy(const HierarchyArtifact& h);  ///< kH
 HierarchyArtifact decode_hierarchy(const std::vector<std::uint8_t>& bytes);
 
 std::vector<std::uint8_t> encode_query_index(const query::QueryIndex& qi);  ///< kQueryIndex codec
-/// Decodes a kQueryIndex payload, validating array-size consistency.
+/// Decodes a kQueryIndex payload, validating array sizes, offsets and ids.
 query::QueryIndex decode_query_index(const std::vector<std::uint8_t>& bytes);
 
 /// Extracts a DfsArtifact from a built tree (the persistence direction).

@@ -24,9 +24,9 @@
 //   4. applies dead edges (such jobs always build a private engine: kill
 //      state must never leak into a shared one) and answers the batch.
 //
-// Caller obligations are run_single_job's (batch.hpp): serial round
-// engine, detached process-global hooks. The daemon dispatcher enforces
-// both; tests calling run_query_job directly run single-threaded.
+// Caller obligations are run_single_job's (batch.hpp), which
+// daemon::Dispatcher, the one scheduler, meets; tests calling
+// run_query_job directly run single-threaded.
 
 #include <cstdint>
 #include <functional>

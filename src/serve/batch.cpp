@@ -1,22 +1,18 @@
 #include "serve/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <istream>
-#include <mutex>
-#include <ostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "congest/thread_pool.hpp"
 #include "core/fingerprint.hpp"
 #include "faults/controller.hpp"
 #include "io/artifact.hpp"
 #include "obs/json.hpp"
-#include "obs/sink.hpp"
 #include "planar/generators.hpp"
 #include "serve/verify.hpp"
 #include "subroutines/components.hpp"
@@ -257,8 +253,9 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
 
     // Faulty jobs install their controller for the whole job: both stages
     // draw from one deterministic epoch sequence, and retries see fresh
-    // faults. run_batch guarantees such jobs execute serially, so the
-    // process-global injector never leaks into a concurrent job.
+    // faults. The dispatcher runs such jobs under its exclusive fault
+    // lock, so the process-global injector never leaks into a concurrent
+    // job.
     const bool faulty = spec.faults.enabled();
     std::optional<faults::FaultController> ctl;
     std::optional<faults::ScopedFaultInjection> inj;
@@ -450,7 +447,13 @@ std::optional<JobSpec> parse_job_line(const std::string& text, int line_no) {
     if (key == "family") {
       spec.family = value;
     } else if (key == "n") {
-      spec.n = static_cast<int>(parse_int(line_no, key, value));
+      const long long n = parse_int(line_no, key, value);
+      if (n < 1 || n > std::numeric_limits<int>::max()) {
+        bad_line(line_no, "--n wants a node count in [1, " +
+                              std::to_string(std::numeric_limits<int>::max()) +
+                              "], got '" + value + "'");
+      }
+      spec.n = static_cast<int>(n);
     } else if (key == "seed") {
       spec.seed = parse_u64(line_no, key, value);
     } else if (key == "algo") {
@@ -494,141 +497,6 @@ std::vector<JobSpec> parse_job_file(std::istream& in) {
     }
   }
   return jobs;
-}
-
-// ------------------------------------------------------------ scheduler --
-
-BatchReport run_batch(const std::vector<JobSpec>& jobs,
-                      const BatchOptions& opts, ResultCache& cache,
-                      std::ostream* rows_out) {
-  obs::ensure_env_metrics();  // settle the env bootstrap before detaching
-  const CacheCounters before = cache.counters();
-
-  BatchReport rep;
-  rep.jobs = static_cast<long long>(jobs.size());
-  rep.results.resize(jobs.size());
-  std::vector<long long> latency_ms(jobs.size(), 0);
-  std::vector<char> done(jobs.size(), 0);
-
-  // Reorder buffer: rows stream in admission order, never completion
-  // order. Whichever thread completes a job flushes the ready prefix.
-  std::mutex emit_mu;
-  std::size_t next_emit = 0;
-  const auto complete = [&](std::size_t i, JobRun run, long long ms) {
-    JobResult res = result_of(std::move(run));
-    std::lock_guard<std::mutex> lk(emit_mu);
-    rep.results[i] = std::move(res);
-    latency_ms[i] = ms;
-    done[i] = 1;
-    while (next_emit < jobs.size() && done[next_emit]) {
-      if (rows_out != nullptr) {
-        (*rows_out) << rep.results[next_emit].row << '\n';
-        rows_out->flush();
-      }
-      ++next_emit;
-    }
-  };
-  const auto timed = [&](std::size_t i) {
-    const auto t0 = Clock::now();
-    JobRun run = execute_job(jobs[i], i, opts, cache);
-    complete(i, std::move(run), elapsed_ms(t0));
-  };
-
-  // Detach every process-global hook for the parallel section: the
-  // metrics registry and trace sink demand single-threaded mutation, and
-  // a fault injector must never observe two concurrent networks. Local
-  // counters are folded back into the restored registry below.
-  obs::MetricsRegistry* const saved_reg = obs::set_global_registry(nullptr);
-  congest::TraceSink* const saved_sink =
-      congest::set_global_trace_sink(nullptr);
-  congest::FaultInjector* const saved_inj =
-      congest::set_global_fault_injector(nullptr);
-  {
-    // Jobs are the unit of parallelism; the round engine inside each job
-    // runs serially (ThreadPool::run_shards is not reentrant).
-    congest::ScopedThreadConfig serial_rounds(congest::ThreadConfig{});
-
-    // Fault-injected jobs first, serially, in admission order: their
-    // ScopedFaultInjection installs a process-global injector.
-    std::vector<std::size_t> fault_free;
-    fault_free.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].faults.enabled()) {
-        timed(i);
-      } else {
-        fault_free.push_back(i);
-      }
-    }
-
-    const int shards = static_cast<int>(
-        std::min<std::size_t>(std::max(opts.threads, 1), fault_free.size()));
-    if (shards <= 1) {
-      for (const std::size_t i : fault_free) timed(i);
-    } else {
-      std::atomic<std::size_t> cursor{0};
-      congest::ThreadPool::instance().run_shards(shards, [&](int) {
-        // run_shards requires a non-throwing fn; execute_job converts all
-        // job failures into "error" rows, so nothing escapes here.
-        for (;;) {
-          const std::size_t slot = cursor.fetch_add(1);
-          if (slot >= fault_free.size()) break;
-          timed(fault_free[slot]);
-        }
-      });
-    }
-  }
-  congest::set_global_fault_injector(saved_inj);
-  congest::set_global_trace_sink(saved_sink);
-  obs::set_global_registry(saved_reg);
-
-  rep.cache = cache.counters() - before;
-  for (const JobResult& r : rep.results) {
-    rep.taskgraph.merge(r.taskgraph);
-    if (r.status == "ok") {
-      ++rep.ok;
-    } else if (r.status == "check_failed") {
-      ++rep.check_failed;
-    } else if (r.status == "deadline") {
-      ++rep.deadline_missed;
-    } else {
-      ++rep.errors;
-    }
-  }
-
-  if (obs::MetricsRegistry* reg = obs::global_registry()) {
-    reg->add("serve/jobs", rep.jobs);
-    reg->add("serve/jobs_ok", rep.ok);
-    reg->add("serve/check_failed", rep.check_failed);
-    reg->add("serve/deadline_missed", rep.deadline_missed);
-    reg->add("serve/errors", rep.errors);
-    reg->add("serve/cache_hits", rep.cache.hits);
-    reg->add("serve/cache_disk_hits", rep.cache.disk_hits);
-    reg->add("serve/cache_misses", rep.cache.misses);
-    reg->add("serve/cache_served_warm", rep.cache.served_without_compute());
-    reg->add("serve/cache_evictions", rep.cache.evictions);
-    reg->add("serve/cache_flight_joins", rep.cache.flight_joins);
-    // Task-graph counters, folded post-execution (the executor itself
-    // never touches obs globals). All thread-count invariant except the
-    // IO overlap, which is wall clock and lands in a histogram like the
-    // latency profile.
-    reg->add("taskgraph/tasks_run", rep.taskgraph.tasks_run);
-    reg->add("taskgraph/cache_served", rep.taskgraph.cache_served);
-    reg->add("taskgraph/io_tasks", rep.taskgraph.io_tasks);
-    for (const auto& [name, n] : rep.taskgraph.runs) {
-      reg->add("taskgraph/runs/" + name, n);
-    }
-    reg->histogram("taskgraph/overlapped_io_ms")
-        .add(rep.taskgraph.overlapped_io_ms);
-    obs::HistogramData& lat = reg->histogram("serve/job_latency_ms");
-    for (const long long ms : latency_ms) lat.add(ms);
-    // Deterministic backlog profile: the queue depth each job observed at
-    // admission (jobs behind it included), independent of scheduling.
-    obs::HistogramData& depth = reg->histogram("serve/queue_depth");
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      depth.add(static_cast<long long>(jobs.size() - i));
-    }
-  }
-  return rep;
 }
 
 }  // namespace plansep::serve

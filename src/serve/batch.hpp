@@ -1,38 +1,18 @@
 #pragma once
 
 /// \file
-/// Batch serving: job-file parsing and the concurrent, cache-backed,
-/// deadline-aware scheduler behind the plansep_batch CLI.
+/// Batch serving: job-file parsing, the job runner behind every batch and
+/// daemon row, and run_batch, the plansep_batch entry point.
 
-// The batch scheduler: admits pipeline jobs (generate-or-load → separator
-// → DFS → verify), executes them on congest::ThreadPool, and streams one
-// JSON row per job.
-//
-// Determinism contract (argued in DESIGN.md §9): for a fixed job file and
-// cache configuration, the emitted row stream is byte-identical across
-//   * thread counts (serial vs k workers),
-//   * cold vs warm caches (memory, disk, or both).
-// The ingredients:
-//   * rows are emitted in admission order through a reorder buffer, never
-//     in completion order;
-//   * every row field derives from the canonical artifact bytes — a cold
-//     run encodes, then decodes its own artifact; a warm run decodes the
-//     cached bytes; both verify the decoded arrays through serve/verify —
-//     so there is one code path from bytes to row;
-//   * rows carry no wall-clock fields and no per-job cache disposition
-//     (those live in the obs metrics, where single-flight makes the
-//     aggregate hit/miss counts thread-count-invariant too);
-//   * fault-injected jobs execute taskgraph::recovery_graph() without the
-//     cache and always run serially on the admitting thread in admission
-//     order (the fault injector hook is process-global), so their retry
-//     histories are reproducible.
-//
-// Inside the parallel section the scheduler forces the CONGEST round
-// engine serial (ScopedThreadConfig{threads = 1}) — ThreadPool::run_shards
-// is not reentrant, and job-level parallelism already saturates the pool —
-// and detaches the process-global metrics registry / trace sink / fault
-// injector, folding a local counter set back into the restored registry
-// afterwards, so PLANSEP_METRICS=1 stays race-free under concurrent jobs.
+// Determinism contract (DESIGN.md §9): for a fixed job file and cache
+// configuration, the row stream is byte-identical across thread counts
+// and cold vs warm caches. run_batch is one in-process client of
+// daemon::Dispatcher, which delivers rows in admission order; every row
+// field derives from the canonical artifact bytes through one bytes→row
+// path (a cold run decodes its own artifact, a warm run the cached
+// bytes, both verified through serve/verify); rows carry no wall clock
+// and no per-job cache disposition; and fault jobs run the uncached
+// recovery graph under their own FaultController.
 
 #include <cstdint>
 #include <iosfwd>
@@ -115,9 +95,9 @@ struct Instance {
 /// unknown family or an unreadable .psg.
 Instance acquire_instance(const JobSpec& spec);
 
-/// Scheduler configuration.
+/// Execution configuration of batch and daemon jobs.
 struct BatchOptions {
-  int threads = 1;             ///< worker shards for fault-free jobs
+  int threads = 1;             ///< run_batch's dispatcher workers
   std::string corpus_dir;      ///< store generated instances here ("" = off)
   faults::RetryPolicy retry;   ///< recovery policy for fault-injected jobs
 };
@@ -152,26 +132,27 @@ struct BatchReport {
   std::vector<JobResult> results; ///< per-job outcomes, admission order
 };
 
-/// Runs the batch. Rows stream to `rows_out` (JSONL, admission order) as
-/// completion allows; pass nullptr to collect them only in the report.
-/// The cache is caller-owned so consecutive batches share warmth.
+/// Runs the batch on an in-process daemon::Dispatcher (one worker per
+/// `threads`, at most one per job), submitting every job in file order,
+/// then draining; defined in src/daemon/batch.cpp. Rows stream to
+/// `rows_out` (JSONL, admission order) as completion allows; pass nullptr
+/// to collect them only in the report. The cache is caller-owned so
+/// consecutive batches share warmth.
 BatchReport run_batch(const std::vector<JobSpec>& jobs,
                       const BatchOptions& opts, ResultCache& cache,
                       std::ostream* rows_out = nullptr);
 
-/// Executes one job outside the batch scheduler — the daemon's execution
-/// path. Same bytes→row contract as run_batch (the row is a pure function
-/// of the job spec, `index`, and the canonical artifact bytes; no
-/// wall-clock fields), so a daemon response is byte-identical to the
-/// batch row for the same spec and index. `index` lands in the row's
-/// "job" field — daemon sessions pass the client's request id.
+/// Executes one job: the row is a pure function of the job spec, `index`,
+/// and the canonical artifact bytes (no wall-clock fields), so a daemon
+/// response is byte-identical to the batch row for the same spec and
+/// index. `index` lands in the row's "job" field — run_batch passes the
+/// job's position, daemon sessions the client's request id.
 ///
-/// Caller obligations mirror run_batch's parallel section: the CONGEST
-/// round engine must be configured serial (ScopedThreadConfig), the
-/// process-global metrics registry / trace sink / fault injector must be
-/// detached, and jobs whose spec enables faults must not run concurrently
-/// with any other job (their fault injector hook is process-global). The
-/// daemon dispatcher enforces all three.
+/// Caller obligations, which daemon::Dispatcher is the one place to meet:
+/// the CONGEST round engine configured serial (ScopedThreadConfig), the
+/// process-global metrics registry / trace sink / fault injector
+/// detached, and no job running concurrently with one whose spec enables
+/// faults (its fault injector hook is process-global).
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,
                          const BatchOptions& opts, ArtifactCache& cache);
 

@@ -83,7 +83,7 @@ struct CacheCounters {
 };
 
 /// Interface shared by the flat and sharded caches: everything a job
-/// executor needs (lookup-or-compute plus counters). serve::run_batch and
+/// executor needs (lookup-or-compute plus counters). The job runners and
 /// the daemon dispatcher are written against this, so either tier plugs
 /// in.
 class ArtifactCache {

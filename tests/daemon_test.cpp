@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -22,6 +25,7 @@
 #include "daemon/protocol.hpp"
 #include "daemon/server.hpp"
 #include "io/frame.hpp"
+#include "obs/metrics.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 
@@ -348,13 +352,15 @@ TEST(DaemonDispatcher, HighPriorityDequeuesFirst) {
     std::lock_guard<std::mutex> lk(mu);
     order.push_back(done.id);
   };
+  // One client per submission: a single client's callbacks would arrive
+  // in its admission order, whatever the dequeue order.
   const auto spec = *serve::parse_job_line(kSpecA, 0);
   for (std::uint64_t id = 0; id < 3; ++id) {
-    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kNormal, spec}, record),
+    EXPECT_EQ(disp.submit({id, id, daemon::Priority::kNormal, spec}, record),
               daemon::Admission::kAdmitted);
   }
   for (std::uint64_t id = 10; id < 13; ++id) {
-    EXPECT_EQ(disp.submit({1, id, daemon::Priority::kHigh, spec}, record),
+    EXPECT_EQ(disp.submit({id, id, daemon::Priority::kHigh, spec}, record),
               daemon::Admission::kAdmitted);
   }
   disp.resume();
@@ -362,6 +368,42 @@ TEST(DaemonDispatcher, HighPriorityDequeuesFirst) {
   ASSERT_EQ(order.size(), 6u);
   const std::vector<std::uint64_t> want{10, 11, 12, 0, 1, 2};
   EXPECT_EQ(order, want);
+}
+
+// A client's callbacks fire in its admission order even when a later
+// submission finishes first: with one paused worker, the high-priority
+// job admitted second runs first, and its callback waits for the normal
+// job admitted before it.
+TEST(DaemonDispatcher, DeliversEachClientsJobsInAdmissionOrder) {
+  daemon::DaemonMetrics metrics;
+  serve::ShardedResultCache cache({1u << 22, 4, ""});
+  daemon::DispatcherOptions opts;
+  opts.workers = 1;
+  daemon::Dispatcher disp(opts, cache, metrics);
+  disp.pause();
+
+  std::vector<std::uint64_t> delivered;  // one client: callbacks never overlap
+  const auto record = [&](const daemon::JobDone& done) {
+    delivered.push_back(done.id);
+  };
+  const auto spec = *serve::parse_job_line(kSpecA, 0);
+  ASSERT_EQ(disp.submit({1, 0, daemon::Priority::kNormal, spec}, record),
+            daemon::Admission::kAdmitted);
+  ASSERT_EQ(disp.submit({1, 1, daemon::Priority::kHigh, spec}, record),
+            daemon::Admission::kAdmitted);
+  EXPECT_EQ(disp.outstanding(1), 2);
+  disp.resume();
+  disp.wait_idle();
+
+  // The per-job spans record completion order: the high job ran first.
+  std::vector<long long> ran;
+  const obs::MetricsRegistry snap = metrics.snapshot();
+  for (const obs::SpanRecord& span : snap.spans()) {
+    if (span.name == "daemon/job") ran.push_back(span.notes.at(0).second);
+  }
+  EXPECT_EQ(ran, (std::vector<long long>{1, 0}));
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(disp.outstanding(1), 0);
 }
 
 // ----------------------------------------------------------- fuzz corpus ----
@@ -463,9 +505,64 @@ TEST(DaemonServer, BadJobSpecIsRejectedAndTheSessionContinues) {
   EXPECT_EQ(st.code, daemon::StatusCode::kBadJobSpec);
   EXPECT_NE(st.detail.find("bogus"), std::string::npos);
 
-  c.submit(2, daemon::Priority::kNormal, kSpecB);
+  // A node count outside [1, 2^31 - 1] is rejected, not truncated.
+  c.submit(2, daemon::Priority::kNormal, "--family=grid --n=4294967360");
+  f = c.read_matching(daemon::FrameType::kError, 2, 10000);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(daemon::decode_status(f->payload).code,
+            daemon::StatusCode::kBadJobSpec);
+
+  c.submit(3, daemon::Priority::kNormal, kSpecB);
   const auto rows = collect_responses(c, 1);
-  EXPECT_EQ(rows.count(2), 1u);
+  EXPECT_EQ(rows.count(3), 1u);
+}
+
+// ------------------------------------------------------ disconnects ----
+
+// Admission is a promise of work, not of delivery: a client that leaves
+// with k jobs queued still gets them executed, and each of the k
+// responses is counted as orphaned.
+TEST(DaemonServer, DisconnectedClientsResponsesAreCountedOrphaned) {
+  constexpr long long kJobs = 3;
+  TestDaemon d;
+  {
+    daemon::Client c = d.connect();
+    ASSERT_TRUE(c.pause(100));
+    for (std::uint64_t id = 0; id < kJobs; ++id) {
+      c.submit(id, daemon::Priority::kNormal, kSpecB);
+    }
+    ASSERT_TRUE(c.ping(101));  // the session handled every submit first
+    EXPECT_EQ(d.server->dispatcher().queue_depth(),
+              static_cast<std::size_t>(kJobs));
+    c.close();
+  }
+  d.server->dispatcher().resume();
+  d.server->dispatcher().wait_idle();
+  EXPECT_EQ(d.server->metrics().counter("daemon/completed"), kJobs);
+  EXPECT_EQ(d.server->metrics().counter("daemon/orphaned_responses"), kJobs);
+}
+
+// Finished sessions are reaped while the daemon runs, not only at stop():
+// connect/ping/close cycles leave the process's descriptor count where
+// it started.
+TEST(DaemonServer, ClosedSessionsReleaseTheirDescriptors) {
+  const auto open_fds = [] {
+    return std::distance(fs::directory_iterator("/proc/self/fd"),
+                         fs::directory_iterator{});
+  };
+  TestDaemon d;
+  const auto before = open_fds();
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    daemon::Client c = d.connect();
+    ASSERT_TRUE(c.ping(i));
+    c.close();
+  }
+  auto after = open_fds();
+  for (int tries = 0; tries < 200 && after > before; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    after = open_fds();
+  }
+  EXPECT_LE(after, before);
 }
 
 // ------------------------------------------------------ deadlines, drain ----

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fingerprint.hpp"
@@ -177,6 +180,43 @@ TEST(ProptestIo, CorruptHierarchyAndIndexPayloadsAreRejected) {
   auto q_bytes = io::encode_query_index(qi);
   q_bytes.push_back(0);  // trailing garbage
   EXPECT_THROW(io::decode_query_index(q_bytes), io::FormatError);
+}
+
+// decode_query_index checks every id and offset the query walk
+// dereferences unchecked: each mutation of a real index is a FormatError,
+// never an index that reads outside its tables.
+TEST(ProptestIo, QueryIndexIdsAndOffsetsAreBoundsChecked) {
+  const auto gg = planar::make_instance(planar::Family::kGrid, 100, 1);
+  shortcuts::PartwiseEngine engine(gg.graph, gg.root_hint);
+  const separator::SeparatorHierarchy h =
+      separator::build_hierarchy(gg.graph, engine, 8);
+  const query::QueryIndex qi = query::build_query_index(gg.graph, h, 8);
+  EXPECT_NO_THROW(io::decode_query_index(io::encode_query_index(qi)));
+  ASSERT_FALSE(qi.sep_nodes.empty());
+  const auto leaf_node = static_cast<std::size_t>(
+      std::find_if(qi.leaf_pos.begin(), qi.leaf_pos.end(),
+                   [](std::int32_t pos) { return pos >= 0; }) -
+      qi.leaf_pos.begin());
+  ASSERT_LT(leaf_node, qi.leaf_pos.size());
+
+  const std::vector<
+      std::pair<const char*, std::function<void(query::QueryIndex&)>>>
+      mutations{
+          {"block_off[0]=2^40", [](auto& q) { q.block_off[0] = 1LL << 40; }},
+          {"block_off[0]=-1", [](auto& q) { q.block_off[0] = -1; }},
+          {"sep_nodes[0]=2^30", [](auto& q) { q.sep_nodes[0] = 1 << 30; }},
+          {"leaf_pos=2^20",
+           [&](auto& q) { q.leaf_pos[leaf_node] = 1 << 20; }},
+          {"piece_level[0]=2^20",
+           [](auto& q) { q.piece_level[0] = 1 << 20; }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    query::QueryIndex bad = qi;
+    mutate(bad);
+    EXPECT_THROW(io::decode_query_index(io::encode_query_index(bad)),
+                 io::FormatError)
+        << name;
+  }
 }
 
 TEST(ProptestIo, FileRoundTripAndCorpusAddressing) {

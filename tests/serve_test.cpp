@@ -195,6 +195,10 @@ TEST(ServeBatch, ParsesJobLinesAndComments) {
   EXPECT_THROW(serve::parse_job_line("--bogus=1", 4), std::runtime_error);
   EXPECT_THROW(serve::parse_job_line("--n=notanumber", 5), std::runtime_error);
   EXPECT_THROW(serve::parse_job_line("--drop=2.0", 6), std::runtime_error);
+  // --n must fit a node count: never truncated to int, never clamped.
+  for (const char* n : {"--n=4294967360", "--n=-5", "--n=-7", "--n=0"}) {
+    EXPECT_THROW(serve::parse_job_line(n, 7), std::runtime_error) << n;
+  }
 
   std::istringstream file(
       "# header\n"
