@@ -3,15 +3,12 @@
 // Section 1: end-to-end DFS construction per family × size — rounds under
 // both accountings, outer phase count vs log2 n, validity of the result.
 //
-// Section 2: wall-clock of the message-level round engine, serial vs the
-// parallel executor (--threads=K), on large triangulation/grid instances
-// (n up to ~100k). The parallel run must be bit-identical (same rounds,
-// same messages) — checked here — so the speedup comes for free
-// semantically. Timings are min-of-`--reps` (default 3) so the CI
-// perf-regression gate (bench/bench_gate.py) compares noise-tolerant
-// numbers, and every row carries the engine configuration it ran under
-// (threads, par_threshold, host_cores, reps) so baseline rows are
-// self-describing and matchable.
+// Section 2: wall-clock of the message-level round engine on large
+// triangulation/grid instances (n up to ~100k), next to the round and
+// message counts it produced. Timings are min-of-`--reps` (default 3) so
+// the CI perf-regression gate (bench/bench_gate.py) compares
+// noise-tolerant numbers, and every row carries the host shape it ran on
+// (host_cores, reps) so baseline rows are self-describing and matchable.
 //
 // Emits dfs_rounds.bench.json (override with --json=PATH).
 
@@ -22,7 +19,6 @@
 
 #include "bench_util.hpp"
 #include "shortcuts/partwise_message.hpp"
-#include "util/check.hpp"
 
 namespace {
 
@@ -34,13 +30,10 @@ struct EngineTiming {
   double wall_ms = 0;
 };
 
-// Runs fn `reps` times under cfg; keeps fn's observable counts (identical
-// across repetitions — the engine is deterministic) and the minimum wall
-// time.
+// Runs fn `reps` times; keeps fn's observable counts (identical across
+// repetitions — the engine is deterministic) and the minimum wall time.
 template <typename Fn>
-EngineTiming timed_run(const congest::ThreadConfig& cfg, int reps,
-                       const Fn& fn) {
-  congest::ScopedThreadConfig guard(cfg);
+EngineTiming timed_run(int reps, const Fn& fn) {
   EngineTiming t;
   t.wall_ms = bench::min_wall_ms(reps, [&] { t = fn(); });
   return t;
@@ -51,22 +44,15 @@ EngineTiming timed_run(const congest::ThreadConfig& cfg, int reps,
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv);
   const bool quick = bench::quick_mode(argc, argv);
-  const int threads = bench::threads_arg(argc, argv, 4);
   const int reps = bench::reps_arg(argc, argv, quick ? 1 : 3);
   const int host_cores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   bench::BenchJson json("dfs_rounds");
 
-  const congest::ThreadConfig serial_cfg{1, 64};
-  const congest::ThreadConfig par_cfg{threads, 32};
-
-  // Engine configuration stamp shared by every row (the gate matches
-  // baseline rows on these).
+  // Host-shape stamp shared by every row (the gate matches baseline rows
+  // on host_cores).
   const auto stamp = [&](obs::RowsJson::Row& row) -> obs::RowsJson::Row& {
-    return row.set("threads", threads)
-        .set("par_threshold", par_cfg.min_active_to_parallelize)
-        .set("host_cores", host_cores)
-        .set("reps", reps);
+    return row.set("host_cores", host_cores).set("reps", reps);
   };
 
   std::printf("E3: DFS construction rounds and phases (Theorem 2)\n\n");
@@ -101,12 +87,9 @@ int main(int argc, char** argv) {
       "\nPaper expectation: valid DFS everywhere, phases = O(log n),\n"
       "charged rounds = Otilde(D) (bounded last column).\n");
 
-  // ------------------------------------------------- parallel engine --
-  std::printf(
-      "\nParallel round engine: serial vs %d threads, min of %d reps\n\n",
-      threads, reps);
-  Table par_table({"workload", "family", "n", "rounds", "messages",
-                   "serial ms", "par ms", "speedup"});
+  // ---------------------------------------------------- round engine --
+  std::printf("\nRound engine wall clock, min of %d reps\n\n", reps);
+  Table engine_table({"workload", "family", "n", "rounds", "messages", "ms"});
 
   std::vector<bench::SweepPoint> big = quick
       ? std::vector<bench::SweepPoint>{{planar::Family::kTriangulation, 2000},
@@ -150,33 +133,24 @@ int main(int argc, char** argv) {
     };
     for (const auto& [name, fn] : std::initializer_list<Workload>{
              {"bfs_wave", run_bfs}, {"aggregate", run_agg}}) {
-      const EngineTiming s = timed_run(serial_cfg, reps, fn);
-      const EngineTiming p = timed_run(par_cfg, reps, fn);
-      // Determinism: the parallel executor must match the serial engine on
-      // every observable count before its wall clock means anything.
-      PLANSEP_CHECK_MSG(s.rounds == p.rounds && s.messages == p.messages,
-                        "parallel run diverged from serial engine");
-      const double speedup = p.wall_ms > 0 ? s.wall_ms / p.wall_ms : 0;
-      par_table.add(name, planar::family_name(pt.family), g.num_nodes(),
-                    s.rounds, s.messages, s.wall_ms, p.wall_ms, speedup);
+      const EngineTiming t = timed_run(reps, fn);
+      engine_table.add(name, planar::family_name(pt.family), g.num_nodes(),
+                       t.rounds, t.messages, t.wall_ms);
       auto& row = json.row()
-                      .set("kind", "parallel_engine")
+                      .set("kind", "engine")
                       .set("workload", name)
                       .set("family", planar::family_name(pt.family))
                       .set("n", g.num_nodes())
-                      .set("rounds", s.rounds)
-                      .set("messages", s.messages)
-                      .set("wall_ms_serial", s.wall_ms)
-                      .set("wall_ms_parallel", p.wall_ms)
-                      .set("speedup", speedup);
+                      .set("rounds", t.rounds)
+                      .set("messages", t.messages)
+                      .set("wall_ms", t.wall_ms);
       stamp(row);
     }
   }
-  par_table.print();
+  engine_table.print();
   std::printf(
-      "\nSerial and parallel runs are checked bit-identical on rounds and\n"
-      "message counts; speedup > 1 requires real cores (host_cores in the\n"
-      "JSON rows records what this machine had).\n");
+      "\nRounds and messages are exact (bench_gate.py compares them to the\n"
+      "baseline on any host); wall_ms is gated per host shape.\n");
 
   json.write(bench::json_path_arg(argc, argv, "dfs_rounds"));
   return 0;

@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
 """Perf-regression gate over bench JSON rows.
 
-Compares rows of a chosen kind (--kind, default `parallel_engine`) from a
-fresh bench run against the committed baseline and fails when any matched
-row's gated fields (--fields, default the parallel-engine wall clocks)
-regressed by more than the tolerance (default 20%). E.g. the serving tier
-gates `bench_loadgen` rows with:
+Two tiers, run in this order:
+
+1. Exact. Every baseline row of a kind listed in EXACT_FIELDS (the
+   dfs_rounds bench's `dfs_analytic` and `engine` rows) must reappear in
+   the run, matched on the key without host_cores, with each exact field
+   (validity, phase, round and message counts) equal to the baseline.
+   These are deterministic outputs, so this tier holds on any host.
+
+2. Wall clock. Compares rows of a chosen kind (--kind, default `engine`)
+   from a fresh bench run against the committed baseline and fails when
+   any matched row's gated fields (--fields, default the kind's entry in
+   KIND_FIELDS) regressed by more than the tolerance (default 20%). E.g.
+   the serving tier gates `bench_loadgen` rows with:
 
   bench_gate.py --kind loadgen --fields wall_ms,p99_ms \
       --current loadgen.bench.json --baseline bench/baselines/loadgen.bench.json
 
-Matching and noise policy:
+Wall-clock matching and noise policy:
   * Rows are keyed on (kind, workload, family, n, threads, par_threshold,
-    host_cores) — the self-describing fields every row carries. A current
+    host_cores) — the self-describing fields a row carries (a field the
+    row lacks keys as absent). A current
     row with no baseline counterpart is reported and skipped (new sweep
     points bootstrap on the next baseline refresh); a baseline row with no
     current counterpart fails the gate (a silently dropped sweep point is a
@@ -21,7 +30,8 @@ Matching and noise policy:
     container and an 8-core runner are not comparable. When *no* baseline
     row matches the current host_cores at all, the gate skips with a
     warning instead of failing — a new runner shape needs a baseline
-    bootstrap, not a red build.
+    bootstrap, not a red build. The exact tier has run by then and does
+    not depend on this check.
   * Rows faster than --min-ms (default 5 ms) are ignored: at that scale
     scheduler jitter dwarfs any real regression. Both binaries already
     report min-of-reps timings (bench_util.hpp), so the gate adds no
@@ -37,19 +47,25 @@ import sys
 
 KEY_FIELDS = ("kind", "workload", "family", "n", "threads", "par_threshold",
               "host_cores")
-# Default wall-clock fields gated per row, with the headline one first.
-WALL_FIELDS = ("wall_ms_parallel", "wall_ms_serial")
+# Wall-clock fields gated per row when a kind has no KIND_FIELDS entry.
+WALL_FIELDS = ("wall_ms",)
 # Per-kind field defaults, so the common gates need no --fields flag.
 KIND_FIELDS = {
-    "parallel_engine": WALL_FIELDS,
+    "engine": WALL_FIELDS,
     "loadgen": ("wall_ms",),
     "query": ("warm_wall_ms", "cold_job_ms"),
     "ingest": ("wall_ms", "reject_wall_ms"),
     "taskgraph": ("dag_wall_ms",),
 }
+# Per-kind fields that must equal the baseline exactly, on any host.
+EXACT_FIELDS = {
+    "dfs_analytic": ("valid", "phases", "rounds_measured", "rounds_charged",
+                     "diameter_bound"),
+    "engine": ("rounds", "messages"),
+}
 
 
-def load_rows(path, kind):
+def load_rows(path, kind=None):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -60,15 +76,42 @@ def load_rows(path, kind):
     if not isinstance(rows, list):
         print(f"bench-gate: {path} has no rows[]", file=sys.stderr)
         sys.exit(2)
-    return [r for r in rows if r.get("kind") == kind]
+    return [r for r in rows if kind is None or r.get("kind") == kind]
 
 
-def row_key(row):
-    return tuple(row.get(f) for f in KEY_FIELDS)
+def row_key(row, fields=KEY_FIELDS):
+    return tuple(row.get(f) for f in fields)
 
 
-def fmt_key(key):
-    return " ".join(f"{f}={v}" for f, v in zip(KEY_FIELDS, key))
+def fmt_key(key, fields=KEY_FIELDS):
+    return " ".join(f"{f}={v}" for f, v in zip(fields, key) if v is not None)
+
+
+def exact_failures(current_path, baseline_path):
+    """Tier 1: deterministic fields of EXACT_FIELDS kinds, on any host."""
+    fields = tuple(f for f in KEY_FIELDS if f != "host_cores")
+    current = {row_key(r, fields): r for r in load_rows(current_path)
+               if r.get("kind") in EXACT_FIELDS}
+    failures = []
+    compared = 0
+    for base in load_rows(baseline_path):
+        kind = base.get("kind")
+        if kind not in EXACT_FIELDS:
+            continue
+        key = row_key(base, fields)
+        cur = current.get(key)
+        if cur is None:
+            failures.append(f"missing sweep point: {fmt_key(key, fields)}")
+            continue
+        for field in EXACT_FIELDS[kind]:
+            compared += 1
+            if cur.get(field) != base.get(field):
+                failures.append(f"{fmt_key(key, fields)} {field}: "
+                                f"{base.get(field)} -> {cur.get(field)}")
+    if compared:
+        print(f"bench-gate: exact tier compared {compared} cells, "
+              f"{len(failures)} mismatch(es)")
+    return failures
 
 
 def main():
@@ -82,8 +125,8 @@ def main():
     ap.add_argument("--min-ms", type=float, default=5.0,
                     help="ignore rows whose baseline wall clock is below "
                          "this (noise floor, default 5 ms)")
-    ap.add_argument("--kind", default="parallel_engine",
-                    help="row kind to gate (default parallel_engine)")
+    ap.add_argument("--kind", default="engine",
+                    help="row kind to gate on wall clock (default engine)")
     ap.add_argument("--fields", default=None,
                     help="comma-separated wall-clock fields to gate per row "
                          "(default: the kind's entry in KIND_FIELDS, else "
@@ -93,6 +136,14 @@ def main():
         fields = KIND_FIELDS.get(args.kind, WALL_FIELDS)
     else:
         fields = tuple(f for f in args.fields.split(",") if f)
+
+    exact = exact_failures(args.current, args.baseline)
+    if exact:
+        print(f"\nbench-gate: FAIL — {len(exact)} exact-field mismatch(es) "
+              f"or missing rows:", file=sys.stderr)
+        for f in exact:
+            print(f"  {f}", file=sys.stderr)
+        return 1
 
     current = {row_key(r): r for r in load_rows(args.current, args.kind)}
     baseline = {row_key(r): r for r in load_rows(args.baseline, args.kind)}

@@ -25,14 +25,17 @@
 // computed correctly but blew its time budget — schedulers treat this as
 // "retry with a bigger budget", not as a correctness failure).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "obs/sink.hpp"
 #include "serve/batch.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -51,6 +54,11 @@ int usage() {
   return 2;
 }
 
+int bad_value(const std::string& arg) {
+  std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,14 +75,18 @@ int main(int argc, char** argv) {
     if (flag_value(arg, "jobs", &v)) {
       jobs_path = v;
     } else if (flag_value(arg, "threads", &v)) {
-      opts.threads = std::atoi(v.c_str());
+      const std::optional<long long> k =
+          parse_int_in(v, 1, std::numeric_limits<int>::max());
+      if (!k) return bad_value(arg);
+      opts.threads = static_cast<int>(*k);
     } else if (flag_value(arg, "corpus", &v)) {
       opts.corpus_dir = v;
     } else if (flag_value(arg, "cache-dir", &v)) {
       cache_opts.disk_dir = v;
     } else if (flag_value(arg, "cache-bytes", &v)) {
-      cache_opts.capacity_bytes = static_cast<std::size_t>(
-          std::strtoull(v.c_str(), nullptr, 10));
+      const std::optional<std::uint64_t> bytes = parse_u64(v);
+      if (!bytes) return bad_value(arg);
+      cache_opts.capacity_bytes = static_cast<std::size_t>(*bytes);
     } else if (flag_value(arg, "out", &v)) {
       out_path = v;
     } else if (flag_value(arg, "metrics-out", &v)) {

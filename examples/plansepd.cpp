@@ -28,11 +28,14 @@
 // --metrics-out / --trace-out dumps, and exit 0.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "daemon/server.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -61,29 +64,45 @@ int usage() {
   return 2;
 }
 
+int bad_value(const std::string& arg) {
+  std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+  return usage();
+}
+
+// Integer flag value in [lo, hi], stored into *out; false when malformed.
+template <typename T>
+bool int_in(const std::string& v, long long lo, long long hi, T* out) {
+  const std::optional<long long> k = plansep::parse_int_in(v, lo, hi);
+  if (k) *out = static_cast<T>(*k);
+  return k.has_value();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace plansep;
 
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kLongMax = std::numeric_limits<long long>::max();
   daemon::ServerOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
+    bool ok = true;
     if (flag_value(arg, "socket", &v)) {
       opts.socket_path = v;
     } else if (flag_value(arg, "workers", &v)) {
-      opts.dispatcher.workers = std::atoi(v.c_str());
+      ok = int_in(v, 1, kIntMax, &opts.dispatcher.workers);
     } else if (flag_value(arg, "queue", &v)) {
-      opts.dispatcher.max_queue =
-          static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      ok = int_in(v, 1, kLongMax, &opts.dispatcher.max_queue);
     } else if (flag_value(arg, "quota", &v)) {
-      opts.dispatcher.per_client_quota = std::atoll(v.c_str());
+      ok = int_in(v, 1, kLongMax, &opts.dispatcher.per_client_quota);
     } else if (flag_value(arg, "cache-bytes", &v)) {
-      opts.cache_bytes =
-          static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      const std::optional<std::uint64_t> bytes = parse_u64(v);
+      ok = bytes.has_value();
+      if (ok) opts.cache_bytes = static_cast<std::size_t>(*bytes);
     } else if (flag_value(arg, "cache-shards", &v)) {
-      opts.cache_shards = std::atoi(v.c_str());
+      ok = int_in(v, 1, kIntMax, &opts.cache_shards);
     } else if (flag_value(arg, "cache-dir", &v)) {
       opts.cache_disk_dir = v;
     } else if (flag_value(arg, "corpus", &v)) {
@@ -95,15 +114,20 @@ int main(int argc, char** argv) {
     } else if (flag_value(arg, "trace-out", &v)) {
       opts.trace_out = v;
     } else if (flag_value(arg, "dump-every-ms", &v)) {
-      opts.dump_every_ms = std::atoll(v.c_str());
+      ok = int_in(v, 0, kLongMax, &opts.dump_every_ms);
     } else if (flag_value(arg, "chaos-seed", &v)) {
-      opts.dispatcher.chaos_seed = std::strtoull(v.c_str(), nullptr, 10);
+      const std::optional<std::uint64_t> seed = parse_u64(v);
+      ok = seed.has_value();
+      if (ok) opts.dispatcher.chaos_seed = *seed;
     } else if (flag_value(arg, "chaos-crash", &v)) {
-      opts.dispatcher.chaos_crash_prob = std::strtod(v.c_str(), nullptr);
+      const std::optional<double> p = parse_double(v);
+      ok = p && *p >= 0 && *p <= 1;
+      if (ok) opts.dispatcher.chaos_crash_prob = *p;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return usage();
     }
+    if (!ok) return bad_value(arg);
   }
   if (opts.socket_path.empty()) return usage();
   if (opts.warm_from_corpus &&

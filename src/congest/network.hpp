@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file
-/// Synchronous CONGEST network simulator: the round engine, its parallel
-/// executor, and the opt-in trace-sink and fault-injection hooks.
+/// Synchronous CONGEST network simulator: the serial round engine and its
+/// opt-in trace-sink and fault-injection hooks.
 
 // Synchronous CONGEST network simulator.
 //
@@ -24,27 +24,17 @@
 // the turns — with no per-node allocation anywhere on the hot path
 // (DESIGN.md §7).
 //
-// Rounds with many active nodes can execute in parallel (set_threads /
-// PLANSEP_THREADS): active nodes are sharded over a reusable thread pool,
-// outgoing messages are staged in pooled per-shard arenas — grouped by
-// destination bucket as they are written — and merged in the serial
-// execution order, so a k-thread run is bit-identical to the serial
-// engine — same traces, same costs, same exceptions (DESIGN.md §7).
+// A run executes start to finish on the thread that calls run(): turns in
+// ascending node order, then delivery in send order. Round and message
+// counts are therefore pure functions of the program and the graph.
 //
 // The clean model can be bent on purpose: an opt-in FaultInjector hook
 // lets a deterministic fault plan drop, duplicate, stall or reorder
 // deliveries and crash/restart nodes at chosen rounds (src/faults/,
 // docs/FAULT_MODEL.md). With no injector installed the engine pays one
-// branch per round; with one installed, fault decisions are applied on the
-// coordinating thread in serial order, so runs stay bit-identical across
-// thread counts even under an active plan. Rounds in which the network
-// only waits out crash intervals (no active nodes, no stalled mail) can be
-// round-fused: the engine advances the clock over the whole gap in one
-// step while keeping sink callbacks and injector accounting exact
-// (ThreadConfig::fuse_rounds, FaultInjector::next_alive_round).
+// branch per round.
 
 #include <cstdint>
-#include <exception>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,38 +69,10 @@ using InboxView = std::span<const Incoming>;
 
 class Network;
 
-namespace detail {
-/// Per-shard staging arena of one parallel round: outgoing messages in the
-/// shard's execution order, per-destination-bucket index lists into that
-/// arena (written in the same pass as the sends, so delivery can scatter
-/// bucket-parallel without re-sorting), wake-ups, and the first exception
-/// the shard hit. Pooled on the Network — cleared, never reallocated,
-/// between rounds.
-struct ShardBuf {
-  std::vector<std::pair<NodeId, Incoming>> sends;
-  std::vector<std::vector<std::uint32_t>> by_bucket;  // indices into sends
-  std::vector<NodeId> wakes;
-  std::exception_ptr error;
-  std::size_t error_turn = 0;
-  void reset(int buckets) {
-    sends.clear();
-    if (static_cast<int>(by_bucket.size()) < buckets) {
-      by_bucket.resize(static_cast<std::size_t>(buckets));
-    }
-    for (auto& b : by_bucket) b.clear();
-    wakes.clear();
-    error = nullptr;
-    error_turn = 0;
-  }
-};
-}  // namespace detail
-
 /// Observer of message-level execution (opt-in; the proptest harness's
 /// trace recorder in src/testing/trace.hpp is the canonical sink). Hooks
-/// fire synchronously inside Network::run; sinks must not mutate the
-/// network. All callbacks are issued from the thread driving run() — the
-/// parallel executor defers per-shard events and replays them on the
-/// coordinating thread in deterministic order — so a sink needs no
+/// fire synchronously inside Network::run, on the thread driving it, in
+/// execution order; sinks must not mutate the network. A sink needs no
 /// internal locking as long as it observes a single network at a time.
 class TraceSink {
  public:
@@ -122,8 +84,7 @@ class TraceSink {
   virtual void on_send(int round, NodeId from, NodeId to,
                        const Message& msg) = 0;
   /// A round finished: `activated` nodes will run next round, `delivered`
-  /// messages were staged this round. Round-fused gaps still report every
-  /// fused round here (with 0/0), so round accounting stays exact.
+  /// messages were staged this round.
   virtual void on_round_end(int round, int activated, long long delivered) {
     (void)round, (void)activated, (void)delivered;
   }
@@ -150,13 +111,11 @@ TraceSink* global_trace_sink();
 /// deterministic implementation is faults::FaultController, and the full
 /// fault taxonomy is specified in docs/FAULT_MODEL.md).
 ///
-/// All queries are issued from the coordinating thread in deterministic
-/// serial order — crash decisions before the round's turns, delivery fates
-/// and reorder seeds after all turns (at the delivery stage) — so a
-/// k-thread run under an active injector stays bit-identical to the serial
-/// engine. Implementations must answer as pure functions of their own
-/// immutable state plus the query arguments (no wall clock, no per-call
-/// randomness) for that guarantee to extend to the injected faults.
+/// Queries arrive in execution order on the thread driving run(): crash
+/// decisions before the round's turns, delivery fates and reorder seeds
+/// after all turns (at the delivery stage). Implementations must answer as
+/// pure functions of their own immutable state plus the query arguments
+/// (no wall clock, no per-call randomness) for injected faults to replay.
 ///
 /// When no injector is installed the engine pays exactly one branch per
 /// round for the feature.
@@ -187,69 +146,30 @@ class FaultInjector {
   virtual Fate fate(int round, NodeId from, NodeId to) = 0;
   /// Nonzero: deterministically shuffle the inbox `to` received this round
   /// with this seed (adversarial intra-round delivery order). Zero: keep
-  /// the canonical serial delivery order.
+  /// the canonical delivery order.
   virtual std::uint64_t reorder_seed(int round, NodeId to) = 0;
-
-  /// Pure lookahead for the round-fusion fast path: the first round
-  /// r >= `round` in which the (currently parked) node v is not crashed.
-  /// Must be side-effect-free — the engine separately replays crashed()
-  /// for every fused round so injection accounting stays exact — and must
-  /// never overshoot the true restart round; undershooting (returning
-  /// `round` itself) is always safe and merely disables fusion for this
-  /// node. The default disables fusion, so existing injectors keep their
-  /// exact behavior without changes.
-  virtual int next_alive_round(int round, NodeId v) {
-    (void)v;
-    return round;
-  }
 };
 
-/// Installs a process-wide fault injector that every Network picks up at
-/// run() time unless it has its own (set_fault_injector). Returns the
-/// previous injector; pass nullptr to detach. Atomic publish, like
-/// set_global_trace_sink.
-FaultInjector* set_global_fault_injector(FaultInjector* injector);
-/// The current process-wide injector (nullptr when faults are disabled).
-FaultInjector* global_fault_injector();
+/// Installs a fault injector for the calling thread: every Network whose
+/// run() executes on this thread picks it up unless it has its own
+/// (set_fault_injector). Networks on other threads never see it. Returns
+/// the thread's previous injector; pass nullptr to detach.
+FaultInjector* set_thread_fault_injector(FaultInjector* injector);
+/// The calling thread's injector (nullptr when faults are disabled).
+FaultInjector* thread_fault_injector();
 
-/// Round-execution engine knobs.
-struct ThreadConfig {
-  /// Worker shards per round; 1 = the serial engine.
-  int threads = 1;
-  /// Rounds with fewer active nodes than this run serially even when
-  /// threads > 1 (identical results either way; purely a latency knob —
-  /// sharding a near-empty round costs more than it saves).
-  int min_active_to_parallelize = 64;
-  /// Round fusion: advance fault-gap rounds (no active nodes, no stalled
-  /// mail, only parked crashed nodes) in one step instead of grinding the
-  /// full round machinery per round. Observationally identical either way
-  /// (sink callbacks and injector accounting are replayed per fused
-  /// round); purely a throughput knob. PLANSEP_FUSION=0 disables.
-  bool fuse_rounds = true;
-};
+/// Empty remnant of the retired round-engine knobs. The engine has no
+/// configuration; this type and ScopedThreadConfig are kept only so that
+/// perfbench/src/replay.cpp, which pins the engine serial with
+/// `ScopedThreadConfig serial(ThreadConfig{})`, keeps building.
+struct ThreadConfig {};
 
-/// Process-wide default every Network adopts at construction. Initialized
-/// once from the environment: PLANSEP_THREADS (shards), PLANSEP_PAR_THRESHOLD
-/// (min active nodes) and PLANSEP_FUSION (round fusion; "0" disables).
-/// Returns the previous config.
-ThreadConfig set_default_thread_config(const ThreadConfig& cfg);
-/// The current process-wide default thread configuration.
-ThreadConfig default_thread_config();
-
-/// RAII override of the process default — the way tests force pipelines
-/// whose networks are constructed internally onto the parallel (or serial)
-/// path. Restores the previous default on destruction; scopes nest.
+/// No-op scope guard over ThreadConfig, kept only for the same
+/// perfbench line.
 class ScopedThreadConfig {
  public:
-  /// Installs cfg as the process default for the scope's lifetime.
-  explicit ScopedThreadConfig(const ThreadConfig& cfg)
-      : prev_(set_default_thread_config(cfg)) {}
-  ~ScopedThreadConfig() { set_default_thread_config(prev_); }  ///< restores
-  ScopedThreadConfig(const ScopedThreadConfig&) = delete;  ///< non-copyable
-  ScopedThreadConfig& operator=(const ScopedThreadConfig&) = delete;  ///< non-copyable
-
- private:
-  ThreadConfig prev_;
+  /// Does nothing: there is no engine configuration to install.
+  explicit ScopedThreadConfig(const ThreadConfig&) {}
 };
 
 /// Per-node send/wake interface handed to NodeProgram::round.
@@ -270,7 +190,6 @@ class Ctx {
  private:
   friend class Network;
   Network* net_ = nullptr;
-  detail::ShardBuf* buf_ = nullptr;  // non-null on the parallel path
   NodeId self_ = planar::kNoNode;
   int round_ = 0;
 };
@@ -281,20 +200,19 @@ class NodeProgram {
  public:
   virtual ~NodeProgram() = default;  ///< virtual: deleted through base
 
-  /// Nodes that must act in round 0 (e.g. the BFS root). Runs on the
-  /// coordinating thread; whole-program state is set up here.
+  /// Nodes that must act in round 0 (e.g. the BFS root). Whole-program
+  /// state is set up here.
   virtual std::vector<NodeId> initial_nodes(const EmbeddedGraph& g) = 0;
 
   /// Invoked for every node that has mail or requested a wake-up. The
   /// inbox view aliases the network's delivery slab and dies with the
   /// call — copy out anything that must survive the turn.
   ///
-  /// Concurrency contract: round(v, ...) may read shared immutable state
-  /// (the graph, config) but must only *mutate* state keyed by v — the
-  /// node's own slots of per-node arrays/maps. Distinct nodes' handlers run
-  /// concurrently when the network executes with threads > 1; the CONGEST
-  /// model itself demands this locality (nodes share no memory), so a
-  /// conforming protocol satisfies it for free.
+  /// Locality rule: round(v, ...) may read shared immutable state (the
+  /// graph, config) but must only *mutate* state keyed by v — the node's
+  /// own slots of per-node arrays/maps — and learn about other nodes only
+  /// through its inbox. The CONGEST model demands this (nodes share no
+  /// memory), and it is what makes a protocol's round count meaningful.
   virtual void round(NodeId v, InboxView inbox, Ctx& ctx) = 0;
 };
 
@@ -316,65 +234,34 @@ class Network {
   /// Instance-level trace sink; overrides the global one. nullptr detaches.
   void set_trace_sink(TraceSink* sink) { sink_ = sink; }
 
-  /// Instance-level fault injector; overrides the global one. nullptr
-  /// detaches. Resolved (instance, then global) once at run() entry.
+  /// Instance-level fault injector; overrides the calling thread's one.
+  /// nullptr detaches. Resolved (instance, then thread) once at run()
+  /// entry.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
-
-  /// Shards rounds over k threads (k >= 1; 1 = serial engine). Runs are
-  /// bit-identical for every k. The construction-time default comes from
-  /// default_thread_config().
-  void set_threads(int k);
-  /// The current shard count (1 = serial engine).
-  int threads() const { return cfg_.threads; }
-  /// Minimum active nodes for a round to go parallel (see ThreadConfig).
-  void set_min_active_to_parallelize(int min_active);
-  /// Enables/disables the round-fusion fast path (see ThreadConfig).
-  void set_round_fusion(bool on) { cfg_.fuse_rounds = on; }
-  /// Rounds the last run() advanced through the fused fast path (0 when
-  /// fusion never fired or is disabled; always <= the returned rounds).
-  long long fused_rounds() const { return fused_rounds_; }
 
  private:
   friend class Ctx;
-  DartId checked_dart(NodeId from, NodeId to, int round);
   void do_send(NodeId from, NodeId to, const Message& msg, int round);
-  void do_send_staged(detail::ShardBuf& buf, NodeId from, NodeId to,
-                      const Message& msg, int round);
-  int bucket_of(NodeId to) const {
-    return static_cast<int>(static_cast<long long>(to) * buckets_ /
-                            static_cast<long long>(num_nodes_));
-  }
   InboxView take_inbox(NodeId v) {
     const auto i = static_cast<std::size_t>(v);
     const InboxView mail(inbox_data_.data() + inbox_off_[i], inbox_len_[i]);
-    inbox_len_[i] = 0;  // consumed; v is owned by exactly one shard
+    inbox_len_[i] = 0;  // consumed
     return mail;
   }
-  // Delivery-slab builders. count_delivery feeds one accepted message into
-  // the per-node length counters + activation bookkeeping (pass 1);
-  // finish_offsets turns the counters into slab offsets and write cursors.
-  void count_delivery(NodeId to);
-  std::uint32_t finish_offsets();
-  void parallel_turns(NodeProgram& prog, int round,
-                      const std::vector<NodeId>& active, int shards);
-  long long run_round_parallel(NodeProgram& prog, int round,
-                               const std::vector<NodeId>& active, int shards);
+  using Staged = std::vector<std::pair<NodeId, Incoming>>;
+  void turns(NodeProgram& prog, int round, const std::vector<NodeId>& nodes);
+  std::uint32_t scatter(const Staged& seq);
   long long deliver_serial();
   long long run_round_faulted(NodeProgram& prog, int round,
                               const std::vector<NodeId>& active);
   long long deliver_faulted(int round);
-  int fuse_fault_gap(int round, int max_rounds);
 
   const EmbeddedGraph* g_;
   TraceSink* sink_ = nullptr;
   TraceSink* active_sink_ = nullptr;  // resolved at run() entry
   FaultInjector* fault_ = nullptr;
   FaultInjector* active_fault_ = nullptr;  // resolved at run() entry
-  ThreadConfig cfg_;
   long long messages_sent_ = 0;
-  long long fused_rounds_ = 0;
-  long long num_nodes_ = 1;  // cached for bucket_of
-  int buckets_ = 1;          // destination buckets of the current round
   // Flat delivery slabs (double-buffered): node v's mail this round is
   // inbox_data_[inbox_off_[v] .. +inbox_len_[v]). inbox_next_ is the slab
   // under construction at the delivery stage; the two swap each round.
@@ -386,14 +273,13 @@ class Network {
   std::vector<NodeId> recipients_;        // first-arrival order, this round
   std::vector<char> woken_;
   std::vector<NodeId> active_next_;
-  std::vector<std::pair<NodeId, Incoming>> staged_;  // serial/fault staging
-  std::vector<detail::ShardBuf> shard_bufs_;  // pooled parallel arenas
+  Staged staged_;  // this round's accepted sends, in send order
   // Per (from -> to) sent-this-round guard, keyed by dart id.
   std::vector<int> sent_round_;
   // Fault-path state (touched only while a FaultInjector is active).
-  std::vector<std::pair<NodeId, Incoming>> deferred_;       // arriving this round
-  std::vector<std::pair<NodeId, Incoming>> deferred_next_;  // stalled this round
-  std::vector<std::pair<NodeId, Incoming>> fault_deliver_;  // post-fate sequence
+  Staged deferred_;       // arriving this round
+  Staged deferred_next_;  // stalled this round
+  Staged fault_deliver_;  // post-fate sequence
   std::vector<NodeId> faulted_active_;  // this round's survivors + restarts
   std::vector<NodeId> crash_pending_;   // parked until their crash ends
   std::vector<char> crash_pending_flag_;

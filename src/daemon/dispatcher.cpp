@@ -18,17 +18,12 @@ Dispatcher::Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
   opts_.max_queue = std::max<std::size_t>(1, opts_.max_queue);
   opts_.chaos_max_attempts = std::max(1, opts_.chaos_max_attempts);
 
-  // Settle the PLANSEP_METRICS bootstrap, then detach every process-global
-  // hook for the dispatcher's lifetime: the registry and sink demand
-  // single-threaded mutation, and a fault injector must never observe two
-  // concurrent networks.
+  // Settle the PLANSEP_METRICS bootstrap, then detach the process-global
+  // registry and sink for the dispatcher's lifetime: both demand
+  // single-threaded mutation.
   obs::ensure_env_metrics();
   saved_registry_ = obs::set_global_registry(nullptr);
   saved_sink_ = congest::set_global_trace_sink(nullptr);
-  saved_injector_ = congest::set_global_fault_injector(nullptr);
-  // Jobs are the unit of parallelism; the round engine inside each job
-  // runs serially (ThreadPool::run_shards is not reentrant).
-  serial_rounds_.emplace(congest::ThreadConfig{});
 
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -44,8 +39,6 @@ Dispatcher::~Dispatcher() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  serial_rounds_.reset();
-  congest::set_global_fault_injector(saved_injector_);
   congest::set_global_trace_sink(saved_sink_);
   obs::set_global_registry(saved_registry_);
 }
@@ -144,32 +137,20 @@ bool Dispatcher::chaos_fires(std::uint64_t id, int attempt) const {
 
 void Dispatcher::execute(Item item) {
   JobDone done{item.sub.client, item.sub.id, {}};
-  {
-    // Fault jobs install the process-global fault injector: they hold the
-    // fault lock exclusively, every other job shares it.
-    const auto* spec = std::get_if<serve::JobSpec>(&item.sub.job);
-    std::shared_lock<std::shared_mutex> shared(fault_mu_, std::defer_lock);
-    std::unique_lock<std::shared_mutex> exclusive(fault_mu_, std::defer_lock);
-    if (spec != nullptr && spec->faults.enabled()) {
-      exclusive.lock();
-    } else {
-      shared.lock();
-    }
-    done.outcome = std::visit(
-        [&](const auto& job) -> JobDone::Outcome {
-          try {
-            return run(job, done.id);
-          } catch (const std::exception& e) {
-            // Nothing a job throws escapes its worker: it becomes the
-            // job's error outcome.
-            decltype(run(job, done.id)) out;
-            out.status = "error";
-            out.error = e.what();
-            return out;
-          }
-        },
-        item.sub.job);
-  }
+  done.outcome = std::visit(
+      [&](const auto& job) -> JobDone::Outcome {
+        try {
+          return run(job, done.id);
+        } catch (const std::exception& e) {
+          // Nothing a job throws escapes its worker: it becomes the job's
+          // error outcome.
+          decltype(run(job, done.id)) out;
+          out.status = "error";
+          out.error = e.what();
+          return out;
+        }
+      },
+      item.sub.job);
 
   const int attempts = std::visit(
       [this](const auto& out) {

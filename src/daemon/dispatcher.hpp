@@ -24,13 +24,12 @@
 //
 // It is the one place that meets the job runners' concurrency
 // obligations: for its lifetime it detaches the process-global metrics
-// registry, trace sink and fault injector and forces the CONGEST round
-// engine serial, and a fault job holds the fault lock exclusively (its
-// injector hook is process-global) while other jobs share it. A fault
-// job's own FaultController makes its retry history depend only on its
-// seed. Chaos testing re-runs a pipeline job when a seeded coin
-// (chaos_seed, job id, attempt) fires; the final attempt's payload is
-// delivered, so it equals a chaos-free run's byte for byte.
+// registry and trace sink. A fault job installs its own FaultController
+// on its worker thread only, so fault jobs run alongside other jobs and
+// a fault job's retry history depends only on its seed. Chaos testing
+// re-runs a pipeline job when a seeded coin (chaos_seed, job id, attempt)
+// fires; the final attempt's payload is delivered, so it equals a
+// chaos-free run's byte for byte.
 //
 // pause()/resume() freeze dequeueing while admission keeps running — the
 // deterministic backpressure probe: pause an idle dispatcher, submit
@@ -44,8 +43,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 #include <variant>
@@ -228,16 +225,10 @@ class Dispatcher {
   bool stopping_ = false;
   int running_ = 0;
 
-  // Fault-injected jobs install a process-global injector: they hold this
-  // exclusively, fault-free jobs share it.
-  std::shared_mutex fault_mu_;
-
-  // Process-global hooks detached for the dispatcher's lifetime, and the
-  // serial round-engine config (run_single_job's caller obligations).
+  // Process-global hooks detached for the dispatcher's lifetime
+  // (run_single_job's caller obligations).
   obs::MetricsRegistry* saved_registry_ = nullptr;
   congest::TraceSink* saved_sink_ = nullptr;
-  congest::FaultInjector* saved_injector_ = nullptr;
-  std::optional<congest::ScopedThreadConfig> serial_rounds_;
 
   std::vector<std::thread> workers_;
 };

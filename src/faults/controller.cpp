@@ -1,7 +1,5 @@
 #include "faults/controller.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace plansep::faults {
@@ -65,21 +63,6 @@ congest::FaultInjector::Fate FaultController::fate(int round, NodeId from,
       break;
   }
   return f;
-}
-
-int FaultController::next_alive_round(int round, NodeId v) {
-  // Round-fusion lookahead: a *pure* scan over the plan (plan_.crashed,
-  // not this->crashed — no counters, no metrics; the engine replays the
-  // counting queries per fused round itself). A crash spans crash_length
-  // rounds inside one scheduling window, so the restart is always near;
-  // the cap is belt-and-braces — stopping early returns an under-estimate,
-  // which merely fuses a shorter gap and re-checks. Overshooting would
-  // violate the FaultInjector contract; the scan can't, by construction.
-  const int cap =
-      round + 2 * std::max(spec_.window_rounds, spec_.crash_length) + 2;
-  int r = round;
-  while (r < cap && plan_.crashed(r, v)) ++r;
-  return r;
 }
 
 std::uint64_t FaultController::reorder_seed(int round, NodeId to) {

@@ -5,9 +5,9 @@
 /// the ScopedFaultInjection RAII installer.
 
 // FaultController: the congest::FaultInjector implementation that turns a
-// FaultSpec + seed into live injections, plugging into Network::run the
-// same way TraceSink/MetricsSink do (instance pointer, process-global
-// pointer, or the RAII ScopedFaultInjection).
+// FaultSpec + seed into live injections, plugging into Network::run
+// through an instance pointer or, for the calling thread, the RAII
+// ScopedFaultInjection.
 //
 // Per run, the controller derives an *effective* plan seed by mixing the
 // base seed with the topology fingerprint and the run ordinal (its
@@ -44,9 +44,9 @@ struct FaultCounters {
 };
 
 /// Seeded deterministic fault injector. Mutations (the counters, the
-/// epoch) happen only from the coordinating thread driving Network::run,
-/// like every other sink; one controller must not observe two concurrently
-/// running networks.
+/// epoch) happen on the thread driving Network::run, like every other
+/// sink; one controller must not observe two concurrently running
+/// networks.
 class FaultController final : public congest::FaultInjector {
  public:
   /// A controller with the empty plan: attaches cleanly, injects nothing,
@@ -61,7 +61,6 @@ class FaultController final : public congest::FaultInjector {
   bool crashed(int round, NodeId v) override;
   Fate fate(int round, NodeId from, NodeId to) override;
   std::uint64_t reorder_seed(int round, NodeId to) override;
-  int next_alive_round(int round, NodeId v) override;
 
   /// The intensity knobs this controller injects at.
   const FaultSpec& spec() const { return spec_; }
@@ -86,16 +85,17 @@ class FaultController final : public congest::FaultInjector {
   bool run_open_ = false;
 };
 
-/// RAII: installs a controller as the process-global fault injector,
-/// restoring the previous injector on destruction. The way tests and the
-/// chaos harness subject pipelines whose networks are constructed
-/// internally to a fault plan.
+/// RAII: installs a controller as the calling thread's fault injector,
+/// restoring the thread's previous injector on destruction. The way tests,
+/// the chaos harness and fault jobs subject pipelines whose networks are
+/// constructed internally to a fault plan; networks run on other threads
+/// are unaffected.
 class ScopedFaultInjection {
  public:
-  /// Installs `ctl` globally for the scope's lifetime.
+  /// Installs `ctl` on the calling thread for the scope's lifetime.
   explicit ScopedFaultInjection(FaultController& ctl)
-      : prev_(congest::set_global_fault_injector(&ctl)) {}
-  ~ScopedFaultInjection() { congest::set_global_fault_injector(prev_); }  ///< restores
+      : prev_(congest::set_thread_fault_injector(&ctl)) {}
+  ~ScopedFaultInjection() { congest::set_thread_fault_injector(prev_); }  ///< restores
   ScopedFaultInjection(const ScopedFaultInjection&) = delete;  ///< non-copyable
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;  ///< non-copyable
 

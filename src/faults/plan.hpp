@@ -11,9 +11,9 @@
 // in round r?) is computed by stateless hashing of the seed with the query
 // coordinates (round, node/edge ids). No wall clock, no per-call
 // randomness, no mutable state — so the same seed over the same graph
-// yields the same faults on every machine, under every thread count, and
-// on every replay. docs/FAULT_MODEL.md specifies the full taxonomy and
-// the determinism contract; faults::FaultController adapts a plan to the
+// yields the same faults on every machine and on every replay.
+// docs/FAULT_MODEL.md specifies the full taxonomy and the determinism
+// contract; faults::FaultController adapts a plan to the
 // congest::FaultInjector hook.
 
 #include <cstdint>

@@ -12,10 +12,8 @@
 //   * Deterministic. Registry contents are a pure function of the
 //     algorithm's execution: no wall-clock, no thread ids, no pointers.
 //     Counters and histograms live in sorted maps; spans are recorded in
-//     open order. A k-thread run over the parallel round engine produces a
-//     byte-identical to_json() to the serial run (the engine replays all
-//     sink events in serial order, and spans only ever open/close on the
-//     coordinating thread).
+//     open order, so two runs of the same execution produce byte-identical
+//     to_json().
 //   * Cheap when disabled. Nothing here is touched per node or per
 //     message on the disabled path: PLANSEP_SPAN and the advance_rounds /
 //     add_counter helpers reduce to one atomic pointer load and a branch,
@@ -162,7 +160,7 @@ class MetricsRegistry {
 
   /// Deterministic JSON snapshot: clock, counters, histograms, spans
   /// (round samples are the trace exporter's concern). Byte-identical
-  /// across runs with identical execution, including k-thread runs.
+  /// across runs with identical execution.
   std::string to_json() const;
 
  private:

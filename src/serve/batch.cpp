@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "planar/generators.hpp"
 #include "serve/verify.hpp"
 #include "subroutines/components.hpp"
+#include "util/parse.hpp"
 
 namespace plansep::serve {
 
@@ -251,11 +251,9 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
     run.edges = inst.graph.num_edges();
     run.fingerprint = inst.fingerprint;
 
-    // Faulty jobs install their controller for the whole job: both stages
-    // draw from one deterministic epoch sequence, and retries see fresh
-    // faults. The dispatcher runs such jobs under its exclusive fault
-    // lock, so the process-global injector never leaks into a concurrent
-    // job.
+    // Faulty jobs install their controller on this thread for the whole
+    // job: both stages draw from one deterministic epoch sequence, and
+    // retries see fresh faults.
     const bool faulty = spec.faults.enabled();
     std::optional<faults::FaultController> ctl;
     std::optional<faults::ScopedFaultInjection> inj;
@@ -394,34 +392,31 @@ namespace {
 
 double parse_prob(int line_no, const std::string& key,
                   const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || v < 0 || v > 1) {
+  const std::optional<double> v = plansep::parse_double(value);
+  if (!v || *v < 0 || *v > 1) {
     bad_line(line_no, "--" + key + " wants a probability in [0,1], got '" +
                           value + "'");
   }
-  return v;
+  return *v;
 }
 
 long long parse_int(int line_no, const std::string& key,
                     const std::string& value) {
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  const std::optional<long long> v = plansep::parse_int(value);
+  if (!v) {
     bad_line(line_no, "--" + key + " wants an integer, got '" + value + "'");
   }
-  return v;
+  return *v;
 }
 
 std::uint64_t parse_u64(int line_no, const std::string& key,
                         const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  const std::optional<std::uint64_t> v = plansep::parse_u64(value);
+  if (!v) {
     bad_line(line_no, "--" + key + " wants an unsigned integer, got '" +
                           value + "'");
   }
-  return v;
+  return *v;
 }
 
 }  // namespace

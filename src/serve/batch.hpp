@@ -149,10 +149,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
 /// job's position, daemon sessions the client's request id.
 ///
 /// Caller obligations, which daemon::Dispatcher is the one place to meet:
-/// the CONGEST round engine configured serial (ScopedThreadConfig), the
-/// process-global metrics registry / trace sink / fault injector
-/// detached, and no job running concurrently with one whose spec enables
-/// faults (its fault injector hook is process-global).
+/// the process-global metrics registry and trace sink detached.
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,
                          const BatchOptions& opts, ArtifactCache& cache);
 

@@ -2,9 +2,11 @@
 // (path baked in as PLANSEP_BATCH_BIN):
 //   0 — every job ok;
 //   1 — some job errored or failed verification;
+//   2 — usage error, including a malformed or out-of-range flag value;
 //   3 — every failure was a missed deadline (correct work, blown budget).
 // The deadline path is driven deterministically with --deadline-ms=0
 // ("already expired"), so the test never depends on machine speed.
+// plansepd (PLANSEP_DAEMON_BIN) shares the strict flag parsing.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -44,17 +46,21 @@ struct RunResult {
 
 // Runs the batch binary over a job file, capturing stderr (the summary
 // lines) and the exit code.
-RunResult run_batch(const std::string& jobs_path, const std::string& err_path) {
-  const std::string cmd = std::string(PLANSEP_BATCH_BIN) +
-                          " --jobs=" + jobs_path + " --out=/dev/null 2>" +
-                          err_path;
-  const int status = std::system(cmd.c_str());
+RunResult run_command(const std::string& cmd, const std::string& err_path) {
+  const int status = std::system((cmd + " 2>" + err_path).c_str());
   RunResult r;
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   std::ifstream in(err_path);
   r.err.assign(std::istreambuf_iterator<char>(in),
                std::istreambuf_iterator<char>());
   return r;
+}
+
+RunResult run_batch(const std::string& jobs_path, const std::string& err_path,
+                    const std::string& extra_flag = "") {
+  return run_command(std::string(PLANSEP_BATCH_BIN) + " --jobs=" + jobs_path +
+                         " --out=/dev/null " + extra_flag,
+                     err_path);
 }
 
 std::string write_jobs(const ScratchDir& dir, const std::string& contents) {
@@ -96,6 +102,33 @@ TEST(BatchCliTest, MixedDeadlineAndErrorExitsOne) {
       "--family=nosuchfamily --n=16 --seed=1 --algo=separator\n");
   const RunResult r = run_batch(jobs, dir.path() + "/err.txt");
   EXPECT_EQ(r.exit_code, 1) << r.err;
+}
+
+TEST(BatchCliTest, MalformedFlagValuesExitTwo) {
+  ScratchDir dir("flags");
+  const std::string jobs =
+      write_jobs(dir, "--family=grid --n=16 --seed=1 --algo=separator\n");
+  // Each used to run with a silent fallback: one worker, or a 64-byte
+  // cache for "64MB".
+  for (const char* flag : {"--threads=abc", "--threads=0", "--threads=-4",
+                           "--cache-bytes=64MB", "--cache-bytes=-1"}) {
+    const RunResult r = run_batch(jobs, dir.path() + "/err.txt", flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.err;
+    EXPECT_NE(r.err.find("usage: plansep_batch"), std::string::npos) << r.err;
+  }
+}
+
+TEST(DaemonCliTest, MalformedCacheBytesExitsTwoBeforeBinding) {
+  ScratchDir dir("daemon");
+  const std::string socket = dir.path() + "/d.sock";
+  // `timeout` bounds the run should the daemon wrongly start serving.
+  const RunResult r = run_command(std::string("timeout 10 ") +
+                                      PLANSEP_DAEMON_BIN + " --socket=" +
+                                      socket + " --cache-bytes=64MB",
+                                  dir.path() + "/err.txt");
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_NE(r.err.find("usage: plansepd"), std::string::npos) << r.err;
+  EXPECT_FALSE(fs::exists(socket));
 }
 
 }  // namespace

@@ -1,19 +1,22 @@
-// Tests for the CONGEST simulator, distributed BFS, the part-wise
-// aggregation engine (values, round costs, bandwidth discipline), and the
-// parallel round executor's serial-equivalence guarantees.
+// Tests for the CONGEST simulator (bandwidth guard, quiescence, error
+// surfacing, reruns of one Network, Networks on concurrent caller
+// threads), distributed BFS, and the part-wise aggregation engine (values,
+// round costs, bandwidth discipline).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "congest/bfs_tree.hpp"
 #include "congest/network.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 #include "planar/generators.hpp"
 #include "shortcuts/partwise.hpp"
-#include "shortcuts/partwise_message.hpp"
 #include "subroutines/components.hpp"
 #include "subroutines/part_context.hpp"
 #include "subroutines/spanning_forest.hpp"
@@ -29,29 +32,135 @@ using congest::distributed_bfs;
 using planar::GeneratedGraph;
 using planar::NodeId;
 
-// Forces every round of every network constructed in the scope onto the
-// parallel path (k shards, no active-size threshold).
-congest::ThreadConfig parallel_cfg(int k) { return {k, 0}; }
+// Every node acts in round 0; the listed nodes throw on their first turn.
+class ThrowAt : public congest::NodeProgram {
+ public:
+  explicit ThrowAt(std::vector<NodeId> throwers)
+      : throwers_(std::move(throwers)) {}
+  std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph& g) override {
+    std::vector<NodeId> all;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
+    return all;
+  }
+  void round(NodeId v, congest::InboxView, congest::Ctx&) override {
+    for (const NodeId t : throwers_) {
+      if (v == t) throw std::runtime_error("node " + std::to_string(v));
+    }
+  }
+
+ private:
+  std::vector<NodeId> throwers_;
+};
+
+// Floods a token from node 0: each node forwards it to every neighbor on
+// first receipt, so rounds carry many senders and recipients at once.
+class Flood : public congest::NodeProgram {
+ public:
+  std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph& g) override {
+    g_ = &g;
+    seen_.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+    return {0};
+  }
+  void round(NodeId v, congest::InboxView, congest::Ctx& ctx) override {
+    if (seen_[static_cast<std::size_t>(v)]) return;
+    seen_[static_cast<std::size_t>(v)] = 1;
+    congest::Message m;
+    m.a = v;
+    m.b = ctx.round();
+    for (const NodeId w : g_->neighbors(v)) ctx.send(w, m);
+  }
+
+ private:
+  const planar::EmbeddedGraph* g_ = nullptr;
+  std::vector<char> seen_;
+};
+
+// Every node acts in round 0, and node 7 sends two messages to node 8: the
+// CONGEST guard must trip mid-active-set (run it on a path of >= 9 nodes).
+class DoubleSend : public congest::NodeProgram {
+ public:
+  std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph& g) override {
+    std::vector<NodeId> all;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
+    return all;
+  }
+  void round(NodeId v, congest::InboxView, congest::Ctx& ctx) override {
+    if (v != 7) return;  // one offender mid-active-set
+    congest::Message m;
+    ctx.send(8, m);
+    ctx.send(8, m);
+  }
+};
+
+constexpr const char* kBandwidthError =
+    "CONGEST bandwidth exceeded: two messages on one edge";
 
 TEST(Network, BandwidthViolationThrows) {
   // A program that sends two messages over one edge in a round must trip
-  // the CONGEST guard.
-  class Bad : public congest::NodeProgram {
-   public:
-    std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph&) override {
-      return {0};
-    }
-    void round(NodeId, congest::InboxView,
-               congest::Ctx& ctx) override {
-      congest::Message m;
-      ctx.send(1, m);
-      ctx.send(1, m);
-    }
-  };
-  const GeneratedGraph gg = planar::path(3);
+  // the CONGEST guard with its own message, and the failed run must not
+  // poison the next run of the same Network.
+  const GeneratedGraph gg = planar::path(16);
   congest::Network net(gg.graph);
-  Bad bad;
-  EXPECT_THROW(net.run(bad, 4), CheckError);
+  DoubleSend bad;
+  std::string what;
+  try {
+    net.run(bad, 4);
+  } catch (const CheckError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find(kBandwidthError), std::string::npos) << what;
+  congest::Network fresh(gg.graph);
+  Flood reference;
+  const int rounds = fresh.run(reference);
+  Flood flood;
+  EXPECT_EQ(net.run(flood), rounds);
+  EXPECT_EQ(net.messages_sent(), fresh.messages_sent());
+  EXPECT_EQ(net.messages_sent(), 2 * 15);  // each path edge, both ways
+}
+
+TEST(Network, FirstThrowerInTurnOrderSurfaces) {
+  // Turns run in ascending node order and a throw aborts the run at once,
+  // so node 7's error surfaces even though node 19 is listed first.
+  const GeneratedGraph gg = planar::grid(5, 5);
+  congest::Network net(gg.graph);
+  ThrowAt prog({19, 7});
+  std::string what;
+  try {
+    net.run(prog, 8);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "node 7");
+}
+
+TEST(Network, RerunReproducesFirstTrace) {
+  // One Network rerun several times (delivery slabs, activation scratch
+  // and the bandwidth guard are all reused) reproduces its first run
+  // bit-for-bit, also after a run that aborted mid-round.
+  const GeneratedGraph gg = planar::grid(6, 7);
+  congest::Network net(gg.graph);
+  const auto run_once = [&] {
+    Flood prog;
+    plansep::testing::TraceRecorder rec;
+    plansep::testing::ScopedTraceCapture cap(rec);
+    const int rounds = net.run(prog);
+    return std::make_pair(rounds, rec.events());
+  };
+  const auto first = run_once();
+  ASSERT_FALSE(first.second.empty());
+  const auto again = run_once();
+  EXPECT_EQ(again.first, first.first);
+  EXPECT_EQ(plansep::testing::first_divergence(again.second, first.second), -1)
+      << plansep::testing::diff_traces(again.second, first.second);
+  {
+    ThrowAt bomb({3});
+    EXPECT_THROW(net.run(bomb, 8), std::runtime_error);
+  }
+  const auto after_abort = run_once();
+  EXPECT_EQ(after_abort.first, first.first);
+  EXPECT_EQ(
+      plansep::testing::first_divergence(after_abort.second, first.second), -1)
+      << plansep::testing::diff_traces(after_abort.second, first.second);
 }
 
 TEST(Network, MaxRoundsCutsOffRunawayProgram) {
@@ -103,6 +212,75 @@ TEST(Network, QuiescesAfterSilentWakeUps) {
   EXPECT_EQ(net.messages_sent(), 0);
 }
 
+TEST(ParallelNetwork, BandwidthViolationThrowsExactlyOnceUnderThreads) {
+  // Networks run start to finish on their callers' threads and keep their
+  // bandwidth guards to themselves, so jobs may run them side by side.
+  // Four threads each drive their own Network over one graph at once: on
+  // the two offending threads every DoubleSend run surfaces exactly one
+  // CheckError with the guard's message and the same Network then floods
+  // cleanly, and the two clean threads' floods match a lone run's counts.
+  const GeneratedGraph gg = planar::path(16);
+  congest::Network lone(gg.graph);
+  Flood reference;
+  const int rounds = lone.run(reference);
+  const long long messages = lone.messages_sent();
+
+  constexpr int kThreads = 4;
+  constexpr int kRepeats = 25;
+  struct Outcome {
+    int check_errors = 0;  // from the DoubleSend run
+    int stray_errors = 0;  // anything else, from either run
+    std::string what;
+    int rounds = -1;
+    long long messages = -1;
+  };
+  std::vector<Outcome> out(static_cast<std::size_t>(kThreads * kRepeats));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      congest::Network net(gg.graph);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int r = 0; r < kRepeats; ++r) {
+        Outcome& o = out[static_cast<std::size_t>(t * kRepeats + r)];
+        if (t % 2 == 0) {
+          DoubleSend bad;
+          try {
+            net.run(bad, 4);
+          } catch (const CheckError& e) {
+            ++o.check_errors;
+            o.what = e.what();
+          } catch (...) {
+            ++o.stray_errors;
+          }
+        }
+        Flood flood;
+        try {
+          o.rounds = net.run(flood);
+          o.messages = net.messages_sent();
+        } catch (...) {
+          ++o.stray_errors;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRepeats; ++r) {
+      const Outcome& o = out[static_cast<std::size_t>(t * kRepeats + r)];
+      EXPECT_EQ(o.check_errors, t % 2 == 0 ? 1 : 0) << "t=" << t << " r=" << r;
+      EXPECT_EQ(o.stray_errors, 0) << "t=" << t << " r=" << r;
+      if (t % 2 == 0) {
+        EXPECT_NE(o.what.find(kBandwidthError), std::string::npos) << o.what;
+      }
+      EXPECT_EQ(o.rounds, rounds) << "t=" << t << " r=" << r;
+      EXPECT_EQ(o.messages, messages) << "t=" << t << " r=" << r;
+    }
+  }
+}
+
 TEST(Bfs, GridDepthsAndRounds) {
   const GeneratedGraph gg = planar::grid(5, 7);
   const BfsResult bfs = distributed_bfs(gg.graph, 0);
@@ -121,266 +299,6 @@ TEST(Bfs, DiameterEstimateOnPath) {
   const GeneratedGraph gg = planar::path(40);
   const auto est = congest::estimate_diameter(gg.graph, 20);
   EXPECT_EQ(est.diameter_lb, 39);
-}
-
-TEST(ParallelNetwork, BfsTraceBitIdenticalToSerial) {
-  // The tentpole guarantee: a k-thread run produces the very same message
-  // stream — order included — as the serial engine, for every k.
-  for (planar::Family f :
-       {planar::Family::kGrid, planar::Family::kTriangulation,
-        planar::Family::kCylinder}) {
-    const GeneratedGraph gg = planar::make_instance(f, 120, 5);
-    auto capture = [&](const congest::ThreadConfig& cfg) {
-      congest::ScopedThreadConfig guard(cfg);
-      plansep::testing::TraceRecorder rec;
-      plansep::testing::ScopedTraceCapture cap(rec);
-      const BfsResult bfs = distributed_bfs(gg.graph, gg.root_hint);
-      EXPECT_GT(bfs.height, 0);
-      return std::make_pair(rec.events(), bfs);
-    };
-    const auto [serial, s_bfs] = capture({1, 64});
-    for (int k : {2, 3, 4, 7, 8}) {
-      const auto [par, p_bfs] = capture(parallel_cfg(k));
-      EXPECT_EQ(plansep::testing::first_divergence(serial, par), -1)
-          << planar::family_name(f) << " k=" << k << "\n"
-          << plansep::testing::diff_traces(serial, par);
-      EXPECT_EQ(s_bfs.depth, p_bfs.depth) << planar::family_name(f);
-      EXPECT_EQ(s_bfs.height, p_bfs.height);
-      EXPECT_EQ(s_bfs.rounds, p_bfs.rounds);
-      EXPECT_EQ(s_bfs.messages, p_bfs.messages);
-    }
-  }
-}
-
-TEST(ParallelNetwork, AggregationTraceBitIdenticalToSerial) {
-  // The heaviest round handler (part-wise aggregation) under every shard
-  // count: values and traces must match the serial engine exactly.
-  const GeneratedGraph gg =
-      planar::make_instance(planar::Family::kTriangulation, 90, 11);
-  const BfsResult tree = distributed_bfs(gg.graph, gg.root_hint);
-  std::vector<int> part(gg.graph.num_nodes());
-  std::vector<std::int64_t> value(gg.graph.num_nodes());
-  for (NodeId v = 0; v < gg.graph.num_nodes(); ++v) {
-    part[v] = v % 5;
-    value[v] = (13 * v) % 41;
-  }
-  auto capture = [&](const congest::ThreadConfig& cfg) {
-    congest::ScopedThreadConfig guard(cfg);
-    plansep::testing::TraceRecorder rec;
-    plansep::testing::ScopedTraceCapture cap(rec);
-    const auto res = shortcuts::message_level_aggregate(
-        gg.graph, tree, part, value, shortcuts::AggOp::kSum);
-    return std::make_pair(rec.events(), res);
-  };
-  const auto [serial, s_res] = capture({1, 64});
-  for (int k : {2, 4, 8}) {
-    const auto [par, p_res] = capture(parallel_cfg(k));
-    EXPECT_EQ(plansep::testing::first_divergence(serial, par), -1)
-        << "k=" << k << "\n" << plansep::testing::diff_traces(serial, par);
-    EXPECT_EQ(s_res.value, p_res.value);
-    EXPECT_EQ(s_res.rounds, p_res.rounds);
-    EXPECT_EQ(s_res.messages, p_res.messages);
-  }
-}
-
-TEST(ParallelNetwork, LargeInstancesBitIdenticalAcrossThreadCounts) {
-  // The scaled-up equivalence tier: every generator family at n >= 50000,
-  // serial vs sharded runs agreeing byte-for-byte on the full message
-  // trace, the rendered metrics JSON (ScopedMetrics chains over the trace
-  // capture, so one run yields both), and every BFS observable. This is
-  // the size regime where the SoA slab delivery, the pooled shard arenas
-  // and the bucketed scatter actually engage (kParallelScatterThreshold),
-  // so equality here pins the whole hot path, not just the small-n merge.
-  //
-  // High-degree families (star, wheel: hub degree ~n, so find_dart costs
-  // O(n) per hub send) compare serial vs 8 shards only; bounded-degree
-  // families sweep {2, 4, 8}.
-  for (planar::Family f : planar::all_families()) {
-    const bool high_degree =
-        f == planar::Family::kStar || f == planar::Family::kWheel;
-    const GeneratedGraph gg = planar::make_instance(f, 51000, 3);
-    ASSERT_GE(gg.graph.num_nodes(), 50000) << planar::family_name(f);
-    auto capture = [&](const congest::ThreadConfig& cfg) {
-      congest::ScopedThreadConfig guard(cfg);
-      plansep::testing::TraceRecorder rec;
-      obs::MetricsRegistry reg;
-      BfsResult bfs;
-      {
-        plansep::testing::ScopedTraceCapture cap(rec);
-        obs::ScopedMetrics metrics(reg);
-        bfs = distributed_bfs(gg.graph, gg.root_hint);
-      }
-      return std::make_tuple(rec.events(), reg.to_json(), bfs);
-    };
-    const auto [s_ev, s_json, s_bfs] = capture({1, 64});
-    ASSERT_GT(s_ev.size(), 0u) << planar::family_name(f);
-    for (int k : high_degree ? std::vector<int>{8} : std::vector<int>{2, 4, 8}) {
-      const auto [p_ev, p_json, p_bfs] = capture(parallel_cfg(k));
-      // first_divergence over ~10^5-10^6 events; the full diff would be
-      // unreadable, so report only the diverging index.
-      EXPECT_EQ(plansep::testing::first_divergence(s_ev, p_ev), -1)
-          << planar::family_name(f) << " k=" << k;
-      EXPECT_EQ(s_json, p_json) << planar::family_name(f) << " k=" << k;
-      EXPECT_EQ(s_bfs.depth, p_bfs.depth) << planar::family_name(f);
-      EXPECT_EQ(s_bfs.height, p_bfs.height);
-      EXPECT_EQ(s_bfs.rounds, p_bfs.rounds);
-      EXPECT_EQ(s_bfs.messages, p_bfs.messages);
-    }
-  }
-}
-
-TEST(ParallelNetwork, LargeAggregationBitIdenticalAcrossThreadCounts) {
-  // The heaviest round handler at scale: message-level aggregation over a
-  // 50k-node triangulation, serial vs {2, 4, 8} shards — values, traces
-  // and metrics all byte-equal. Complements the small-n aggregation test
-  // above, which can't reach the bucketed-scatter regime.
-  const GeneratedGraph gg =
-      planar::make_instance(planar::Family::kTriangulation, 50000, 7);
-  ASSERT_GE(gg.graph.num_nodes(), 50000);
-  const BfsResult tree = distributed_bfs(gg.graph, gg.root_hint);
-  std::vector<int> part(gg.graph.num_nodes());
-  std::vector<std::int64_t> value(gg.graph.num_nodes());
-  for (NodeId v = 0; v < gg.graph.num_nodes(); ++v) {
-    part[v] = v % 32;
-    value[v] = (11 * v) % 257;
-  }
-  auto capture = [&](const congest::ThreadConfig& cfg) {
-    congest::ScopedThreadConfig guard(cfg);
-    plansep::testing::TraceRecorder rec;
-    obs::MetricsRegistry reg;
-    shortcuts::MessageAggregateResult res;
-    {
-      plansep::testing::ScopedTraceCapture cap(rec);
-      obs::ScopedMetrics metrics(reg);
-      res = shortcuts::message_level_aggregate(gg.graph, tree, part, value,
-                                               shortcuts::AggOp::kSum);
-    }
-    return std::make_tuple(rec.events(), reg.to_json(), res);
-  };
-  const auto [s_ev, s_json, s_res] = capture({1, 64});
-  for (int k : {2, 4, 8}) {
-    const auto [p_ev, p_json, p_res] = capture(parallel_cfg(k));
-    EXPECT_EQ(plansep::testing::first_divergence(s_ev, p_ev), -1) << "k=" << k;
-    EXPECT_EQ(s_json, p_json) << "k=" << k;
-    EXPECT_EQ(s_res.value, p_res.value) << "k=" << k;
-    EXPECT_EQ(s_res.rounds, p_res.rounds);
-    EXPECT_EQ(s_res.messages, p_res.messages);
-  }
-}
-
-TEST(ParallelNetwork, BandwidthViolationThrowsExactlyOnceUnderThreads) {
-  // Regression for the CONGEST guard on the parallel path: a duplicate
-  // send over one edge must surface as exactly one CheckError with the
-  // same message the serial engine produces, even when other shards are
-  // mid-round, and the network must stay usable afterwards.
-  class Bad : public congest::NodeProgram {
-   public:
-    std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph& g) override {
-      std::vector<NodeId> all(static_cast<std::size_t>(g.num_nodes()));
-      for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
-      return all;  // every node active, so every shard has work
-    }
-    void round(NodeId v, congest::InboxView,
-               congest::Ctx& ctx) override {
-      congest::Message m;
-      if (v == 7) {  // one offender mid-active-set
-        ctx.send(8, m);
-        ctx.send(8, m);
-      }
-    }
-  };
-  const GeneratedGraph gg = planar::path(16);
-  auto error_of = [&](const congest::ThreadConfig& cfg) {
-    congest::ScopedThreadConfig guard(cfg);
-    congest::Network net(gg.graph);
-    Bad bad;
-    int caught = 0;
-    std::string what;
-    try {
-      net.run(bad, 4);
-    } catch (const CheckError& e) {
-      ++caught;
-      what = e.what();
-    }
-    EXPECT_EQ(caught, 1);
-    EXPECT_NE(what.find("CONGEST bandwidth exceeded"), std::string::npos);
-    // The failed run must not poison the next one.
-    class Quiet : public congest::NodeProgram {
-     public:
-      std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph&) override {
-        return {0};
-      }
-      void round(NodeId v, congest::InboxView,
-                 congest::Ctx& ctx) override {
-        if (v != 0) return;  // recipients just absorb the message
-        congest::Message m;
-        ctx.send(1, m);
-      }
-    };
-    Quiet quiet;
-    EXPECT_GE(net.run(quiet), 1);
-    return what;
-  };
-  const std::string serial_what = error_of({1, 64});
-  for (int k : {2, 4}) {
-    EXPECT_EQ(error_of(parallel_cfg(k)), serial_what) << "k=" << k;
-  }
-}
-
-TEST(ParallelNetwork, QuiescenceAndMaxRoundsMatchSerial) {
-  // Wake-up-driven control flow (no messages at all) under the parallel
-  // executor: same round counts at quiescence and at the max_rounds cap.
-  class CountDown : public congest::NodeProgram {
-   public:
-    std::vector<NodeId> initial_nodes(const planar::EmbeddedGraph& g) override {
-      ticks.assign(static_cast<std::size_t>(g.num_nodes()), 0);
-      std::vector<NodeId> all(static_cast<std::size_t>(g.num_nodes()));
-      for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
-      return all;
-    }
-    void round(NodeId v, congest::InboxView,
-               congest::Ctx& ctx) override {
-      if (++ticks[v] < 4 + v % 3) ctx.wake_next_round();
-    }
-    std::vector<int> ticks;
-  };
-  const GeneratedGraph gg = planar::path(24);
-  auto rounds_of = [&](const congest::ThreadConfig& cfg, int max_rounds) {
-    congest::ScopedThreadConfig guard(cfg);
-    congest::Network net(gg.graph);
-    CountDown prog;
-    const int r = net.run(prog, max_rounds);
-    EXPECT_EQ(net.messages_sent(), 0);
-    return r;
-  };
-  const int serial_quiesce = rounds_of({1, 64}, 1 << 20);
-  const int serial_capped = rounds_of({1, 64}, 3);
-  EXPECT_EQ(serial_capped, 3);
-  for (int k : {2, 4}) {
-    EXPECT_EQ(rounds_of(parallel_cfg(k), 1 << 20), serial_quiesce);
-    EXPECT_EQ(rounds_of(parallel_cfg(k), 3), serial_capped);
-  }
-}
-
-TEST(ParallelNetwork, ConfigKnobs) {
-  const GeneratedGraph gg = planar::path(4);
-  congest::Network net(gg.graph);
-  net.set_threads(8);
-  EXPECT_EQ(net.threads(), 8);
-  net.set_threads(1);
-  EXPECT_EQ(net.threads(), 1);
-  EXPECT_THROW(net.set_threads(0), CheckError);
-  // Scoped default: networks constructed inside adopt it; the previous
-  // default returns on scope exit.
-  const congest::ThreadConfig before = congest::default_thread_config();
-  {
-    congest::ScopedThreadConfig guard({5, 9});
-    EXPECT_EQ(congest::default_thread_config().threads, 5);
-    EXPECT_EQ(congest::default_thread_config().min_active_to_parallelize, 9);
-    congest::Network inner(gg.graph);
-    EXPECT_EQ(inner.threads(), 5);
-  }
-  EXPECT_EQ(congest::default_thread_config().threads, before.threads);
 }
 
 TEST(Partwise, ValuesMatchPerPartReference) {

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "congest/network.hpp"
 #include "daemon/client.hpp"
 #include "daemon/dispatcher.hpp"
 #include "daemon/protocol.hpp"
@@ -653,7 +652,6 @@ TEST(DaemonServer, WarmFromCorpusServesFirstJobWarm) {
   // Populate: one cold pipeline job writes the instance into the corpus
   // and its spanning-tree/separator/DFS sub-artifacts into the disk tier.
   {
-    congest::ScopedThreadConfig serial{congest::ThreadConfig{}};
     serve::ResultCache cold(serve::ResultCache::Options{1u << 22, cache_dir});
     serve::BatchOptions popts;
     popts.corpus_dir = corpus;

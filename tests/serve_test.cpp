@@ -199,6 +199,16 @@ TEST(ServeBatch, ParsesJobLinesAndComments) {
   for (const char* n : {"--n=4294967360", "--n=-5", "--n=-7", "--n=0"}) {
     EXPECT_THROW(serve::parse_job_line(n, 7), std::runtime_error) << n;
   }
+  // Unsigned values take no sign, and nothing saturates on overflow.
+  for (const char* bad :
+       {"--seed=-1", "--fault-seed=-1", "--seed=+1",
+        "--seed=18446744073709551616",
+        "--deadline-ms=99999999999999999999999", "--drop=nan"}) {
+    EXPECT_THROW(serve::parse_job_line(bad, 8), std::runtime_error) << bad;
+  }
+  EXPECT_EQ(serve::parse_job_line("--seed=18446744073709551615", 9)->seed,
+            18446744073709551615u);
+  EXPECT_EQ(serve::parse_job_line("--deadline-ms=-1", 10)->deadline_ms, -1);
 
   std::istringstream file(
       "# header\n"

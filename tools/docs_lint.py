@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs freshness lint.
 
-Two checks over the repo's markdown:
+Four checks over the repo's markdown:
 
 1. Every intra-repo link resolves: for each ``[text](target)`` in a
    tracked ``.md`` file (repo root + docs/), a relative ``target`` —
@@ -22,6 +22,12 @@ Two checks over the repo's markdown:
    C++ sources, so a deleted environment variable cannot linger in the
    docs.
 
+4. Cited tests exist: over the same files as check 3, every
+   ``CamelCase.CamelCase`` token must name a ``TEST``, ``TEST_F`` or
+   ``TEST_P`` (suite, name) in tests/; a trailing ``*`` matches as a
+   prefix (``NetworkFaults.Crash*``). A deleted or renamed test cannot
+   stay cited as evidence.
+
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -38,6 +44,10 @@ BINARY_RE = re.compile(r"^(plansep\w*|bench_\w+)$")
 FLAG_RE = re.compile(r"^--([a-zA-Z0-9][a-zA-Z0-9-]*)(=.*)?$")
 ENV_RE = re.compile(r"\bPLANSEP_[A-Z0-9_]+")
 ENV_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+TEST_REF_RE = re.compile(
+    r"(?<![\w./-])([A-Z][a-z0-9][A-Za-z0-9]*\.[A-Z][a-z0-9][A-Za-z0-9]*)"
+    r"(\*?)")
+TEST_DEF_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 
 def markdown_files():
@@ -63,6 +73,18 @@ def source_blob():
                     with open(os.path.join(root, n), errors="replace") as f:
                         chunks.append(f.read())
     return "\n".join(chunks)
+
+
+def test_names():
+    """Every Suite.Name defined by TEST/TEST_F/TEST_P under tests/."""
+    names = set()
+    for root, _dirs, files in os.walk(os.path.join(REPO, "tests")):
+        for n in files:
+            if n.endswith(".cpp"):
+                with open(os.path.join(root, n), errors="replace") as f:
+                    for m in TEST_DEF_RE.finditer(f.read()):
+                        names.add(f"{m.group(1)}.{m.group(2)}")
+    return names
 
 
 def check_links(path, lines, errors):
@@ -167,9 +189,23 @@ def check_env_names(path, lines, blob, errors):
                               f"found in any source")
 
 
+def check_test_refs(path, lines, tests, errors):
+    rel = os.path.relpath(path, REPO)
+    for ln, line in enumerate(lines, 1):
+        for m in TEST_REF_RE.finditer(line):
+            ref, prefix = m.group(1), m.group(2) == "*"
+            if prefix and any(t.startswith(ref) for t in tests):
+                continue
+            if not prefix and ref in tests:
+                continue
+            errors.append(f"{rel}:{ln}: cited test '{m.group(0)}' not "
+                          f"defined in tests/")
+
+
 def main():
     errors = []
     blob = source_blob()
+    tests = test_names()
     for path in markdown_files():
         with open(path, errors="replace") as f:
             lines = f.read().splitlines()
@@ -179,6 +215,7 @@ def main():
             check_snippets(path, lines, blob, errors)
         if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
             check_env_names(path, lines, blob, errors)
+            check_test_refs(path, lines, tests, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
