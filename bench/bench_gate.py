@@ -4,10 +4,17 @@
 Two tiers, run in this order:
 
 1. Exact. Every baseline row of a kind listed in EXACT_FIELDS (the
-   dfs_rounds bench's `dfs_analytic` and `engine` rows) must reappear in
-   the run, matched on the key without host_cores, with each exact field
-   (validity, phase, round and message counts) equal to the baseline.
-   These are deterministic outputs, so this tier holds on any host.
+   dfs_rounds bench's `dfs_analytic` and `engine` rows, E9's `partwise`
+   rows and E11's `hierarchy` rows) must reappear in the run, matched on
+   its kind's EXACT_KEYS entry (by default the key without host_cores),
+   with each exact field (validity, phase, round and message counts,
+   piece counts, index bytes) equal to the baseline. These are
+   deterministic outputs, so this tier holds on any host. Kinds whose
+   KIND_FIELDS entry is empty (`partwise`, `hierarchy`) are gated by this
+   tier alone:
+
+  bench_gate.py --kind partwise \
+      --current partwise.bench.json --baseline bench/baselines/partwise.bench.json
 
 2. Wall clock. Compares rows of a chosen kind (--kind, default `engine`)
    from a fresh bench run against the committed baseline and fails when
@@ -56,12 +63,25 @@ KIND_FIELDS = {
     "query": ("warm_wall_ms", "cold_job_ms"),
     "ingest": ("wall_ms", "reject_wall_ms"),
     "taskgraph": ("dag_wall_ms",),
+    # Exact tier only: their wall clocks carry no host shape.
+    "partwise": (),
+    "hierarchy": (),
 }
 # Per-kind fields that must equal the baseline exactly, on any host.
 EXACT_FIELDS = {
     "dfs_analytic": ("valid", "phases", "rounds_measured", "rounds_charged",
                      "diameter_bound"),
     "engine": ("rounds", "messages"),
+    "partwise": ("rounds_measured", "rounds_msg_level", "rounds_charged",
+                 "diameter_bound"),
+    "hierarchy": ("levels", "pieces", "pieces_total", "rounds_charged",
+                  "rounds_measured", "index_bytes"),
+}
+# Per-kind exact-tier keys; kinds not listed match on KEY_FIELDS without
+# host_cores.
+EXACT_KEYS = {
+    "partwise": ("kind", "family", "n", "bands"),
+    "hierarchy": ("kind", "family", "n", "leaf_size"),
 }
 
 
@@ -87,17 +107,25 @@ def fmt_key(key, fields=KEY_FIELDS):
     return " ".join(f"{f}={v}" for f, v in zip(fields, key) if v is not None)
 
 
+def exact_key_fields(kind):
+    return EXACT_KEYS.get(kind,
+                          tuple(f for f in KEY_FIELDS if f != "host_cores"))
+
+
 def exact_failures(current_path, baseline_path):
     """Tier 1: deterministic fields of EXACT_FIELDS kinds, on any host."""
-    fields = tuple(f for f in KEY_FIELDS if f != "host_cores")
-    current = {row_key(r, fields): r for r in load_rows(current_path)
-               if r.get("kind") in EXACT_FIELDS}
+    current = {}
+    for r in load_rows(current_path):
+        kind = r.get("kind")
+        if kind in EXACT_FIELDS:
+            current[row_key(r, exact_key_fields(kind))] = r
     failures = []
     compared = 0
     for base in load_rows(baseline_path):
         kind = base.get("kind")
         if kind not in EXACT_FIELDS:
             continue
+        fields = exact_key_fields(kind)
         key = row_key(base, fields)
         cur = current.get(key)
         if cur is None:
@@ -155,6 +183,10 @@ def main():
         print(f"bench-gate: baseline has no {args.kind} rows",
               file=sys.stderr)
         return 1
+    if not fields:
+        print(f"\nbench-gate: PASS — {args.kind} rows are gated by the "
+              f"exact tier only.")
+        return 0
 
     host_cores = {k[KEY_FIELDS.index("host_cores")] for k in current}
     base_cores = {k[KEY_FIELDS.index("host_cores")] for k in baseline}

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
           .set("kind", "partwise")
           .set("family", planar::family_name(f))
           .set("n", n)
+          .set("bands", bands)
           .set("parts", parts)
           .set("diameter_bound", engine.diameter_bound())
           .set("rounds_measured", res.cost.measured)

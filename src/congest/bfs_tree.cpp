@@ -71,6 +71,34 @@ BfsResult distributed_bfs(const EmbeddedGraph& g, NodeId root) {
   return out;
 }
 
+void check_spanning_tree(const EmbeddedGraph& g, const BfsResult& bfs) {
+  const NodeId n = g.num_nodes();
+  PLANSEP_CHECK_MSG(static_cast<NodeId>(bfs.parent_dart.size()) == n &&
+                        static_cast<NodeId>(bfs.depth.size()) == n,
+                    "spanning tree size must match the graph");
+  PLANSEP_CHECK_MSG(bfs.root >= 0 && bfs.root < n,
+                    "spanning tree root out of range");
+  PLANSEP_CHECK_MSG(bfs.parent_dart[static_cast<std::size_t>(bfs.root)] ==
+                            planar::kNoDart &&
+                        bfs.depth[static_cast<std::size_t>(bfs.root)] == 0,
+                    "spanning tree root must have no parent and depth 0");
+  int max_depth = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const int dv = bfs.depth[static_cast<std::size_t>(v)];
+    max_depth = std::max(max_depth, dv);
+    if (v == bfs.root) continue;
+    const DartId pd = bfs.parent_dart[static_cast<std::size_t>(v)];
+    PLANSEP_CHECK_MSG(pd >= 0 && pd < g.num_darts(),
+                      "spanning tree dart out of range");
+    PLANSEP_CHECK_MSG(g.tail(pd) == v,
+                      "spanning tree parent dart must leave its node");
+    PLANSEP_CHECK_MSG(dv == bfs.depth[static_cast<std::size_t>(g.head(pd))] + 1,
+                      "spanning tree depth must be its parent's plus one");
+  }
+  PLANSEP_CHECK_MSG(bfs.height == max_depth,
+                    "spanning tree height must be its deepest level");
+}
+
 DiameterEstimate estimate_diameter(const EmbeddedGraph& g, NodeId root) {
   const BfsResult first = distributed_bfs(g, root);
   NodeId far = root;

@@ -21,6 +21,14 @@ struct BfsResult {
 /// Runs the BFS wave from root over the whole graph.
 BfsResult distributed_bfs(const EmbeddedGraph& g, NodeId root);
 
+/// Throws CheckError unless `bfs` is a BFS-shaped spanning tree of g: one
+/// entry per node, the root in range at depth 0 with no parent, every
+/// other node's parent dart leaving it towards a node exactly one level
+/// up, and `height` the deepest level. A tree decoded from an artifact is
+/// untrusted until this passes; distributed_bfs's trees pass by
+/// construction (a node takes its depth and parent from one message).
+void check_spanning_tree(const EmbeddedGraph& g, const BfsResult& bfs);
+
 /// Two-sweep diameter estimate: BFS from root, then BFS from the deepest
 /// node found. Returns the second tree's height — a lower bound on the
 /// diameter that is within a factor 2 of it (exact on trees). The returned

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <deque>
 #include <numeric>
 
+#include "planar/face_structure.hpp"
 #include "util/check.hpp"
 
 namespace plansep::planar {
@@ -209,35 +209,6 @@ GeneratedGraph stacked_triangulation(int n, Rng& rng) {
   return out;
 }
 
-namespace {
-
-/// True iff edge e is a bridge of g restricted to `alive` edges.
-bool is_bridge(const EmbeddedGraph& g, const std::vector<char>& alive,
-               EdgeId e) {
-  const NodeId s = g.edge_u(e);
-  const NodeId t = g.edge_v(e);
-  std::vector<char> seen(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::deque<NodeId> queue{s};
-  seen[static_cast<std::size_t>(s)] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    if (v == t) return false;
-    for (DartId d : g.rotation(v)) {
-      const EdgeId de = EmbeddedGraph::edge_of(d);
-      if (de == e || !alive[static_cast<std::size_t>(de)]) continue;
-      const NodeId w = g.head(d);
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 GeneratedGraph random_planar(int n, int m, Rng& rng) {
   PLANSEP_CHECK(n >= 3);
   GeneratedGraph tri = stacked_triangulation(n, rng);
@@ -248,10 +219,24 @@ GeneratedGraph random_planar(int n, int m, Rng& rng) {
   std::vector<EdgeId> order(static_cast<std::size_t>(max_m));
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
+  // An edge of a connected plane graph is a bridge exactly when one face
+  // lies on both of its sides, and deleting a non-bridge merges the two
+  // faces it separates. So a union-find over the triangulation's faces
+  // tracks the faces of the alive graph, and each bridge test is two finds.
+  const FaceStructure faces(g);
+  std::vector<FaceId> face_root(static_cast<std::size_t>(faces.num_faces()));
+  std::iota(face_root.begin(), face_root.end(), 0);
+  const auto find = [&](FaceId f) {
+    while (face_root[f] != f) f = face_root[f] = face_root[face_root[f]];
+    return f;
+  };
   int remaining = max_m;
   for (EdgeId e : order) {
     if (remaining <= m) break;
-    if (is_bridge(g, alive, e)) continue;
+    const FaceId a = find(faces.face_of(2 * e));
+    const FaceId b = find(faces.face_of(2 * e + 1));
+    if (a == b) continue;  // a bridge: deleting it would disconnect
+    face_root[a] = b;
     alive[static_cast<std::size_t>(e)] = 0;
     --remaining;
   }

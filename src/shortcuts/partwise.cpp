@@ -1,7 +1,6 @@
 #include "shortcuts/partwise.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -47,33 +46,33 @@ PartwiseEngine::PartwiseEngine(const EmbeddedGraph& g, NodeId root) : g_(&g) {
 
 PartwiseEngine::PartwiseEngine(const EmbeddedGraph& g, congest::BfsResult bfs)
     : g_(&g), bfs_(std::move(bfs)) {
-  PLANSEP_CHECK(static_cast<NodeId>(bfs_.depth.size()) == g.num_nodes());
+  // init_derived() checks the adopted tree against g before any use.
   init_derived();
 }
 
 void PartwiseEngine::init_derived() {
   const EmbeddedGraph& g = *g_;
+  const NodeId n = g.num_nodes();
   for (int d : bfs_.depth) {
     PLANSEP_CHECK_MSG(d >= 0, "graph must be connected");
   }
+  // The schedule simulation and the lower bound in aggregate() rely on a
+  // BFS-shaped tree; an adopted one (a decoded spanning-tree artifact) is
+  // untrusted until checked.
+  congest::check_spanning_tree(g, bfs_);
   setup_cost_.measured = bfs_.rounds;
   setup_cost_.charged = std::max(1, bfs_.height);
-  bfs_children_.assign(static_cast<std::size_t>(g.num_nodes()), {});
-  bfs_order_.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) bfs_order_.push_back(v);
+  bfs_children_.assign(static_cast<std::size_t>(n), {});
+  bfs_order_.reserve(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) bfs_order_.push_back(v);
   std::sort(bfs_order_.begin(), bfs_order_.end(), [&](NodeId a, NodeId b) {
     return bfs_.depth[static_cast<std::size_t>(a)] <
            bfs_.depth[static_cast<std::size_t>(b)];
   });
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == bfs_.root) continue;
     const planar::DartId pd = bfs_.parent_dart[static_cast<std::size_t>(v)];
-    if (pd != planar::kNoDart) {
-      // Guards adopted trees (the dart ids of a decoded spanning-tree
-      // artifact are untrusted until bound to this graph).
-      PLANSEP_CHECK_MSG(pd >= 0 && pd < g.num_darts(),
-                        "spanning tree dart out of range");
-      bfs_children_[static_cast<std::size_t>(g.head(pd))].push_back(v);
-    }
+    bfs_children_[static_cast<std::size_t>(g.head(pd))].push_back(v);
   }
 }
 
@@ -86,41 +85,53 @@ RoundCost PartwiseEngine::blackbox_charge() const {
   return c;
 }
 
-long long PartwiseEngine::intra_part_rounds(const std::vector<int>& part) const {
+PartwiseEngine::IntraScan PartwiseEngine::intra_part_rounds(
+    const std::vector<int>& part) const {
   // Per-part BFS height over the induced subgraph; parts are disjoint so
   // they proceed fully in parallel. Aggregation = convergecast + broadcast.
+  // The same pass records the deepest global-BFS depth of a participating
+  // node and the number of distinct parts, for aggregate()'s lower bound.
   const EmbeddedGraph& g = *g_;
   const NodeId n = g.num_nodes();
-  std::vector<int> level(static_cast<std::size_t>(n), -1);
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  long long max_height = 0;
-  std::deque<NodeId> queue;
+  std::vector<int> level(static_cast<std::size_t>(n), -1);  // -1 = unseen
+  std::vector<char> part_seen;
+  // Every node enters the queue at most once over all parts, so one flat
+  // vector serves every BFS: each starts where the previous one ended.
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(n));
+  IntraScan scan;
+  int max_height = 0;
   for (NodeId s = 0; s < n; ++s) {
-    if (part[static_cast<std::size_t>(s)] < 0 || seen[static_cast<std::size_t>(s)]) {
-      continue;
-    }
     const int p = part[static_cast<std::size_t>(s)];
-    seen[static_cast<std::size_t>(s)] = 1;
+    if (p < 0 || level[static_cast<std::size_t>(s)] >= 0) continue;
+    if (static_cast<std::size_t>(p) >= part_seen.size()) {
+      part_seen.resize(static_cast<std::size_t>(p) + 1, 0);
+    }
+    if (!part_seen[static_cast<std::size_t>(p)]) {
+      part_seen[static_cast<std::size_t>(p)] = 1;
+      ++scan.parts;
+    }
     level[static_cast<std::size_t>(s)] = 0;
+    std::size_t head = queue.size();
     queue.push_back(s);
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
-      max_height = std::max<long long>(max_height,
-                                       level[static_cast<std::size_t>(v)]);
+    while (head < queue.size()) {
+      const NodeId v = queue[head++];
+      const int lv = level[static_cast<std::size_t>(v)];
+      max_height = std::max(max_height, lv);
+      scan.deepest = std::max(scan.deepest, bfs_.depth[static_cast<std::size_t>(v)]);
       for (planar::DartId d : g.rotation(v)) {
         const NodeId w = g.head(d);
         if (part[static_cast<std::size_t>(w)] != p ||
-            seen[static_cast<std::size_t>(w)]) {
+            level[static_cast<std::size_t>(w)] >= 0) {
           continue;
         }
-        seen[static_cast<std::size_t>(w)] = 1;
-        level[static_cast<std::size_t>(w)] = level[static_cast<std::size_t>(v)] + 1;
+        level[static_cast<std::size_t>(w)] = lv + 1;
         queue.push_back(w);
       }
     }
   }
-  return 2 * max_height + 2;
+  scan.rounds = 2LL * max_height + 2;
+  return scan;
 }
 
 long long PartwiseEngine::global_tree_rounds(const std::vector<int>& part) const {
@@ -249,13 +260,32 @@ AggregateResult PartwiseEngine::aggregate(const std::vector<int>& part,
     }
   }
 
-  const long long intra = intra_part_rounds(part);
-  const long long global = global_tree_rounds(part);
-  out.cost.measured = std::min(intra, global);
+  const IntraScan intra = intra_part_rounds(part);
+  // Lower bound on the global-tree schedule, LB = max(D + 2, P + 1) + D,
+  // where D is the deepest global-BFS depth of a participating node and P
+  // the number of distinct parts. Up phase: the deepest node emits its
+  // part in round >= 1 and each ancestor forwards it at least one round
+  // after its child did, so the root emits it in round >= D + 1; the root
+  // also emits its P parts one per round from round 1, and its done
+  // marker follows its last emission, so the up phase takes
+  // >= max(D + 2, P + 1) rounds. Down phase: each node receives a part at
+  // least one round after its parent, so the deepest node's result lands
+  // D rounds after the up phase. Both chains have exactly D edges because
+  // depth(child) = depth(parent) + 1 on the tree, which init_derived()
+  // checks. The budget sentinel is larger still. So whenever intra <= LB,
+  // min(intra, global) = intra and the simulation is skipped; the
+  // all-absent partition (no D) is always simulated.
+  long long global = std::numeric_limits<long long>::max();
+  if (intra.deepest < 0 ||
+      intra.rounds > std::max<long long>(intra.deepest + 2, intra.parts + 1) +
+                         intra.deepest) {
+    global = global_tree_rounds(part);
+  }
+  out.cost.measured = std::min(intra.rounds, global);
   out.cost.charged = std::max(1, bfs_.height);
   out.cost.pa_calls = 1;
   span.note("measured", out.cost.measured);
-  span.note("intra", intra);
+  span.note("intra", intra.rounds);
   if (global < std::numeric_limits<long long>::max() / 8) {
     span.note("global_tree", global);
   }

@@ -6,7 +6,7 @@
 // aggregation, solved in Õ(D) rounds by deterministic low-congestion
 // shortcuts (Propositions 2 and 4, Haeupler–Hershkowitz–Wajc). We do not
 // reimplement the HHW scheduling machinery (DESIGN.md, substitution 1);
-// instead each aggregate runs BOTH of:
+// instead each aggregate is priced as the cheaper of two strategies:
 //
 //   1. *Intra-part trees*: every part aggregates over a BFS tree of its own
 //      induced subgraph. Parts are vertex-disjoint, so all parts proceed in
@@ -23,7 +23,12 @@
 //
 // The measured cost of an aggregate is the cheaper of the two (a scheduler
 // would run both concurrently and stop at the first to finish); the
-// charged cost is the paper's O(D) per invocation.
+// charged cost is the paper's O(D) per invocation. Strategy 1 is always
+// computed. Strategy 2 never beats max(D + 2, P + 1) + D rounds
+// (D = deepest global-BFS depth of a participating node, P = number of
+// parts; proof in aggregate() and DESIGN.md), so its schedule is
+// simulated only when the intra-part cost exceeds that bound, or when no
+// node participates.
 
 #include <cstdint>
 #include <functional>
@@ -86,10 +91,25 @@ class PartwiseEngine {
     return global_tree_rounds(part);
   }
 
+  /// The round cost of the intra-part strategy alone (diagnostics; the
+  /// counterpart of global_schedule_rounds).
+  long long intra_schedule_rounds(const std::vector<int>& part) const {
+    return intra_part_rounds(part).rounds;
+  }
+
  private:
+  /// One BFS pass over the parts: the intra-part cost, plus the deepest
+  /// global-BFS depth of a participating node (-1 if none) and the number
+  /// of distinct parts.
+  struct IntraScan {
+    long long rounds = 0;
+    int deepest = -1;
+    int parts = 0;
+  };
+
   void init_derived();
 
-  long long intra_part_rounds(const std::vector<int>& part) const;
+  IntraScan intra_part_rounds(const std::vector<int>& part) const;
   long long global_tree_rounds(const std::vector<int>& part) const;
 
   const EmbeddedGraph* g_;

@@ -178,6 +178,7 @@ TaskGraph record_pipeline() {
       [](TaskContext& ctx) {
         const congest::BfsResult bfs =
             decode_spanning_tree_bytes(*ctx.bytes(kSpanningTreeTask));
+        congest::check_spanning_tree(*ctx.in.graph, bfs);
         baselines::LevelSeparatorResult res =
             baselines::bfs_level_separator(*ctx.in.graph, bfs);
         TaskOutput out;

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
+#include "core/fingerprint.hpp"
 #include "planar/embedded_graph.hpp"
 #include "planar/face_structure.hpp"
 #include "planar/generators.hpp"
@@ -203,6 +205,31 @@ TEST(Generators, RandomPlanarHitsTargetEdgeCount) {
   EXPECT_EQ(gg.graph.num_nodes(), 40);
   EXPECT_EQ(gg.graph.num_edges(), 60);
   EXPECT_EQ(gg.graph.num_components(), 1);
+}
+
+// random_planar deletes random non-bridges of a stacked triangulation.
+// These fingerprints were taken from the generator that tested each
+// deletion with a BFS; the face union-find must pick the same edges.
+TEST(Generators, RandomPlanarInstancesArePinned) {
+  struct Pin {
+    int n;
+    std::uint64_t seed;
+    int edges;
+    std::uint64_t fingerprint;
+  };
+  for (const Pin& pin : {Pin{10, 1, 15, 0x690945ff6ffc3798ULL},
+                         Pin{100, 2, 150, 0x6f719a59d3c3c049ULL},
+                         Pin{1000, 7, 1500, 0x818eed32a43c3a7bULL},
+                         Pin{4000, 123456789, 6000, 0xdd95ba67dddbbae0ULL},
+                         Pin{20000, 1, 30000, 0x8ccd66845aedddf7ULL}}) {
+    const GeneratedGraph gg =
+        make_instance(Family::kRandomPlanar, pin.n, pin.seed);
+    EXPECT_EQ(core::topology_fingerprint(gg.graph), pin.fingerprint)
+        << "n=" << pin.n << " seed=" << pin.seed;
+    EXPECT_EQ(gg.graph.num_edges(), pin.edges);
+    EXPECT_EQ(gg.graph.num_components(), 1);
+    EXPECT_EQ(FaceStructure(gg.graph).euler_genus(gg.graph), 0);
+  }
 }
 
 TEST(Generators, DeterministicForFixedSeed) {

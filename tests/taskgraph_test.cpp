@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -548,6 +549,62 @@ TEST(TaskGraphParity, BrokenBaselineWaveIsAnErrorRow) {
             std::string::npos)
       << rep.results[0].error;
   EXPECT_EQ(rep.results[1].status, "ok");
+}
+
+// A spanning-tree artifact edited on disk, with its CRC recomputed so the
+// container still verifies, is served from the disk tier to a fresh
+// cache. The tree checks turn each job that adopts it into an error row
+// instead of a read past the simulation's part lists or the tree's
+// arrays.
+TEST(TaskGraphParity, EditedSpanningTreeOnDiskIsAnErrorRow) {
+  const std::vector<std::function<void(congest::BfsResult&)>> edits{
+      [](congest::BfsResult& t) { t.depth[99] = 1; },
+      [](congest::BfsResult& t) { t.parent_dart[55] = t.parent_dart[12]; },
+      [](congest::BfsResult& t) {
+        t.depth.resize(10);
+        t.parent_dart.resize(10);
+      }};
+  for (const auto& edit : edits) {
+    ScratchDir disk("edited_tree");
+    {
+      std::istringstream file(
+          "--family=grid --n=100 --seed=1 --algo=baseline-separator\n");
+      serve::ResultCache cache({1 << 22, disk.path()});
+      ASSERT_EQ(
+          serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr).ok,
+          1);
+    }
+    // Keep only the tree, edited, so every job below must adopt it.
+    int edited = 0;
+    for (const auto& entry : fs::directory_iterator(disk.path())) {
+      const std::string path = entry.path().string();
+      io::Artifact a = io::parse(io::read_file(path));
+      if (a.sections.size() != 1 ||
+          a.sections[0].id != io::SectionId::kSpanningTree) {
+        fs::remove(path);
+        continue;
+      }
+      io::SpanningTreeArtifact t = io::decode_spanning_tree(a.sections[0].bytes);
+      edit(t.bfs);
+      a.sections[0].bytes = io::encode_spanning_tree(t);
+      io::write_file(path, io::assemble(a));
+      ++edited;
+    }
+    ASSERT_EQ(edited, 1);
+    std::istringstream file(
+        "--family=grid --n=100 --seed=1 --algo=separator\n"
+        "--family=grid --n=100 --seed=1 --algo=dfs\n"
+        "--family=grid --n=100 --seed=1 --algo=baseline-separator\n");
+    serve::ResultCache cache({1 << 22, disk.path()});
+    const auto rep =
+        serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr);
+    ASSERT_EQ(rep.jobs, 3);
+    EXPECT_GT(rep.cache.disk_hits, 0);
+    for (const auto& r : rep.results) {
+      EXPECT_EQ(r.status, "error");
+      EXPECT_NE(r.error.find("spanning tree"), std::string::npos) << r.error;
+    }
+  }
 }
 
 // -------------------------------------------------- sub-artifact codecs ----
