@@ -26,9 +26,9 @@ Two tiers, run in this order:
       --current loadgen.bench.json --baseline bench/baselines/loadgen.bench.json
 
 Wall-clock matching and noise policy:
-  * Rows are keyed on (kind, workload, family, n, threads, par_threshold,
-    host_cores) — the self-describing fields a row carries (a field the
-    row lacks keys as absent). A current
+  * Rows are keyed on (kind, workload, family, n, threads, host_cores) —
+    the self-describing fields a row carries (a field the row lacks keys
+    as absent). A current
     row with no baseline counterpart is reported and skipped (new sweep
     points bootstrap on the next baseline refresh); a baseline row with no
     current counterpart fails the gate (a silently dropped sweep point is a
@@ -52,8 +52,7 @@ import argparse
 import json
 import sys
 
-KEY_FIELDS = ("kind", "workload", "family", "n", "threads", "par_threshold",
-              "host_cores")
+KEY_FIELDS = ("kind", "workload", "family", "n", "threads", "host_cores")
 # Wall-clock fields gated per row when a kind has no KIND_FIELDS entry.
 WALL_FIELDS = ("wall_ms",)
 # Per-kind field defaults, so the common gates need no --fields flag.

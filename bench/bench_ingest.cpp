@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
         .set("family", planar::family_name(pt.family))
         .set("n", pt.n)
         .set("threads", 1)
-        .set("par_threshold", 0)
         .set("host_cores", host_cores)
         .set("edges", static_cast<long long>(edges))
         .set("input_bytes", static_cast<long long>(text.size()))

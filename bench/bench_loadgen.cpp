@@ -226,7 +226,6 @@ int main(int argc, char** argv) {
   const auto stamp = [&](obs::RowsJson::Row& row) -> obs::RowsJson::Row& {
     return row.set("family", "serving")
         .set("threads", threads)
-        .set("par_threshold", 0)
         .set("host_cores", host_cores)
         .set("seed", static_cast<long long>(seed))
         .set("window", window);

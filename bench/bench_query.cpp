@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   using namespace plansep;
   bench::ObsSession obs(argc, argv);
   const bool quick = bench::quick_mode(argc, argv);
-  const int threads = bench::threads_arg(argc, argv, 1);
   const int reps = bench::reps_arg(argc, argv, 3);
   const int host_cores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -61,16 +60,15 @@ int main(int argc, char** argv) {
     return quick ? 2000 : 50000;
   }();
 
-  std::printf("E16: query engine over the hierarchy index (threads=%d%s)\n\n",
-              threads, quick ? ", quick" : "");
+  std::printf("E16: query engine over the hierarchy index%s\n\n",
+              quick ? " (quick)" : "");
   Table table({"family", "n", "leaf", "cold ms", "warm ms", "qps", "p50 us",
                "p99 us", "speedup"});
   bench::BenchJson json("query");
 
   serve::ResultCache cache({256u << 20, cache_dir});
   query::EngineCache engines(4);
-  serve::BatchOptions bopts;
-  bopts.threads = threads;  // index-build fan-out (byte-identical result)
+  const serve::BatchOptions bopts;
   std::uint32_t answers_crc = 0;
 
   for (const Point& pt : sweep) {
@@ -172,8 +170,6 @@ int main(int argc, char** argv) {
         .set("workload", "leaf" + std::to_string(pt.leaf))
         .set("family", planar::family_name(pt.family))
         .set("n", n)
-        .set("threads", threads)
-        .set("par_threshold", 0)
         .set("host_cores", host_cores)
         .set("seed", static_cast<long long>(seed))
         .set("queries", queries)

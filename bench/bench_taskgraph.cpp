@@ -3,14 +3,15 @@
 // fingerprint batch (deterministic separator + BFS-level baseline on one
 // instance), where the task graph builds the spanning tree once and both
 // algorithms consume its bytes. Reports the cold batch wall (min-of-reps,
-// fresh cache per rep), the warm wall (everything cache-served), the
-// sub-result sharing counters, and the corpus-store IO overlapped with
-// compute. The bench hard-fails if the warm row stream differs from the
-// cold one (byte-identity contract), if the cold batch runs the spanning
-// tree more than once per fingerprint, or if the warm batch computes
-// anything. Flags beyond bench_util's:
-//   --corpus-dir=PATH  scratch corpus root for the overlapped IO stage
-//                      (default taskgraph.bench.corpus, wiped per rep)
+// fresh cache per rep, corpus store included), the warm wall (everything
+// cache-served) and the sub-result sharing counters. The bench hard-fails
+// if the warm row stream differs from the cold one (byte-identity
+// contract), if the cold batch runs the spanning tree more than once per
+// fingerprint, or if the warm batch computes anything. Flags beyond
+// bench_util's:
+//   --corpus-dir=PATH  scratch corpus root the cold batches store their
+//                      instance in (default taskgraph.bench.corpus, wiped
+//                      per rep)
 
 #include <cstdio>
 #include <filesystem>
@@ -51,8 +52,7 @@ int main(int argc, char** argv) {
   std::printf(
       "E18: task graph on two-algorithm batches (threads=%d%s)\n\n",
       threads, quick ? ", quick" : "");
-  Table table({"family", "n", "cold ms", "warm ms", "st runs", "shared",
-               "io ms"});
+  Table table({"family", "n", "cold ms", "warm ms", "st runs", "shared"});
   bench::BenchJson json("taskgraph");
 
   for (const bench::SweepPoint& pt : sweep) {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     jobs[1].algo = serve::Algo::kBaselineSeparator;
 
     // One cold batch: fresh in-memory cache, the corpus scratch wiped so
-    // the IO task writes every time.
+    // the store writes every time.
     serve::BatchOptions opts;
     opts.threads = threads;
     opts.corpus_dir = corpus_dir;
@@ -128,15 +128,13 @@ int main(int argc, char** argv) {
     }
 
     table.add(planar::family_name(pt.family), pt.n, cold_ms, warm_ms,
-              st_runs, shared,
-              static_cast<double>(cold.taskgraph.overlapped_io_ms));
+              st_runs, shared);
     json.row()
         .set("kind", "taskgraph")
         .set("workload", "two-algo-pair")
         .set("family", planar::family_name(pt.family))
         .set("n", pt.n)
         .set("threads", threads)
-        .set("par_threshold", 0)
         .set("host_cores", host_cores)
         .set("seed", static_cast<long long>(seed))
         .set("jobs", static_cast<long long>(jobs.size()))
@@ -148,8 +146,6 @@ int main(int argc, char** argv) {
         .set("shared_subresults", shared)
         .set("flight_joins", cold.cache.flight_joins)
         .set("cache_hits", cold.cache.hits)
-        .set("io_tasks", cold.taskgraph.io_tasks)
-        .set("overlapped_io_ms", cold.taskgraph.overlapped_io_ms)
         .set("warm_cache_served", warm_report.taskgraph.cache_served);
   }
 
@@ -158,8 +154,8 @@ int main(int argc, char** argv) {
   json.write(bench::json_path_arg(argc, argv, "taskgraph"));
   std::printf(
       "\nExpectation: the cold batch builds the spanning tree once and\n"
-      "both algorithms consume its bytes (st runs=1, shared=1); corpus IO\n"
-      "overlaps the compute stages; the warm batch is served entirely from\n"
-      "cache, with rows byte-identical to the cold ones (checked above).\n");
+      "both algorithms consume its bytes (st runs=1, shared=1); the warm\n"
+      "batch is served entirely from cache, with rows byte-identical to the\n"
+      "cold ones (checked above).\n");
   return 0;
 }

@@ -82,17 +82,12 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     reg->add("serve/cache_evictions", rep.cache.evictions);
     reg->add("serve/cache_flight_joins", rep.cache.flight_joins);
     // Task-graph counters, folded post-execution (the executor itself
-    // never touches obs globals). All thread-count invariant except the
-    // IO overlap, which is wall clock and lands in a histogram like the
-    // latency profile.
+    // never touches obs globals); all thread-count invariant.
     reg->add("taskgraph/tasks_run", rep.taskgraph.tasks_run);
     reg->add("taskgraph/cache_served", rep.taskgraph.cache_served);
-    reg->add("taskgraph/io_tasks", rep.taskgraph.io_tasks);
     for (const auto& [name, n] : rep.taskgraph.runs) {
       reg->add("taskgraph/runs/" + name, n);
     }
-    reg->histogram("taskgraph/overlapped_io_ms")
-        .add(rep.taskgraph.overlapped_io_ms);
     obs::HistogramData& lat = reg->histogram("serve/job_latency_ms");
     for (const long long ms : latency_ms) lat.add(ms);
     // Deterministic backlog profile: the queue depth each job observed at

@@ -62,18 +62,15 @@ class DaemonMetrics {
   }
 
   /// Folds one completed job's task-graph execution counters in as
-  /// daemon/taskgraph_tasks_run, daemon/taskgraph_cache_served,
-  /// daemon/taskgraph_io_tasks, the daemon/taskgraph_overlapped_io_ms
-  /// histogram, and per-task run counts under daemon/taskgraph_runs/<task>.
-  /// No-op for jobs that failed before their execution finished (all
-  /// counters zero).
+  /// daemon/taskgraph_tasks_run, daemon/taskgraph_cache_served, and
+  /// per-task run counts under daemon/taskgraph_runs/<task>. No-op when
+  /// every counter is zero: the job failed before its execution finished,
+  /// or its deadline expired before its first stage.
   void taskgraph_completed(const taskgraph::TaskGraphCounters& tg) {
-    if (tg.tasks_run == 0 && tg.cache_served == 0 && tg.io_tasks == 0) return;
+    if (tg.tasks_run == 0 && tg.cache_served == 0) return;
     std::lock_guard<std::mutex> lk(mu_);
     reg_.add("daemon/taskgraph_tasks_run", tg.tasks_run);
     reg_.add("daemon/taskgraph_cache_served", tg.cache_served);
-    reg_.add("daemon/taskgraph_io_tasks", tg.io_tasks);
-    reg_.histogram("daemon/taskgraph_overlapped_io_ms").add(tg.overlapped_io_ms);
     for (const auto& [task, runs] : tg.runs) {
       reg_.add("daemon/taskgraph_runs/" + task, runs);
     }

@@ -1,8 +1,6 @@
 #include "query/index.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -146,7 +144,7 @@ void solve_leaf(const planar::EmbeddedGraph& g,
 
 QueryIndex build_query_index(const planar::EmbeddedGraph& g,
                              const separator::SeparatorHierarchy& h,
-                             int leaf_size, int threads) {
+                             int leaf_size) {
   PLANSEP_SPAN("query/build_index");
   const NodeId n = g.num_nodes();
   const std::size_t pieces = h.pieces.size();
@@ -229,32 +227,10 @@ QueryIndex build_query_index(const planar::EmbeddedGraph& g,
   qi.leaf_tab.assign(static_cast<std::size_t>(qi.leaf_tab_off[pieces]),
                      kUnreachable);
 
-  // Per-piece solves. Writes are disjoint (each piece owns its members'
-  // blocks for that piece, and its own leaf table), so fanning pieces
-  // over threads reproduces the serial bytes exactly.
-  const auto solve_range = [&](PieceWorkspace& ws, std::atomic<std::size_t>& cursor) {
-    for (;;) {
-      const std::size_t p = cursor.fetch_add(1);
-      if (p >= pieces) break;
-      solve_piece(g, h, static_cast<int>(p), qi, nullptr, ws);
-      solve_leaf(g, h, static_cast<int>(p), qi, nullptr, ws);
-    }
-  };
-  const int workers = std::max(1, std::min<int>(threads, static_cast<int>(pieces)));
-  std::atomic<std::size_t> cursor{0};
-  if (workers <= 1) {
-    PieceWorkspace ws;
-    solve_range(ws, cursor);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        PieceWorkspace ws;
-        solve_range(ws, cursor);
-      });
-    }
-    for (std::thread& t : pool) t.join();
+  PieceWorkspace ws;
+  for (std::size_t p = 0; p < pieces; ++p) {
+    solve_piece(g, h, static_cast<int>(p), qi, nullptr, ws);
+    solve_leaf(g, h, static_cast<int>(p), qi, nullptr, ws);
   }
   if (obs::MetricsRegistry* reg = obs::global_registry()) {
     reg->add("query/index_builds");

@@ -32,9 +32,7 @@
 //
 // Determinism: the index is a pure function of (graph, hierarchy). Piece
 // BFS visits neighbors in rotation order from a node-id-ordered local
-// CSR, so rebuilding any piece reproduces its block bytes exactly;
-// builds with different thread counts write disjoint ranges of the same
-// arrays and are byte-identical (pinned by tests/query_test.cpp).
+// CSR, so rebuilding any piece reproduces its block bytes exactly.
 
 #include <cstdint>
 #include <vector>
@@ -105,7 +103,7 @@ struct EdgeSet {
   bool empty() const { return sorted_keys.empty(); }
 };
 
-/// Reused scratch buffers for piece BFS (one per worker thread).
+/// Reused scratch buffers for piece BFS.
 struct PieceWorkspace {
   std::vector<std::int32_t> local_of;  ///< node → local id (piece-scoped)
   std::vector<std::int32_t> adj_off;   ///< local CSR offsets
@@ -129,12 +127,10 @@ void solve_leaf(const planar::EmbeddedGraph& g,
                 const separator::SeparatorHierarchy& h, int p, QueryIndex& qi,
                 const EdgeSet* killed, PieceWorkspace& ws);
 
-/// Builds the full index from a built hierarchy. `threads` > 1 fans the
-/// per-piece solves over that many std::threads (disjoint writes — the
-/// result is byte-identical to the serial build). Pure function of
+/// Builds the full index from a built hierarchy. Pure function of
 /// (g, h, leaf_size).
 QueryIndex build_query_index(const planar::EmbeddedGraph& g,
                              const separator::SeparatorHierarchy& h,
-                             int leaf_size, int threads = 1);
+                             int leaf_size);
 
 }  // namespace plansep::query

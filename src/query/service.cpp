@@ -1,6 +1,6 @@
 #include "query/service.hpp"
 
-#include <algorithm>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -101,9 +101,9 @@ QueryOutcome run_query_job(const QueryJob& job,
     // the same fingerprint. The corpus store starts now, overlapped with
     // everything up to the answers.
     const serve::Instance inst = serve::acquire_instance(job.instance);
-    taskgraph::JobInputs in = inst.inputs(opts.corpus_dir);
+    std::future<void> store = serve::store_instance(inst, opts.corpus_dir);
+    taskgraph::JobInputs in = inst.inputs();
     in.leaf_size = job.leaf_size;
-    in.build_threads = std::max(1, opts.threads);
     taskgraph::Execution exec(taskgraph::query_graph(), in, &cache);
 
     const planar::EmbeddedGraph& g = inst.graph;
@@ -127,7 +127,7 @@ QueryOutcome run_query_job(const QueryJob& job,
       for (const auto& [a, b] : job.dead_edges) engine->kill_edge(a, b);
     }
     out.distances = engine->distances(job.pairs);
-    exec.finish_io();  // join the corpus store; rethrows its failure
+    if (store.valid()) store.get();  // rethrows a failed corpus store
     if (obs::MetricsRegistry* reg = obs::global_registry()) {
       reg->add("query/jobs");
       reg->add("query/answers",

@@ -16,7 +16,8 @@
 //      (fingerprint, "hier-index@v1", hash(root, leaf_size)) — a .psg
 //      container with kMeta + kHierarchy + kQueryIndex sections, so a
 //      disk-tier cache warm-loads the oracle across process restarts —
-//      and stores a generated instance in the corpus through its IO task;
+//      while serve::store_instance writes a generated instance to the
+//      corpus on the side;
 //   3. decodes the artifact bytes into a QueryEngine — cold and warm runs
 //      share this one bytes→answers path, which is why answers are
 //      byte-identical across cache temperature — optionally memoized in

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <istream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/fingerprint.hpp"
 #include "faults/controller.hpp"
 #include "io/artifact.hpp"
+#include "io/corpus.hpp"
 #include "obs/json.hpp"
 #include "planar/generators.hpp"
 #include "serve/verify.hpp"
@@ -245,6 +248,9 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
 
   try {
     const Instance inst = acquire_instance(spec);
+    // Declared after `inst`, so an exception joins the write before the
+    // instance it reads goes away.
+    std::future<void> store = store_instance(inst, opts.corpus_dir);
     run.have_graph = true;
     run.family = inst.family;
     run.nodes = inst.graph.num_nodes();
@@ -266,8 +272,8 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
     // this job's stages; the cache's single-flight shares it with
     // concurrent jobs on the same fingerprint. Fault jobs replay the
     // recovery graph uncached, since their artifacts depend on the fault
-    // plan. IO (the corpus store) starts now, overlapped with the stages.
-    taskgraph::JobInputs in = inst.inputs(opts.corpus_dir);
+    // plan.
+    taskgraph::JobInputs in = inst.inputs();
     in.retry = opts.retry;
     taskgraph::Execution exec(
         faulty ? taskgraph::recovery_graph() : taskgraph::pipeline_graph(),
@@ -291,7 +297,7 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
       fill_row(run, task, inst.graph, *bytes);
     }
 
-    exec.finish_io();  // join the corpus store; rethrows its failure
+    if (store.valid()) store.get();  // rethrows a failed corpus store
     run.tg = exec.counters();
 
     if (run.status == "ok") {
@@ -319,23 +325,19 @@ JobResult result_of(JobRun run) {
 
 }  // namespace
 
-taskgraph::JobInputs Instance::inputs(const std::string& corpus_dir) const {
+taskgraph::JobInputs Instance::inputs() const {
   taskgraph::JobInputs in;
   in.graph = &graph;
   in.root = root;
   in.fingerprint = fingerprint;
   in.config_hash = taskgraph::cache_config_hash(root);
-  in.corpus_dir = corpus_dir;
   in.family = family;
-  in.seed = seed;
-  in.store_corpus = generated && !corpus_dir.empty();
   return in;
 }
 
 Instance acquire_instance(const JobSpec& spec) {
   Instance inst;
   inst.family = spec.family;
-  inst.seed = spec.seed;
   if (!spec.graph_path.empty()) {
     io::LoadedGraph loaded = io::load_graph(spec.graph_path);
     inst.graph = std::move(loaded.graph);
@@ -350,6 +352,19 @@ Instance acquire_instance(const JobSpec& spec) {
   }
   inst.fingerprint = core::topology_fingerprint(inst.graph);
   return inst;
+}
+
+std::future<void> store_instance(const Instance& inst,
+                                 const std::string& corpus_dir) {
+  if (!inst.generated || corpus_dir.empty()) return {};
+  std::error_code ec;
+  if (std::filesystem::exists(
+          io::corpus_path(corpus_dir, inst.family, inst.fingerprint), ec)) {
+    return {};
+  }
+  return std::async(std::launch::async, [&inst, corpus_dir] {
+    io::store_in_corpus(corpus_dir, inst.family, inst.graph);
+  });
 }
 
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,

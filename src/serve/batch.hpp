@@ -15,6 +15,7 @@
 // recovery graph under their own FaultController.
 
 #include <cstdint>
+#include <future>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -80,20 +81,29 @@ struct Instance {
   planar::EmbeddedGraph graph;    ///< the instance
   planar::NodeId root = 0;        ///< generator root hint; 0 when loaded
   std::string family;             ///< the .psg's family if set, else the spec's
-  std::uint64_t seed = 0;         ///< the spec's seed (corpus provenance)
   bool generated = false;         ///< generated here, so corpus-storable
   std::uint64_t fingerprint = 0;  ///< core::topology_fingerprint(graph)
 
-  /// The task-graph inputs of this instance: root-keyed config hash, and a
-  /// corpus store of generated instances under `corpus_dir` ("" = off).
+  /// The task-graph inputs of this instance (root-keyed config hash).
   /// The inputs point at `graph`, so the instance must outlive them.
-  taskgraph::JobInputs inputs(const std::string& corpus_dir) const;
+  taskgraph::JobInputs inputs() const;
 };
 
 /// Generates (family/n/seed) or loads (graph_path) a job's instance —
 /// the one acquisition path of batch, daemon and query jobs. Throws on an
 /// unknown family or an unreadable .psg.
 Instance acquire_instance(const JobSpec& spec);
+
+/// Stores a generated instance in the corpus under `corpus_dir`, with
+/// seed 0 in its meta, so the file's bytes do not depend on which job
+/// stored it first. Returns an empty future when there is nothing to
+/// write: a loaded instance, no corpus ("" = off), or a file already at
+/// the instance's content address (one stat; the fingerprint is known).
+/// Otherwise the write runs on its own thread, overlapped with the job's
+/// compute; get() joins it and rethrows its failure. The instance must
+/// outlive the returned future.
+std::future<void> store_instance(const Instance& inst,
+                                 const std::string& corpus_dir);
 
 /// Execution configuration of batch and daemon jobs.
 struct BatchOptions {
@@ -127,7 +137,7 @@ struct BatchReport {
   CacheCounters cache;            ///< cache counter delta over this batch
   /// Merged task-graph counters across the batch's jobs. The totals
   /// (tasks_run, cache_served, per-task runs) are thread-count invariant
-  /// by single-flight; overlapped_io_ms is wall clock.
+  /// by single-flight.
   taskgraph::TaskGraphCounters taskgraph;
   std::vector<JobResult> results; ///< per-job outcomes, admission order
 };

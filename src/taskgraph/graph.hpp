@@ -3,19 +3,19 @@
 /// \file
 /// The phase-level task graph: a recorded DAG of named tasks producing
 /// fingerprint-keyed artifacts, replayed per job by a demand-driven
-/// executor that caches sub-results through serve::ArtifactCache and
-/// overlaps side-effect IO with compute.
+/// executor that caches sub-results through serve::ArtifactCache.
 
 // Why a task graph (ROADMAP "One execution path"):
 //
 // Every batch, daemon and query job computes its artifacts here, and
 // nowhere else. The stages are the paper's natural ones (spanning tree,
 // separator compute, DFS build, hierarchy split, the baseline's level
-// search) plus side-effect IO (corpus store). A graph is *recorded once*
-// per job kind (pipeline.hpp) and *replayed* per job against that job's
-// inputs, Tenebris-render-graph style.
+// search). A graph is *recorded once* per job kind (pipeline.hpp) and
+// *replayed* per job against that job's inputs, Tenebris-render-graph
+// style. Side effects stay outside: the corpus store of a generated
+// instance is serve::store_instance, started beside acquisition.
 //
-// Execution model — demand-driven, not eager:
+// Execution model — demand-driven, not eager, on the caller's thread:
 //
 //   * A caller requests sink tasks by name; only the transitive
 //     dependencies actually needed ever run. Crucially, an artifact task
@@ -30,9 +30,6 @@
 //   * Ephemeral tasks (empty `artifact` id) carry in-memory values (e.g.
 //     a prepared PartwiseEngine) between tasks of one execution and are
 //     never persisted.
-//   * IO tasks run on a helper thread started at construction, so corpus
-//     writes overlap the compute stages; finish_io() joins them and
-//     rethrows their failures.
 //
 // Determinism (DESIGN.md §9, docs/TASKGRAPH.md): every task's bytes are a
 // pure function of its dependencies' bytes and the job inputs, consumers
@@ -43,15 +40,12 @@
 // totals (tasks_run, cache_served) are thread-count invariant by the same
 // single-flight argument as CacheCounters.
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "faults/recovery.hpp"
@@ -62,15 +56,13 @@ namespace plansep::taskgraph {
 
 /// Per-execution counters, folded into serve/daemon metrics snapshots
 /// *after* execution (never mutated through obs globals mid-run, which
-/// keeps the parallel sections race-free and the metrics deterministic).
+/// keeps the metrics deterministic).
 struct TaskGraphCounters {
-  /// Compute bodies actually executed (IO bodies are io_tasks). Invariant
-  /// across thread counts (single-flight) and equal to the cold-run task
-  /// count minus cache_served.
+  /// Task bodies actually executed. Invariant across thread counts
+  /// (single-flight) and equal to the cold-run task count minus
+  /// cache_served.
   long long tasks_run = 0;
   long long cache_served = 0;   ///< artifact requests answered without a run
-  long long io_tasks = 0;       ///< IO task bodies executed (never cached)
-  long long overlapped_io_ms = 0;  ///< wall ms of IO overlapped with compute
   /// Bodies run per task name (the sharing tests assert e.g. that
   /// "spanning_tree" ran exactly once across a two-algorithm batch).
   std::map<std::string, long long> runs;
@@ -84,7 +76,7 @@ struct JobInputs;
 
 /// What one task produces: artifact tasks fill `bytes` (a canonical .psg
 /// container), ephemeral tasks fill `value` (and may fill `bytes` too, like
-/// the recovery graph's uncached stages), IO tasks fill neither.
+/// the recovery graph's uncached stages).
 struct TaskOutput {
   std::vector<std::uint8_t> bytes;
   std::shared_ptr<void> value;
@@ -97,7 +89,6 @@ struct TaskDef {
   /// (never persisted, never cache-served).
   std::string artifact;
   std::vector<std::string> deps;  ///< names of previously recorded tasks
-  bool io = false;       ///< side-effect task, overlappable with compute
   std::function<TaskOutput(TaskContext&)> run;  ///< the task body
   /// Cache-key config hash override (e.g. the query index mixes leaf_size
   /// into its key); unset tasks use JobInputs::config_hash.
@@ -110,13 +101,8 @@ struct JobInputs {
   planar::NodeId root = 0;          ///< pipeline root
   std::uint64_t fingerprint = 0;    ///< core::topology_fingerprint(graph)
   std::uint64_t config_hash = 0;    ///< serve cache config hash (root mix)
-  // IO-task inputs (corpus store); store_corpus false disables the store.
-  std::string corpus_dir;           ///< corpus root ("" = no store)
-  std::string family;               ///< provenance family
-  std::uint64_t seed = 0;           ///< provenance seed
-  bool store_corpus = false;        ///< persist the instance to the corpus
+  std::string family;               ///< provenance family (index kMeta)
   int leaf_size = 0;                ///< query hierarchy leaf bound (query jobs)
-  int build_threads = 1;            ///< per-piece fan-out of the index build
   faults::RetryPolicy retry;        ///< recovery policy (fault jobs)
 };
 
@@ -140,47 +126,38 @@ class TaskGraph {
   int size() const { return static_cast<int>(tasks_.size()); }
   /// The graph's diagnostic name.
   const std::string& name() const { return name_; }
-  /// Indices of every IO task, in recorded order.
-  const std::vector<int>& io_tasks() const { return io_tasks_; }
 
  private:
   std::string name_;
   std::vector<TaskDef> tasks_;
   std::map<std::string, int> by_name_;
-  std::vector<int> io_tasks_;
 };
 
 /// One replay of a recorded graph against one job's inputs: a
-/// demand-driven memoizing executor. Thread-safe: concurrent request()
-/// calls for overlapping subtrees coalesce on per-task flights.
+/// demand-driven memoizing executor that runs every task body on the
+/// thread that requests it. One execution serves one job; it is not
+/// shared between threads.
 class Execution {
  public:
-  /// Binds the graph to the inputs and starts the IO helper thread when
-  /// the graph has IO tasks. Artifact tasks resolve through `cache`; null
-  /// recomputes everything (fault jobs, tests).
+  /// Binds the graph to the inputs. Artifact tasks resolve through
+  /// `cache`; null recomputes everything (fault jobs, tests).
   Execution(const TaskGraph& g, const JobInputs& in,
             serve::ArtifactCache* cache = nullptr);
-  /// Joins the IO thread (failures are swallowed here; call finish_io()
-  /// first to observe them).
-  ~Execution();
   Execution(const Execution&) = delete;             ///< non-copyable
   Execution& operator=(const Execution&) = delete;  ///< non-copyable
 
   /// Demand-runs the named task (and, transitively, whatever it actually
   /// needs) and returns its bytes. Artifact tasks resolve through the
-  /// cache. Exceptions from task bodies propagate to every requester.
+  /// cache. A task body's exception propagates to this request and is
+  /// rethrown to every later request of that task, without a rerun.
   serve::ArtifactCache::Value request(const std::string& task);
 
   /// Demand-runs the named task like request() and returns its ephemeral
   /// value (null when the task produces none).
   std::shared_ptr<void> value(const std::string& task);
 
-  /// Joins the IO helper thread, then rethrows the first IO failure, if
-  /// any.
-  void finish_io();
-
-  /// Counter snapshot. Stable once every request and finish_io returned.
-  TaskGraphCounters counters() const;
+  /// Counter snapshot.
+  TaskGraphCounters counters() const { return counters_; }
 
   /// The bound inputs (task bodies reach them through TaskContext).
   const JobInputs& inputs() const { return in_; }
@@ -188,7 +165,7 @@ class Execution {
  private:
   friend struct TaskContext;
 
-  enum class State { kIdle, kRunning, kDone, kFailed };
+  enum class State { kIdle, kDone, kFailed };
   struct Node {
     State state = State::kIdle;
     serve::ArtifactCache::Value bytes;
@@ -197,24 +174,15 @@ class Execution {
   };
 
   serve::CacheKey key_of(const TaskDef& t) const;
-  /// Runs (or waits for) task i; returns with node kDone or rethrows.
-  void resolve(int i);
-  /// resolve(i) with the error left in the node (the IO thread).
-  void resolve_noexcept(int i) noexcept;
+  /// Runs task i unless memoized; returns its node, or rethrows its
+  /// recorded failure.
+  const Node& resolve(int i);
 
   const TaskGraph& graph_;
   JobInputs in_;
   serve::ArtifactCache* cache_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<Node> nodes_;
   TaskGraphCounters counters_;
-
-  std::thread io_thread_;
-  std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point io_end_;
-  bool io_finished_ = false;
 };
 
 /// Dependency accessor handed to task bodies. Only declared deps may be

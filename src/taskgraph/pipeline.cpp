@@ -1,8 +1,5 @@
 #include "taskgraph/pipeline.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "baselines/level_separator.hpp"
@@ -63,7 +60,6 @@ void record_tree_and_engine(TaskGraph& g) {
       kSpanningTreeTask,
       kSpanningTreeArtifactId,
       {},
-      false,
       [](TaskContext& ctx) {
         const planar::EmbeddedGraph& graph = *ctx.in.graph;
         PLANSEP_CHECK_MSG(graph.num_components() == 1,
@@ -85,7 +81,6 @@ void record_tree_and_engine(TaskGraph& g) {
       kEngineTask,
       "",
       {kSpanningTreeTask},
-      false,
       [](TaskContext& ctx) {
         congest::BfsResult bfs =
             decode_spanning_tree_bytes(*ctx.bytes(kSpanningTreeTask));
@@ -97,31 +92,6 @@ void record_tree_and_engine(TaskGraph& g) {
       nullptr});
 }
 
-// Every graph persists a freshly generated instance through this IO task,
-// overlapped with the compute stages.
-void record_corpus_store(TaskGraph& g) {
-  g.add(TaskDef{
-      kCorpusStoreTask,
-      "",
-      {},
-      true,
-      [](TaskContext& ctx) {
-        const JobInputs& in = ctx.in;
-        if (!in.store_corpus || in.corpus_dir.empty()) return TaskOutput{};
-        // The fingerprint is already known, so an instance stored by an
-        // earlier job (the warm case) costs one stat, not a second
-        // fingerprint pass inside store_in_corpus.
-        std::error_code ec;
-        const std::string path =
-            io::corpus_path(in.corpus_dir, in.family, in.fingerprint);
-        if (!std::filesystem::exists(path, ec)) {
-          io::store_in_corpus(in.corpus_dir, in.family, *in.graph, in.seed);
-        }
-        return TaskOutput{};
-      },
-      nullptr});
-}
-
 TaskGraph record_pipeline() {
   TaskGraph g("pipeline");
   record_tree_and_engine(g);
@@ -129,7 +99,6 @@ TaskGraph record_pipeline() {
       kSeparatorTask,
       "separator@v1",
       {kEngineTask},
-      false,
       [](TaskContext& ctx) {
         // Replays core::compute_cycle_separator from the prepared engine.
         const planar::EmbeddedGraph& graph = *ctx.in.graph;
@@ -153,7 +122,6 @@ TaskGraph record_pipeline() {
       kDfsTask,
       "dfs@v1",
       {kEngineTask},
-      false,
       [](TaskContext& ctx) {
         // Replays core::compute_dfs_tree; build_dfs_tree folds the
         // engine's setup cost in, so the artifact bytes match the library
@@ -174,7 +142,6 @@ TaskGraph record_pipeline() {
       kBaselineTask,
       kLevelSeparatorArtifactId,
       {kSpanningTreeTask},
-      false,
       [](TaskContext& ctx) {
         const congest::BfsResult bfs =
             decode_spanning_tree_bytes(*ctx.bytes(kSpanningTreeTask));
@@ -188,7 +155,6 @@ TaskGraph record_pipeline() {
         return out;
       },
       nullptr});
-  record_corpus_store(g);
   return g;
 }
 
@@ -198,7 +164,6 @@ TaskGraph record_recovery() {
       kSeparatorTask,
       "",
       {},
-      false,
       [](TaskContext& ctx) {
         faults::RecoveredSeparator rec =
             faults::compute_separator_with_recovery(*ctx.in.graph, ctx.in.root,
@@ -217,7 +182,6 @@ TaskGraph record_recovery() {
       kDfsTask,
       "",
       {},
-      false,
       [](TaskContext& ctx) {
         faults::RecoveredDfs rec = faults::build_dfs_tree_with_recovery(
             *ctx.in.graph, ctx.in.root, ctx.in.retry);
@@ -237,7 +201,6 @@ TaskGraph record_recovery() {
       kBaselineTask,
       "",
       {},
-      false,
       [](TaskContext& ctx) {
         // The level search is a pure function of the BFS wave, which is
         // deterministic under a fault plan. It has no recovery driver: a
@@ -250,7 +213,6 @@ TaskGraph record_recovery() {
         return out;
       },
       nullptr});
-  record_corpus_store(g);
   return g;
 }
 
@@ -261,7 +223,6 @@ TaskGraph record_query() {
       kHierarchyTask,
       "",
       {kEngineTask},
-      false,
       [](TaskContext& ctx) {
         auto engine = engine_of(ctx);
         TaskOutput out;
@@ -275,16 +236,18 @@ TaskGraph record_query() {
       kQueryIndexTask,
       query::kIndexAlgorithmId,
       {kHierarchyTask},
-      false,
       [](TaskContext& ctx) {
         const planar::EmbeddedGraph& graph = *ctx.in.graph;
         auto h = std::static_pointer_cast<separator::SeparatorHierarchy>(
             ctx.value(kHierarchyTask));
-        const query::QueryIndex qi = query::build_query_index(
-            graph, *h, ctx.in.leaf_size, std::max(1, ctx.in.build_threads));
+        const query::QueryIndex qi =
+            query::build_query_index(graph, *h, ctx.in.leaf_size);
+        // No seed in kMeta: jobs of two seeds can share a fingerprint
+        // (grid and cycle ignore theirs), and the stored bytes must not
+        // depend on which of them ran first.
         io::Artifact a;
         a.add(io::SectionId::kMeta,
-              io::encode_meta({ctx.in.family, ctx.in.seed, ctx.in.fingerprint}));
+              io::encode_meta({ctx.in.family, 0, ctx.in.fingerprint}));
         a.add(io::SectionId::kHierarchy,
               io::encode_hierarchy({graph.num_nodes(), *h}));
         a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
@@ -298,7 +261,6 @@ TaskGraph record_query() {
       [](const JobInputs& in) {
         return cache_config_hash(in.root, in.leaf_size);
       }});
-  record_corpus_store(g);
   return g;
 }
 

@@ -12,14 +12,12 @@
 //                         │  └───> dfs              ("dfs@v1")
 //                         └── (ephemeral PartwiseEngine)
 //     spanning_tree ──────────────> baseline        ("lt-level@v1")
-//     corpus_store   (IO; overlapped with compute)
 //
 //   recovery_graph() — the same sinks for fault jobs (any of --drop/--dup/
 //   --stall/--reorder/--crash/--outage), executed without a cache:
 //     separator  (faults::compute_separator_with_recovery)
 //     dfs        (faults::build_dfs_tree_with_recovery)
 //     baseline   (the level search; its BFS wave is fault-deterministic)
-//     corpus_store
 //   The separator and dfs tasks fill the same payload as their pipeline
 //   twins and hand the driver's faults::RetryStats back as their
 //   ephemeral value; a driver that gave up leaves the bytes empty.
@@ -27,7 +25,6 @@
 //   query_graph() — the persisted distance-oracle index:
 //     spanning_tree ──> engine ──> hierarchy ──> query_index
 //                                  (ephemeral)   (query::kIndexAlgorithmId)
-//     corpus_store
 //
 // Task bodies replay the core library's call sequences verbatim (down to
 // the "pa/setup_bfs" span around the BFS wave), and consumers decode
@@ -49,7 +46,6 @@ inline constexpr const char* kEngineTask = "engine";
 inline constexpr const char* kSeparatorTask = "separator";
 inline constexpr const char* kDfsTask = "dfs";
 inline constexpr const char* kBaselineTask = "baseline";
-inline constexpr const char* kCorpusStoreTask = "corpus_store";
 inline constexpr const char* kHierarchyTask = "hierarchy";
 inline constexpr const char* kQueryIndexTask = "query_index";
 

@@ -1,9 +1,8 @@
 // The query subsystem (src/query/): exactness of the separator-hierarchy
 // distance oracle against a BFS oracle across every generator family,
-// byte-identity of the index across build thread counts and persistence
-// round-trips, the cache-backed job runner, and edge-kill invalidation —
-// only the pieces containing both endpoints rebuild, and post-kill
-// answers match both a filtered BFS oracle and a fresh engine.
+// persistence round-trips, the cache-backed job runner, and edge-kill
+// invalidation — only the pieces containing both endpoints rebuild, and
+// post-kill answers match both a filtered BFS oracle and a fresh engine.
 
 #include <gtest/gtest.h>
 
@@ -59,14 +58,12 @@ struct Built {
   query::QueryIndex index;
 };
 
-Built build(planar::Family f, int n, std::uint64_t seed, int leaf_size,
-            int threads = 1) {
+Built build(planar::Family f, int n, std::uint64_t seed, int leaf_size) {
   auto gg = planar::make_instance(f, n, seed);
   shortcuts::PartwiseEngine engine(gg.graph, gg.root_hint);
   separator::SeparatorHierarchy h =
       separator::build_hierarchy(gg.graph, engine, leaf_size);
-  query::QueryIndex qi =
-      query::build_query_index(gg.graph, h, leaf_size, threads);
+  query::QueryIndex qi = query::build_query_index(gg.graph, h, leaf_size);
   return Built{std::move(gg.graph), std::move(h), std::move(qi)};
 }
 
@@ -116,18 +113,6 @@ TEST(QueryIndexTest, RejectsOutOfRangeNodes) {
 }
 
 // --------------------------------------------------------- determinism ----
-
-TEST(QueryIndexTest, BuildIsByteIdenticalAcrossThreadCounts) {
-  for (const planar::Family f :
-       {planar::Family::kTriangulation, planar::Family::kGrid,
-        planar::Family::kRandomPlanar}) {
-    Built serial = build(f, 96, 5, 8, /*threads=*/1);
-    Built fanned = build(f, 96, 5, 8, /*threads=*/4);
-    EXPECT_EQ(io::encode_query_index(serial.index),
-              io::encode_query_index(fanned.index))
-        << planar::family_name(f);
-  }
-}
 
 TEST(QueryIndexTest, PersistedArtifactAnswersMatchLiveEngine) {
   Built b = build(planar::Family::kTriangulation, 80, 9, 8);

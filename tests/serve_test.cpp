@@ -17,6 +17,7 @@
 #include "core/fingerprint.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
+#include "query/service.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/verify.hpp"
@@ -329,6 +330,56 @@ TEST(ServeBatch, CorpusStoresGeneratedInstances) {
   // 6 jobs, one duplicate instance → 5 distinct stored graphs.
   const auto entries = io::list_corpus(dir.path());
   EXPECT_EQ(entries.size(), 5u);
+}
+
+// The corpus store runs beside each job (serve::store_instance) and its
+// failure is the job's: a corpus root below a regular file cannot be
+// created, and both a batch job and a query job report the store's error.
+TEST(ServeStore, FailedStoreIsTheJobsError) {
+  ScratchDir dir("blocked");
+  const std::string file = dir.path() + "/not-a-dir";
+  std::ofstream(file) << "x";
+  serve::BatchOptions opts;
+  opts.corpus_dir = file + "/corpus";
+  serve::ResultCache cache({1 << 22, ""});
+  const serve::JobSpec spec = demo_jobs()[0];
+  const serve::JobResult job = serve::run_single_job(spec, 0, opts, cache);
+  EXPECT_EQ(job.status, "error");
+  EXPECT_NE(job.error.find("cannot create corpus directory"),
+            std::string::npos)
+      << job.error;
+  query::QueryJob q;
+  q.instance = spec;
+  q.leaf_size = 8;
+  q.pairs = {{0, 1}};
+  const query::QueryOutcome out = query::run_query_job(q, opts, cache, nullptr);
+  EXPECT_EQ(out.status, "error");
+  EXPECT_NE(out.error.find("cannot create corpus directory"),
+            std::string::npos)
+      << out.error;
+}
+
+// An instance already in the corpus costs its next job one stat and no
+// write: a sentinel written over the stored file survives a batch job and
+// a query job on the same instance.
+TEST(ServeStore, StoredInstanceIsNotWrittenAgain) {
+  ScratchDir dir("stored");
+  serve::BatchOptions opts;
+  opts.corpus_dir = dir.path();
+  serve::ResultCache cache({1 << 22, ""});
+  const serve::JobSpec spec = demo_jobs()[0];
+  ASSERT_EQ(serve::run_single_job(spec, 0, opts, cache).status, "ok");
+  const auto entries = io::list_corpus(dir.path());
+  ASSERT_EQ(entries.size(), 1u);
+  const std::vector<std::uint8_t> sentinel = {'s', 'e', 'n', 't'};
+  io::write_file(entries[0].path, sentinel);
+  EXPECT_EQ(serve::run_single_job(spec, 1, opts, cache).status, "ok");
+  query::QueryJob q;
+  q.instance = spec;
+  q.leaf_size = 8;
+  q.pairs = {{0, 1}};
+  EXPECT_EQ(query::run_query_job(q, opts, cache, nullptr).status, "ok");
+  EXPECT_EQ(io::read_file(entries[0].path), sentinel);
 }
 
 TEST(ServeBatch, UnknownFamilyYieldsErrorRowNotCrash) {

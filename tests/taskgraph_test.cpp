@@ -1,10 +1,10 @@
 // The phase-level task graph (src/taskgraph/): recording validation,
 // demand-driven execution with per-execution memoization, cache
-// short-circuiting that prunes whole subtrees, IO overlap, error
-// propagation — and the acceptance properties the serving layer rides
-// on: cross-job spanning-tree sharing (counter-asserted), and rows whose
-// artifacts equal the core library's, clean and under faults, across
-// thread counts and cache temperatures.
+// short-circuiting that prunes whole subtrees, error propagation — and
+// the acceptance properties the serving layer rides on: cross-job
+// spanning-tree sharing (counter-asserted), rows whose artifacts equal
+// the core library's, clean and under faults, across thread counts and
+// cache temperatures, and stored bytes that do not depend on job order.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/level_separator.hpp"
@@ -25,6 +24,7 @@
 #include "faults/recovery.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
+#include "query/service.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "taskgraph/graph.hpp"
@@ -55,18 +55,18 @@ class ScratchDir {
   std::string path_;
 };
 
-// A tiny synthetic graph: a -> b -> c, plus an ephemeral and an IO task.
-// Bodies count their runs so the tests can pin execution semantics
-// without involving the real pipeline.
+// A tiny synthetic graph: a -> b -> c, where b is ephemeral. Bodies
+// count their runs so the tests can pin execution semantics without
+// involving the real pipeline.
 struct ToyGraph {
   taskgraph::TaskGraph g{"toy"};
-  std::atomic<int> runs_a{0}, runs_b{0}, runs_c{0}, runs_io{0};
+  std::atomic<int> runs_a{0}, runs_b{0}, runs_c{0};
 
-  explicit ToyGraph(bool with_io = false) {
+  ToyGraph() {
     using taskgraph::TaskContext;
     using taskgraph::TaskDef;
     using taskgraph::TaskOutput;
-    g.add(TaskDef{"a", "toy-a@v1", {}, false,
+    g.add(TaskDef{"a", "toy-a@v1", {},
                   [this](TaskContext&) {
                     ++runs_a;
                     TaskOutput out;
@@ -74,7 +74,7 @@ struct ToyGraph {
                     return out;
                   },
                   nullptr});
-    g.add(TaskDef{"b", "", {"a"}, false,
+    g.add(TaskDef{"b", "", {"a"},
                   [this](TaskContext& ctx) {
                     ++runs_b;
                     TaskOutput out;
@@ -83,7 +83,7 @@ struct ToyGraph {
                     return out;
                   },
                   nullptr});
-    g.add(TaskDef{"c", "toy-c@v1", {"b"}, false,
+    g.add(TaskDef{"c", "toy-c@v1", {"b"},
                   [this](TaskContext& ctx) {
                     ++runs_c;
                     auto v = std::static_pointer_cast<
@@ -94,14 +94,6 @@ struct ToyGraph {
                     return out;
                   },
                   nullptr});
-    if (with_io) {
-      g.add(TaskDef{"io", "", {}, true,
-                    [this](TaskContext&) {
-                      ++runs_io;
-                      return TaskOutput{};
-                    },
-                    nullptr});
-    }
   }
 };
 
@@ -119,12 +111,11 @@ TEST(TaskGraphRecord, RejectsDuplicateNamesAndUnrecordedDeps) {
   const auto body = [](taskgraph::TaskContext&) {
     return taskgraph::TaskOutput{};
   };
-  g.add({"a", "", {}, false, body, nullptr});
-  EXPECT_THROW(g.add({"a", "", {}, false, body, nullptr}), CheckError);
-  EXPECT_THROW(g.add({"b", "", {"missing"}, false, body, nullptr}),
-               CheckError);
-  EXPECT_THROW(g.add({"", "", {}, false, body, nullptr}), CheckError);
-  EXPECT_THROW(g.add({"c", "", {}, false, nullptr, nullptr}), CheckError);
+  g.add({"a", "", {}, body, nullptr});
+  EXPECT_THROW(g.add({"a", "", {}, body, nullptr}), CheckError);
+  EXPECT_THROW(g.add({"b", "", {"missing"}, body, nullptr}), CheckError);
+  EXPECT_THROW(g.add({"", "", {}, body, nullptr}), CheckError);
+  EXPECT_THROW(g.add({"c", "", {}, nullptr, nullptr}), CheckError);
   // Deps-before-use makes the recorded order a topological order.
   EXPECT_EQ(g.index_of("a"), 0);
   EXPECT_EQ(g.index_of("missing"), -1);
@@ -135,7 +126,7 @@ TEST(TaskGraphRecord, PipelineAndQueryGraphsAreWellFormed) {
   for (const char* task :
        {taskgraph::kSpanningTreeTask, taskgraph::kEngineTask,
         taskgraph::kSeparatorTask, taskgraph::kDfsTask,
-        taskgraph::kBaselineTask, taskgraph::kCorpusStoreTask}) {
+        taskgraph::kBaselineTask}) {
     EXPECT_GE(p.index_of(task), 0) << task;
   }
   // Every dep is recorded before its consumer: recorded order is
@@ -154,11 +145,11 @@ TEST(TaskGraphRecord, PipelineAndQueryGraphsAreWellFormed) {
     EXPECT_GE(r.index_of(task), 0) << task;
   }
   for (int i = 0; i < r.size(); ++i) EXPECT_TRUE(r.task(i).artifact.empty());
-  // Every graph stores a generated instance through one corpus IO task.
-  for (const taskgraph::TaskGraph* g : {&p, &q, &r}) {
-    ASSERT_EQ(g->io_tasks().size(), 1u) << g->name();
-    EXPECT_EQ(g->task(g->io_tasks()[0]).name, taskgraph::kCorpusStoreTask);
-  }
+  // The graphs hold compute stages only; the corpus store runs beside
+  // them (serve::store_instance).
+  EXPECT_EQ(p.size(), 5);
+  EXPECT_EQ(q.size(), 4);
+  EXPECT_EQ(r.size(), 3);
 }
 
 // ----------------------------------------------------------- execution ----
@@ -226,10 +217,10 @@ TEST(TaskGraphExec, DifferentConfigHashesDoNotShare) {
 
 TEST(TaskGraphExec, UndeclaredDepAccessThrowsCheckError) {
   taskgraph::TaskGraph g("undeclared");
-  g.add({"dep", "", {}, false,
+  g.add({"dep", "", {},
          [](taskgraph::TaskContext&) { return taskgraph::TaskOutput{}; },
          nullptr});
-  g.add({"bad", "", {}, false,
+  g.add({"bad", "", {},
          [](taskgraph::TaskContext& ctx) {
            ctx.bytes("dep");  // never declared in deps
            return taskgraph::TaskOutput{};
@@ -243,7 +234,7 @@ TEST(TaskGraphExec, UndeclaredDepAccessThrowsCheckError) {
 TEST(TaskGraphExec, TaskFailurePropagatesToEveryRequester) {
   taskgraph::TaskGraph g("failing");
   std::atomic<int> runs{0};
-  g.add({"boom", "", {}, false,
+  g.add({"boom", "", {},
          [&runs](taskgraph::TaskContext&) -> taskgraph::TaskOutput {
            ++runs;
            throw std::runtime_error("task exploded");
@@ -258,58 +249,17 @@ TEST(TaskGraphExec, TaskFailurePropagatesToEveryRequester) {
   EXPECT_EQ(exec.counters().tasks_run, 0);
 }
 
-TEST(TaskGraphExec, ConcurrentRequestersCoalesceOnOneRun) {
-  ToyGraph toy;
-  taskgraph::Execution exec(toy.g, toy_inputs(), {});
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&] { exec.request("c"); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(toy.runs_a.load(), 1);
-  EXPECT_EQ(toy.runs_b.load(), 1);
-  EXPECT_EQ(toy.runs_c.load(), 1);
-}
-
-TEST(TaskGraphExec, AsyncIoRunsOnceAndOverlapIsMeasured) {
-  ToyGraph toy(/*with_io=*/true);
-  taskgraph::Execution exec(toy.g, toy_inputs());
-  exec.request("c");
-  exec.finish_io();
-  exec.finish_io();  // idempotent
-  EXPECT_EQ(toy.runs_io.load(), 1);
-  const auto counters = exec.counters();
-  EXPECT_EQ(counters.io_tasks, 1);
-  EXPECT_GE(counters.overlapped_io_ms, 0);
-}
-
-TEST(TaskGraphExec, IoFailureSurfacesAtFinishIo) {
-  using taskgraph::TaskContext;
-  using taskgraph::TaskOutput;
-  taskgraph::TaskGraph g("iofail");
-  g.add({"io", "", {}, true,
-         [](TaskContext&) -> TaskOutput {
-           throw std::runtime_error("disk on fire");
-         },
-         nullptr});
-  taskgraph::Execution exec(g, toy_inputs());
-  EXPECT_THROW(exec.finish_io(), std::runtime_error);
-  EXPECT_THROW(exec.finish_io(), std::runtime_error);  // still recorded
-}
-
 TEST(TaskGraphCounters, MergeAccumulatesComponentWise) {
   taskgraph::TaskGraphCounters a, b;
   a.tasks_run = 2;
   a.runs["x"] = 2;
   b.tasks_run = 3;
   b.cache_served = 1;
-  b.overlapped_io_ms = 7;
   b.runs["x"] = 1;
   b.runs["y"] = 4;
   a.merge(b);
   EXPECT_EQ(a.tasks_run, 5);
   EXPECT_EQ(a.cache_served, 1);
-  EXPECT_EQ(a.overlapped_io_ms, 7);
   EXPECT_EQ(a.runs.at("x"), 3);
   EXPECT_EQ(a.runs.at("y"), 4);
 }
@@ -444,9 +394,7 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
                        spec.algo == serve::Algo::kPipeline;
       const bool dfs = spec.algo == serve::Algo::kDfs ||
                        spec.algo == serve::Algo::kPipeline;
-      if (threads == 1) {
-        io::store_in_corpus(ref_dir.path(), spec.family, g, spec.seed);
-      }
+      if (threads == 1) io::store_in_corpus(ref_dir.path(), spec.family, g);
       if (!spec.faults.enabled()) {
         const auto peek = [&](const char* id) {
           const auto bytes = cache.peek(
@@ -518,8 +466,8 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
       EXPECT_EQ(row_int(row, "", "attempts"), attempts) << row;
     }
 
-    // The corpus store (the overlapped IO task of every graph) writes the
-    // same bytes as a direct store of each instance.
+    // The corpus store (serve::store_instance, beside every job) writes
+    // the same bytes as a direct store of each instance.
     const auto ref_entries = io::list_corpus(ref_dir.path());
     const auto entries = io::list_corpus(dir.path());
     ASSERT_EQ(ref_entries.size(), entries.size());
@@ -605,6 +553,65 @@ TEST(TaskGraphParity, EditedSpanningTreeOnDiskIsAnErrorRow) {
       EXPECT_NE(r.error.find("spanning tree"), std::string::npos) << r.error;
     }
   }
+}
+
+// ------------------------------------------------------------ provenance ----
+
+// Grid ignores its seed, so grid jobs at seeds 7 and 6 share one
+// fingerprint, and whichever runs first stores the corpus file and
+// computes the index artifact. Neither carries a seed, so both orders
+// leave the same bytes, and the corpus file equals a direct store.
+TEST(TaskGraphProvenance, StoredBytesDoNotDependOnJobOrder) {
+  struct Stored {
+    std::vector<std::uint8_t> corpus;
+    std::vector<std::uint8_t> index;
+  };
+  const auto run_in_order = [](std::vector<std::uint64_t> seeds,
+                               const std::string& root) {
+    std::vector<serve::JobSpec> jobs;
+    for (const std::uint64_t seed : seeds) {
+      serve::JobSpec spec;
+      spec.family = "grid";
+      spec.n = 64;
+      spec.seed = seed;
+      spec.algo = serve::Algo::kSeparator;
+      jobs.push_back(spec);
+    }
+    serve::BatchOptions opts;
+    opts.threads = 1;
+    opts.corpus_dir = root;
+    serve::ResultCache cache({1 << 22, ""});
+    EXPECT_EQ(serve::run_batch(jobs, opts, cache, nullptr).ok, 2);
+    for (const serve::JobSpec& spec : jobs) {
+      query::QueryJob q;
+      q.instance = spec;
+      q.leaf_size = 8;
+      q.pairs = {{0, 1}};
+      EXPECT_EQ(query::run_query_job(q, opts, cache, nullptr).status, "ok");
+    }
+    const serve::Instance inst = serve::acquire_instance(jobs[0]);
+    const auto index =
+        cache.peek(query::index_cache_key(inst.fingerprint, inst.root, 8));
+    const auto entries = io::list_corpus(root);
+    Stored out;
+    if (index) out.index = *index;
+    if (entries.size() == 1) out.corpus = io::read_file(entries[0].path);
+    return out;
+  };
+  ScratchDir seven_first("seven_first"), six_first("six_first"),
+      direct("direct");
+  const Stored a = run_in_order({7, 6}, seven_first.path());
+  const Stored b = run_in_order({6, 7}, six_first.path());
+  ASSERT_FALSE(a.corpus.empty());
+  ASSERT_FALSE(a.index.empty());
+  EXPECT_EQ(a.corpus, b.corpus);
+  EXPECT_EQ(a.index, b.index);
+  serve::JobSpec grid;
+  grid.family = "grid";
+  grid.n = 64;
+  const serve::Instance inst = serve::acquire_instance(grid);
+  EXPECT_EQ(a.corpus, io::read_file(io::store_in_corpus(direct.path(), "grid",
+                                                        inst.graph)));
 }
 
 // -------------------------------------------------- sub-artifact codecs ----

@@ -1,8 +1,10 @@
-// Tests for the utility layer: checks, RNG determinism and distribution
-// sanity, descriptive statistics, and table rendering.
+// Tests for the utility layer: checks and their messages, RNG determinism
+// and distribution sanity, descriptive statistics, and table rendering.
 
 #include <gtest/gtest.h>
 
+#include "planar/generators.hpp"
+#include "tree/rooted_tree.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -19,6 +21,29 @@ TEST(Check, ThrowsWithContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("one is not two"), std::string::npos);
+  }
+}
+
+// A check inside the library names its source relative to the repository
+// (src/...), never by the absolute path of the checkout that built it, so
+// an "error" row is the same bytes from any build tree.
+TEST(Check, LibraryFailureNamesSourceWithoutBuildPath) {
+  const planar::GeneratedGraph gg = planar::path(4);
+  try {
+    tree::RootedSpanningTree t(gg.graph, 99, {});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/tree/rooted_tree.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+    // This file is compiled by its absolute path, so the part before
+    // tests/ is the checkout's root: the message must not name it.
+    const std::string self = __FILE__;
+    const std::string checkout = self.substr(0, self.rfind("tests/"));
+    if (!checkout.empty()) {
+      EXPECT_EQ(what.find(checkout), std::string::npos) << what;
+    }
   }
 }
 
