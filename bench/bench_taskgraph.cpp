@@ -1,7 +1,7 @@
-// E18 (taskgraph) — the phase-level task graph on the serving pipeline.
+// E18 (taskgraph) — the job stages on the serving pipeline.
 // The workload is the sharing acceptance case: a two-algorithms-same-
 // fingerprint batch (deterministic separator + BFS-level baseline on one
-// instance), where the task graph builds the spanning tree once and both
+// instance), where the job stages build the spanning tree once and both
 // algorithms consume its bytes. Reports the cold batch wall (min-of-reps,
 // fresh cache per rep, corpus store included), the warm wall (everything
 // cache-served) and the sub-result sharing counters. The bench hard-fails
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               };
 
   std::printf(
-      "E18: task graph on two-algorithm batches (threads=%d%s)\n\n",
+      "E18: job stages on two-algorithm batches (threads=%d%s)\n\n",
       threads, quick ? ", quick" : "");
   Table table({"family", "n", "cold ms", "warm ms", "st runs", "shared"});
   bench::BenchJson json("taskgraph");

@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
 
   // A scope-local registry collects the serve/* counters run_batch folds
   // at batch end, so --metrics-out works without the PLANSEP_METRICS env
-  // hookup. (Per-round instrumentation stays detached inside the batch.)
+  // hookup. (Jobs run on dispatcher workers, which this thread's registry
+  // and sink never reach, so per-round instrumentation stays off.)
   obs::MetricsRegistry reg;
   serve::BatchReport rep;
   {

@@ -29,7 +29,7 @@ struct LevelSeparatorResult {
 LevelSeparatorResult bfs_level_separator(const planar::EmbeddedGraph& g,
                                          planar::NodeId root);
 
-/// Same search over a precomputed BFS tree (e.g. the task graph's shared
+/// Same search over a precomputed BFS tree (e.g. the job stages' shared
 /// spanning-tree artifact): the level structure is exactly bfs.depth, so
 /// the result is byte-identical to the root-taking overload.
 LevelSeparatorResult bfs_level_separator(const planar::EmbeddedGraph& g,

@@ -1,7 +1,6 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "obs/sink.hpp"
@@ -12,18 +11,16 @@ namespace plansep::congest {
 
 namespace {
 
-std::atomic<TraceSink*> g_trace_sink{nullptr};
+thread_local TraceSink* t_trace_sink = nullptr;
 thread_local FaultInjector* t_fault_injector = nullptr;
 
 }  // namespace
 
 TraceSink* set_global_trace_sink(TraceSink* sink) {
-  return g_trace_sink.exchange(sink, std::memory_order_acq_rel);
+  return std::exchange(t_trace_sink, sink);
 }
 
-TraceSink* global_trace_sink() {
-  return g_trace_sink.load(std::memory_order_acquire);
-}
+TraceSink* global_trace_sink() { return t_trace_sink; }
 
 FaultInjector* set_thread_fault_injector(FaultInjector* injector) {
   return std::exchange(t_fault_injector, injector);
@@ -212,14 +209,13 @@ int Network::run(NodeProgram& prog, int max_rounds) {
   staged_.clear();
   recipients_.clear();
   messages_sent_ = 0;
-  // Consider the PLANSEP_METRICS env bootstrap (obs/) before resolving the
-  // global sink, so env-enabled metrics observe every run in the process
-  // even when no other obs entry point was reached first. One static-guard
-  // check after the first call.
+  // The PLANSEP_METRICS env bootstrap (obs/) settles while the library
+  // loads; this call links it into every program that runs a network.
+  // One static-guard check.
   obs::ensure_env_metrics();
-  active_sink_ = sink_ ? sink_ : global_trace_sink();
+  active_sink_ = global_trace_sink();
   if (active_sink_) active_sink_->on_run_begin(*g_);
-  active_fault_ = fault_ ? fault_ : thread_fault_injector();
+  active_fault_ = thread_fault_injector();
   if (active_fault_) {
     deferred_.clear();
     deferred_next_.clear();

@@ -97,14 +97,13 @@ class TraceSink {
   }
 };
 
-/// Installs a process-wide sink that every Network picks up at run() time
-/// unless it has its own (set_trace_sink). Returns the previous sink; pass
-/// nullptr to detach. The pointer is published atomically, so installing or
-/// detaching a sink is safe even while other threads construct or run
-/// networks; callbacks themselves are sequenced by each run() as documented
-/// on TraceSink.
+/// Installs a trace sink for the calling thread: every Network whose run()
+/// executes on this thread picks it up at run() time. Networks on other
+/// threads never see it. Returns the thread's previous sink; pass nullptr
+/// to detach. Callbacks are sequenced by each run() as documented on
+/// TraceSink.
 TraceSink* set_global_trace_sink(TraceSink* sink);
-/// The current process-wide trace sink (nullptr when tracing is disabled).
+/// The calling thread's trace sink (nullptr when tracing is disabled).
 TraceSink* global_trace_sink();
 
 /// Fault-injection hook consulted by Network::run (opt-in; the seeded
@@ -151,9 +150,9 @@ class FaultInjector {
 };
 
 /// Installs a fault injector for the calling thread: every Network whose
-/// run() executes on this thread picks it up unless it has its own
-/// (set_fault_injector). Networks on other threads never see it. Returns
-/// the thread's previous injector; pass nullptr to detach.
+/// run() executes on this thread picks it up. Networks on other threads
+/// never see it. Returns the thread's previous injector; pass nullptr to
+/// detach.
 FaultInjector* set_thread_fault_injector(FaultInjector* injector);
 /// The calling thread's injector (nullptr when faults are disabled).
 FaultInjector* thread_fault_injector();
@@ -231,14 +230,6 @@ class Network {
   /// The graph this network simulates on.
   const EmbeddedGraph& graph() const { return *g_; }
 
-  /// Instance-level trace sink; overrides the global one. nullptr detaches.
-  void set_trace_sink(TraceSink* sink) { sink_ = sink; }
-
-  /// Instance-level fault injector; overrides the calling thread's one.
-  /// nullptr detaches. Resolved (instance, then thread) once at run()
-  /// entry.
-  void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
-
  private:
   friend class Ctx;
   void do_send(NodeId from, NodeId to, const Message& msg, int round);
@@ -257,10 +248,8 @@ class Network {
   long long deliver_faulted(int round);
 
   const EmbeddedGraph* g_;
-  TraceSink* sink_ = nullptr;
-  TraceSink* active_sink_ = nullptr;  // resolved at run() entry
-  FaultInjector* fault_ = nullptr;
-  FaultInjector* active_fault_ = nullptr;  // resolved at run() entry
+  TraceSink* active_sink_ = nullptr;       // the thread's, at run() entry
+  FaultInjector* active_fault_ = nullptr;  // the thread's, at run() entry
   long long messages_sent_ = 0;
   // Flat delivery slabs (double-buffered): node v's mail this round is
   // inbox_data_[inbox_off_[v] .. +inbox_len_[v]). inbox_next_ is the slab

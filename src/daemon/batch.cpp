@@ -1,6 +1,6 @@
 // serve::run_batch, defined beside the scheduler it runs on: the batch is
-// one in-process client of daemon::Dispatcher, so ordering, fault-job
-// exclusion and hook detaching live in one place (dispatcher.hpp).
+// one in-process client of daemon::Dispatcher, so admission and delivery
+// order live in one place (dispatcher.hpp).
 
 #include <algorithm>
 #include <chrono>
@@ -8,7 +8,7 @@
 #include <variant>
 
 #include "daemon/dispatcher.hpp"
-#include "obs/sink.hpp"
+#include "obs/metrics.hpp"
 #include "serve/batch.hpp"
 
 namespace plansep::serve {
@@ -53,7 +53,7 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
       disp.submit({0, i, daemon::Priority::kNormal, jobs[i]}, deliver);
     }
     disp.drain();
-  }  // the dispatcher restores the process-global hooks here
+  }
 
   rep.cache = cache.counters() - before;
   for (const JobResult& r : rep.results) {
@@ -81,8 +81,9 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     reg->add("serve/cache_served_warm", rep.cache.served_without_compute());
     reg->add("serve/cache_evictions", rep.cache.evictions);
     reg->add("serve/cache_flight_joins", rep.cache.flight_joins);
-    // Task-graph counters, folded post-execution (the executor itself
-    // never touches obs globals); all thread-count invariant.
+    // Stage counters, folded after the jobs (stages never touch obs
+    // globals). Which of them depend on the schedule:
+    // taskgraph::TaskGraphCounters.
     reg->add("taskgraph/tasks_run", rep.taskgraph.tasks_run);
     reg->add("taskgraph/cache_served", rep.taskgraph.cache_served);
     for (const auto& [name, n] : rep.taskgraph.runs) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/fingerprint.hpp"
-#include "obs/sink.hpp"
 
 namespace plansep::daemon {
 
@@ -17,13 +16,6 @@ Dispatcher::Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
   opts_.workers = std::max(1, opts_.workers);
   opts_.max_queue = std::max<std::size_t>(1, opts_.max_queue);
   opts_.chaos_max_attempts = std::max(1, opts_.chaos_max_attempts);
-
-  // Settle the PLANSEP_METRICS bootstrap, then detach the process-global
-  // registry and sink for the dispatcher's lifetime: both demand
-  // single-threaded mutation.
-  obs::ensure_env_metrics();
-  saved_registry_ = obs::set_global_registry(nullptr);
-  saved_sink_ = congest::set_global_trace_sink(nullptr);
 
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -39,8 +31,6 @@ Dispatcher::~Dispatcher() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  congest::set_global_trace_sink(saved_sink_);
-  obs::set_global_registry(saved_registry_);
 }
 
 Admission Dispatcher::submit(Submission s, CompletionFn done) {

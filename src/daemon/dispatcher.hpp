@@ -22,14 +22,15 @@
 // runs those callbacks outside the lock (one flusher per client), then
 // frees their quota slots.
 //
-// It is the one place that meets the job runners' concurrency
-// obligations: for its lifetime it detaches the process-global metrics
-// registry and trace sink. A fault job installs its own FaultController
-// on its worker thread only, so fault jobs run alongside other jobs and
-// a fault job's retry history depends only on its seed. Chaos testing
-// re-runs a pipeline job when a seeded coin (chaos_seed, job id, attempt)
-// fires; the final attempt's payload is delivered, so it equals a
-// chaos-free run's byte for byte.
+// Jobs run on the workers, whose metrics registry, trace sink and fault
+// injector slots start empty: all three are bound to the thread that
+// installs them (obs/sink.hpp), so a job never reaches what the
+// dispatcher's caller installed. A fault job installs its own
+// FaultController on its worker thread only, so fault jobs run alongside
+// other jobs and a fault job's retry history depends only on its seed.
+// Chaos testing re-runs a pipeline job when a seeded coin (chaos_seed,
+// job id, attempt) fires; the final attempt's payload is delivered, so it
+// equals a chaos-free run's byte for byte.
 //
 // pause()/resume() freeze dequeueing while admission keeps running — the
 // deterministic backpressure probe: pause an idle dispatcher, submit
@@ -49,7 +50,6 @@
 #include <vector>
 #include <condition_variable>
 
-#include "congest/network.hpp"
 #include "daemon/metrics.hpp"
 #include "daemon/protocol.hpp"
 #include "ingest/pipeline.hpp"
@@ -140,8 +140,7 @@ class Dispatcher {
   /// when drain() returns, every callback has returned too.
   using CompletionFn = std::function<void(const JobDone&)>;
 
-  /// Starts the worker pool and detaches the process-global observability
-  /// hooks (restored by the destructor).
+  /// Starts the worker pool.
   Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
              DaemonMetrics& metrics);
   /// Drains (if not already) and joins the workers.
@@ -224,11 +223,6 @@ class Dispatcher {
   bool draining_ = false;
   bool stopping_ = false;
   int running_ = 0;
-
-  // Process-global hooks detached for the dispatcher's lifetime
-  // (run_single_job's caller obligations).
-  obs::MetricsRegistry* saved_registry_ = nullptr;
-  congest::TraceSink* saved_sink_ = nullptr;
 
   std::vector<std::thread> workers_;
 };

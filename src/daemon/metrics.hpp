@@ -29,7 +29,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/cache.hpp"
-#include "taskgraph/graph.hpp"
+#include "taskgraph/pipeline.hpp"
 
 namespace plansep::daemon {
 
@@ -61,11 +61,11 @@ class DaemonMetrics {
     reg_.end_span(token);
   }
 
-  /// Folds one completed job's task-graph execution counters in as
+  /// Folds one completed job's stage counters in as
   /// daemon/taskgraph_tasks_run, daemon/taskgraph_cache_served, and
-  /// per-task run counts under daemon/taskgraph_runs/<task>. No-op when
-  /// every counter is zero: the job failed before its execution finished,
-  /// or its deadline expired before its first stage.
+  /// per-stage run counts under daemon/taskgraph_runs/<stage>. No-op when
+  /// every counter is zero: the job failed, or its deadline expired before
+  /// its first stage.
   void taskgraph_completed(const taskgraph::TaskGraphCounters& tg) {
     if (tg.tasks_run == 0 && tg.cache_served == 0) return;
     std::lock_guard<std::mutex> lk(mu_);

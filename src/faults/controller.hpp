@@ -85,16 +85,16 @@ class FaultController final : public congest::FaultInjector {
   bool run_open_ = false;
 };
 
-/// RAII: installs a controller as the calling thread's fault injector,
-/// restoring the thread's previous injector on destruction. The way tests,
-/// the chaos harness and fault jobs subject pipelines whose networks are
-/// constructed internally to a fault plan; networks run on other threads
-/// are unaffected.
+/// RAII: installs an injector (usually a FaultController) as the calling
+/// thread's, restoring the thread's previous injector on destruction. The
+/// way tests, the chaos harness and fault jobs subject networks, including
+/// those constructed inside a pipeline, to a fault plan; networks run on
+/// other threads are unaffected.
 class ScopedFaultInjection {
  public:
-  /// Installs `ctl` on the calling thread for the scope's lifetime.
-  explicit ScopedFaultInjection(FaultController& ctl)
-      : prev_(congest::set_thread_fault_injector(&ctl)) {}
+  /// Installs `injector` on the calling thread for the scope's lifetime.
+  explicit ScopedFaultInjection(congest::FaultInjector& injector)
+      : prev_(congest::set_thread_fault_injector(&injector)) {}
   ~ScopedFaultInjection() { congest::set_thread_fault_injector(prev_); }  ///< restores
   ScopedFaultInjection(const ScopedFaultInjection&) = delete;  ///< non-copyable
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;  ///< non-copyable

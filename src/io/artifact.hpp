@@ -139,7 +139,7 @@ std::vector<std::uint8_t> encode_dfs(const DfsArtifact& d);  ///< kDfsTree codec
 /// Decodes a kDfsTree payload.
 DfsArtifact decode_dfs(const std::vector<std::uint8_t>& bytes);
 
-/// A persisted global BFS spanning tree — the task graph's most shared
+/// A persisted global BFS spanning tree — the job stages' most shared
 /// sub-artifact (one tree feeds the deterministic separator, the baseline
 /// level separator, the DFS builder and the query hierarchy).
 struct SpanningTreeArtifact {

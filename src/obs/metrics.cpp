@@ -1,7 +1,7 @@
 #include "obs/metrics.hpp"
 
-#include <atomic>
 #include <bit>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
@@ -10,19 +10,19 @@
 namespace plansep::obs {
 
 namespace {
-std::atomic<MetricsRegistry*> g_registry{nullptr};
+thread_local MetricsRegistry* t_registry = nullptr;
 }  // namespace
 
 MetricsRegistry* set_global_registry(MetricsRegistry* reg) {
-  return g_registry.exchange(reg, std::memory_order_acq_rel);
+  return std::exchange(t_registry, reg);
 }
 
 MetricsRegistry* global_registry() {
   // One-time consideration of the PLANSEP_METRICS environment toggle; a
-  // plain atomic load afterwards (the whole disabled-path cost).
+  // plain thread-local load afterwards (the whole disabled-path cost).
   static const bool bootstrapped = (ensure_env_metrics(), true);
   (void)bootstrapped;
-  return g_registry.load(std::memory_order_acquire);
+  return t_registry;
 }
 
 void advance_rounds(long long measured) {

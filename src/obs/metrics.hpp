@@ -16,15 +16,17 @@
 //     to_json().
 //   * Cheap when disabled. Nothing here is touched per node or per
 //     message on the disabled path: PLANSEP_SPAN and the advance_rounds /
-//     add_counter helpers reduce to one atomic pointer load and a branch,
-//     and they sit at phase granularity (per aggregation / per engine
-//     call), not in the round loop. The per-message hooks live in
-//     obs::MetricsSink, which is only consulted when a sink is installed
-//     (the same test the CONGEST engine already performs for tracing).
+//     add_counter helpers reduce to a flag load, a thread-local pointer
+//     load and a branch, and they sit at phase granularity (per
+//     aggregation / per engine call), not in the round loop. The
+//     per-message hooks live in obs::MetricsSink, which is only consulted
+//     when a sink is installed (the same test the CONGEST engine already
+//     performs for tracing).
 //   * Single-threaded mutation. Like TraceSink, a registry must only be
-//     mutated from the thread driving the algorithm; the global-registry
-//     *pointer* is published atomically so scopes can be installed while
-//     other threads run their own (un-instrumented) work.
+//     mutated from the thread driving the algorithm. The registry slot
+//     (set_global_registry) is bound to the calling thread, so work on
+//     other threads never reaches an installed registry: they run
+//     un-instrumented unless they install their own.
 //
 // The clock has two components, folded into one timeline:
 //   network rounds   — advanced by obs::MetricsSink as simulated CONGEST
@@ -179,21 +181,21 @@ class MetricsRegistry {
   long long samples_dropped_ = 0;
 };
 
-/// Installs reg as the process-global registry (nullptr detaches); returns
-/// the previous one. Atomic publish — see the threading note above.
+/// Installs reg as the calling thread's registry (nullptr detaches);
+/// returns the thread's previous one.
 MetricsRegistry* set_global_registry(MetricsRegistry* reg);
-/// The current global registry, or nullptr when metrics are disabled. The
-/// first call considers the PLANSEP_METRICS environment bootstrap
+/// The calling thread's registry, or nullptr when metrics are disabled on
+/// it. The first call considers the PLANSEP_METRICS environment bootstrap
 /// (obs/sink.hpp).
 MetricsRegistry* global_registry();
 
-/// Charges measured analytic rounds to the global registry; no-op when
-/// metrics are disabled. This is the hook the cost model calls.
+/// Charges measured analytic rounds to the calling thread's registry;
+/// no-op when metrics are disabled. This is the hook the cost model calls.
 void advance_rounds(long long measured);
-/// Bumps a global counter; no-op when disabled.
+/// Bumps a counter of the calling thread's registry; no-op when disabled.
 void add_counter(std::string_view name, long long delta = 1);
 
-/// RAII phase span against the global registry. Resolves the registry once
+/// RAII phase span against the calling thread's registry. Resolves it once
 /// at construction, so a scope that closes mid-span still balances.
 class Span {
  public:

@@ -102,4 +102,13 @@ void ensure_env_metrics() {
   (void)installed;
 }
 
+namespace {
+
+// Settled while the library loads, on the main thread, so the env pair
+// binds to the main thread whichever thread reaches obs or the CONGEST
+// engine first.
+[[maybe_unused]] const bool g_settled_at_load = (ensure_env_metrics(), true);
+
+}  // namespace
+
 }  // namespace plansep::obs

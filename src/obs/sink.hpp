@@ -5,19 +5,24 @@
 /// (ScopedMetrics RAII scope and the PLANSEP_METRICS env bootstrap).
 
 // Bridges the CONGEST engine's TraceSink hook to a MetricsRegistry, and the
-// two ways the bridge is installed:
+// two ways the bridge is installed. Both slots, the registry
+// (obs::set_global_registry) and the trace sink
+// (congest::set_global_trace_sink), are bound to the calling thread: work
+// on other threads never reaches what a thread installs.
 //
-//   * ScopedMetrics — RAII: installs a registry as the global one and a
-//     MetricsSink as the global trace sink for the scope, chaining to (and
-//     restoring) whatever sink was installed before, so metrics compose
-//     with the proptest harness's trace capture.
-//   * ensure_env_metrics — process-wide: when the PLANSEP_METRICS
+//   * ScopedMetrics — RAII: installs a registry and a MetricsSink as the
+//     calling thread's for the scope, chaining to (and restoring) whatever
+//     sink the thread had before, so metrics compose with the proptest
+//     harness's trace capture.
+//   * ensure_env_metrics — once per process: when the PLANSEP_METRICS
 //     environment variable is truthy (set, non-empty, not "0"), a
-//     process-lifetime registry + sink pair is installed once, and at exit
+//     process-lifetime registry + sink pair is installed on the thread
+//     that first settles the bootstrap. The library settles it while it
+//     loads, so that is the main thread in every CLI and test. At exit
 //     the collected metrics/trace are written to PLANSEP_METRICS_OUT /
-//     PLANSEP_TRACE_OUT if set. This is how CI runs the whole tier-1 suite
-//     with instrumentation live under asan/ubsan without touching any
-//     test.
+//     PLANSEP_TRACE_OUT if set. This is how CI runs the whole tier-1
+//     suite with instrumentation live without touching any test; threads
+//     the process starts (daemon workers, say) run un-instrumented.
 //
 // MetricsSink feeds, per run: the network-round clock, the message
 // counter, active/delivered per-round histograms and trace samples, and —
@@ -68,23 +73,21 @@ class MetricsSink final : public congest::TraceSink {
 };
 
 /// One-time PLANSEP_METRICS bootstrap (see header comment). Cheap to call
-/// repeatedly; Network::run, global_registry() and ScopedMetrics all call
-/// it so env enablement works regardless of which side is reached first.
+/// repeatedly. The library settles it while it loads; Network::run and
+/// global_registry() call it too, which links it into every program that
+/// reaches either.
 void ensure_env_metrics();
 
-/// RAII metrics scope: global registry + chained global trace sink for the
-/// lifetime of the object. Mutations (spans, counters) must stay on the
-/// constructing thread, like any registry use.
+/// RAII metrics scope: the calling thread's registry + chained trace sink
+/// for the lifetime of the object. It records only work on the
+/// constructing thread, and must be destroyed there.
 class ScopedMetrics {
  public:
-  /// Installs reg globally and chains a MetricsSink over the current
-  /// global trace sink for the lifetime of the scope.
+  /// Installs reg on the calling thread and chains a MetricsSink over the
+  /// thread's current trace sink for the lifetime of the scope.
   explicit ScopedMetrics(MetricsRegistry& reg) : sink_(reg) {
-    // Settle the PLANSEP_METRICS bootstrap first: the env pair must sit
-    // below this scope, not install itself on top mid-scope (the first
-    // global_registry() call inside the scope would otherwise trigger it
-    // and steal the scope's spans).
-    ensure_env_metrics();
+    // The PLANSEP_METRICS bootstrap settled while the library loaded, so
+    // the env pair sits below this scope, never on top of it.
     prev_registry_ = set_global_registry(&reg);
     sink_.set_next(congest::set_global_trace_sink(&sink_));
   }

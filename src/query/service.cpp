@@ -6,7 +6,6 @@
 
 #include "io/artifact.hpp"
 #include "obs/metrics.hpp"
-#include "taskgraph/graph.hpp"
 #include "taskgraph/pipeline.hpp"
 
 namespace plansep::query {
@@ -95,22 +94,21 @@ QueryOutcome run_query_job(const QueryJob& job,
                                " outside [1, 2^20]");
     }
 
-    // The recorded query graph replays spanning tree → engine → hierarchy
-    // → index. Its query_index task keys on index_cache_key's mix; the
-    // spanning tree keys on the plain root mix, shared with batch jobs on
-    // the same fingerprint. The corpus store starts now, overlapped with
-    // everything up to the answers.
+    // The index stage runs spanning tree → engine → hierarchy → index on
+    // a miss. It keys on index_cache_key's mix; the spanning tree keys on
+    // the plain root mix, shared with batch jobs on the same fingerprint.
+    // The corpus store starts now, overlapped with everything up to the
+    // answers.
     const serve::Instance inst = serve::acquire_instance(job.instance);
     std::future<void> store = serve::store_instance(inst, opts.corpus_dir);
     taskgraph::JobInputs in = inst.inputs();
     in.leaf_size = job.leaf_size;
-    taskgraph::Execution exec(taskgraph::query_graph(), in, &cache);
+    taskgraph::Stages stages(in, cache);
 
     const planar::EmbeddedGraph& g = inst.graph;
     check_pairs(job.pairs, g.num_nodes(), "query pair");
     check_pairs(job.dead_edges, g.num_nodes(), "dead edge");
-    const serve::ArtifactCache::Value bytes =
-        exec.request(taskgraph::kQueryIndexTask);
+    const serve::ArtifactCache::Value bytes = stages.query_index();
 
     // --- one bytes→answers path, warm or cold ----------------------------
     std::shared_ptr<QueryEngine> engine;

@@ -10,9 +10,9 @@
 //
 //   1. acquires the instance through serve::acquire_instance, the path
 //      batch jobs take (generate-or-load);
-//   2. requests the persisted hierarchy+index artifact from the recorded
-//      taskgraph::query_graph(), which resolves it through the shared
-//      serve::ArtifactCache under the key
+//   2. fetches the persisted hierarchy+index artifact through
+//      taskgraph::Stages::query_index(), which resolves it through the
+//      shared serve::ArtifactCache under the key
 //      (fingerprint, "hier-index@v1", hash(root, leaf_size)) — a .psg
 //      container with kMeta + kHierarchy + kQueryIndex sections, so a
 //      disk-tier cache warm-loads the oracle across process restarts —
@@ -24,10 +24,6 @@
 //      an EngineCache keyed by the artifact's content address;
 //   4. applies dead edges (such jobs always build a private engine: kill
 //      state must never leak into a shared one) and answers the batch.
-//
-// Caller obligations are run_single_job's (batch.hpp), which
-// daemon::Dispatcher, the one scheduler, meets; tests calling
-// run_query_job directly run single-threaded.
 
 #include <cstdint>
 #include <functional>

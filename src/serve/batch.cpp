@@ -211,34 +211,6 @@ BaselineRow baseline_row_from_bytes(const planar::EmbeddedGraph& g,
   return row;
 }
 
-// Decodes one stage's artifact bytes into its row section.
-void fill_row(JobRun& run, const std::string& task,
-              const planar::EmbeddedGraph& g,
-              const std::vector<std::uint8_t>& bytes) {
-  if (task == taskgraph::kSeparatorTask) {
-    run.sep = sep_row_from_bytes(g, bytes);
-  } else if (task == taskgraph::kDfsTask) {
-    run.dfs = dfs_row_from_bytes(g, bytes);
-  } else {
-    run.baseline = baseline_row_from_bytes(g, bytes);
-  }
-}
-
-// The sink tasks a job requests, in stage order.
-std::vector<const char*> stage_tasks(Algo a) {
-  switch (a) {
-    case Algo::kSeparator:
-      return {taskgraph::kSeparatorTask};
-    case Algo::kDfs:
-      return {taskgraph::kDfsTask};
-    case Algo::kPipeline:
-      return {taskgraph::kSeparatorTask, taskgraph::kDfsTask};
-    case Algo::kBaselineSeparator:
-      return {taskgraph::kBaselineTask};
-  }
-  return {};
-}
-
 JobRun execute_job(const JobSpec& spec, std::uint64_t index,
                    const BatchOptions& opts, ArtifactCache& cache) {
   JobRun run;
@@ -268,37 +240,59 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
       inj.emplace(*ctl);
     }
 
-    // One execution per job: the memo shares the spanning tree between
-    // this job's stages; the cache's single-flight shares it with
-    // concurrent jobs on the same fingerprint. Fault jobs replay the
-    // recovery graph uncached, since their artifacts depend on the fault
-    // plan.
+    // One Stages per job shares the spanning tree and the engine between
+    // this job's stages; the cache's single-flight shares artifacts with
+    // concurrent jobs on the same fingerprint.
     taskgraph::JobInputs in = inst.inputs();
     in.retry = opts.retry;
-    taskgraph::Execution exec(
-        faulty ? taskgraph::recovery_graph() : taskgraph::pipeline_graph(),
-        in, faulty ? nullptr : &cache);
-
-    for (const char* task : stage_tasks(spec.algo)) {
+    taskgraph::Stages stages(in, cache);
+    // A fault job computes each stage through its recovery driver instead,
+    // uncached, since its bytes depend on the fault plan; this takes one
+    // such stage's outcome.
+    const auto recovered = [&](const char* stage, taskgraph::Recovered rec) {
+      run.tg.count_run(stage);
+      run.attempts = std::max(run.attempts, rec.retry.attempts);
+      if (!rec.retry.ok) {
+        throw std::runtime_error(std::string(stage) + " recovery failed: " +
+                                 rec.retry.failure);
+      }
+      return ArtifactCache::Value(
+          std::make_shared<const std::vector<std::uint8_t>>(
+              std::move(rec.bytes)));
+    };
+    // Stages run in order; past the deadline, checked before each, none
+    // runs.
+    const auto due = [&](bool wanted) {
+      if (!wanted || run.status == "deadline") return false;
       if (spec.deadline_ms >= 0 && elapsed_ms(start) >= spec.deadline_ms) {
         run.status = "deadline";
-        break;
+        return false;
       }
-      const ArtifactCache::Value bytes = exec.request(task);
-      // Recovery stages hand their driver's retry history back.
-      if (const auto retry = std::static_pointer_cast<const faults::RetryStats>(
-              exec.value(task))) {
-        run.attempts = std::max(run.attempts, retry->attempts);
-        if (!retry->ok) {
-          throw std::runtime_error(std::string(task) + " recovery failed: " +
-                                   retry->failure);
-        }
-      }
-      fill_row(run, task, inst.graph, *bytes);
+      return true;
+    };
+    const Algo algo = spec.algo;
+    const planar::EmbeddedGraph& g = inst.graph;
+    if (due(algo == Algo::kSeparator || algo == Algo::kPipeline)) {
+      run.sep = sep_row_from_bytes(
+          g, *(faulty ? recovered(taskgraph::kSeparatorTask,
+                                  taskgraph::recover_separator(in))
+                      : stages.separator()));
+    }
+    if (due(algo == Algo::kDfs || algo == Algo::kPipeline)) {
+      run.dfs = dfs_row_from_bytes(
+          g, *(faulty ? recovered(taskgraph::kDfsTask,
+                                  taskgraph::recover_dfs(in))
+                      : stages.dfs()));
+    }
+    if (due(algo == Algo::kBaselineSeparator)) {
+      run.baseline = baseline_row_from_bytes(
+          g, *(faulty ? recovered(taskgraph::kBaselineTask,
+                                  taskgraph::recover_baseline(in))
+                      : stages.baseline()));
     }
 
     if (store.valid()) store.get();  // rethrows a failed corpus store
-    run.tg = exec.counters();
+    run.tg.merge(stages.counters());
 
     if (run.status == "ok") {
       const bool sep_bad = run.sep && !run.sep->verified;
@@ -309,6 +303,7 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
   } catch (const std::exception& e) {
     run.status = "error";
     run.error = e.what();
+    run.tg = {};  // a failed job reports no counters
   }
   return run;
 }

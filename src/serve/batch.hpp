@@ -11,8 +11,8 @@
 // field derives from the canonical artifact bytes through one bytes→row
 // path (a cold run decodes its own artifact, a warm run the cached
 // bytes, both verified through serve/verify); rows carry no wall clock
-// and no per-job cache disposition; and fault jobs run the uncached
-// recovery graph under their own FaultController.
+// and no per-job cache disposition; and fault jobs run their recovery
+// stages uncached under their own FaultController.
 
 #include <cstdint>
 #include <future>
@@ -25,7 +25,6 @@
 #include "faults/recovery.hpp"
 #include "planar/embedded_graph.hpp"
 #include "serve/cache.hpp"
-#include "taskgraph/graph.hpp"
 #include "taskgraph/pipeline.hpp"
 
 namespace plansep::serve {
@@ -36,8 +35,8 @@ enum class Algo {
   kDfs,        ///< DFS tree only (Theorem 2)
   kPipeline,   ///< separator, then DFS
   /// BFS-level baseline separator (Lipton–Tarjan levels half). Shares the
-  /// spanning-tree sub-artifact with the deterministic separator when the
-  /// task graph executes both on one fingerprint.
+  /// spanning-tree sub-artifact with the deterministic separator on one
+  /// fingerprint.
   kBaselineSeparator,
 };
 
@@ -75,8 +74,8 @@ std::optional<JobSpec> parse_job_line(const std::string& text, int line_no);
 /// Parses a whole job file via parse_job_line.
 std::vector<JobSpec> parse_job_file(std::istream& in);
 
-/// A job's instance, generated or loaded, with everything its task graph
-/// is keyed on.
+/// A job's instance, generated or loaded, with everything its stages are
+/// keyed on.
 struct Instance {
   planar::EmbeddedGraph graph;    ///< the instance
   planar::NodeId root = 0;        ///< generator root hint; 0 when loaded
@@ -84,7 +83,7 @@ struct Instance {
   bool generated = false;         ///< generated here, so corpus-storable
   std::uint64_t fingerprint = 0;  ///< core::topology_fingerprint(graph)
 
-  /// The task-graph inputs of this instance (root-keyed config hash).
+  /// The stage inputs of this instance (root-keyed config hash).
   /// The inputs point at `graph`, so the instance must outlive them.
   taskgraph::JobInputs inputs() const;
 };
@@ -121,9 +120,9 @@ struct JobResult {
   std::string row;    ///< the emitted JSON row (no trailing newline)
   std::string error;  ///< diagnosis when status == "error"
   int attempts = 1;   ///< pipeline attempts (> 1 only under faults)
-  /// Task-graph execution counters for this job (all zero when it failed
-  /// before its execution finished). Never rendered into the row — the
-  /// row stays byte-identical across thread counts and cache temperature.
+  /// Stage counters for this job (all zero when it failed). Never
+  /// rendered into the row — the row stays byte-identical across thread
+  /// counts and cache temperature.
   taskgraph::TaskGraphCounters taskgraph;
 };
 
@@ -135,9 +134,8 @@ struct BatchReport {
   long long deadline_missed = 0;  ///< status "deadline"
   long long errors = 0;           ///< status "error"
   CacheCounters cache;            ///< cache counter delta over this batch
-  /// Merged task-graph counters across the batch's jobs. The totals
-  /// (tasks_run, cache_served, per-task runs) are thread-count invariant
-  /// by single-flight.
+  /// Merged stage counters across the batch's jobs. Which of them depend
+  /// on the schedule: taskgraph::TaskGraphCounters.
   taskgraph::TaskGraphCounters taskgraph;
   std::vector<JobResult> results; ///< per-job outcomes, admission order
 };
@@ -157,9 +155,6 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
 /// response is byte-identical to the batch row for the same spec and
 /// index. `index` lands in the row's "job" field — run_batch passes the
 /// job's position, daemon sessions the client's request id.
-///
-/// Caller obligations, which daemon::Dispatcher is the one place to meet:
-/// the process-global metrics registry and trace sink detached.
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,
                          const BatchOptions& opts, ArtifactCache& cache);
 

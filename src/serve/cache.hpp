@@ -21,9 +21,12 @@
 //     corrupted file is recomputed, never served.
 //   * single-flight: concurrent get_or_compute calls for one key block on
 //     a shared flight instead of computing in parallel — exactly one
-//     compute per key ever runs, so aggregate hit/miss counts are a pure
-//     function of the request multiset, independent of thread count (the
-//     scheduler's determinism argument, DESIGN.md §9, leans on this).
+//     compute per key ever runs, so the miss count is a pure function of
+//     the keys requested, independent of thread count (the scheduler's
+//     determinism argument, DESIGN.md §9, leans on this). Hit counts are
+//     not: a caller may request more keys when it leads a flight (a job's
+//     stages do, taskgraph::TaskGraphCounters), and whether a hit joins a
+//     flight depends on timing.
 //
 // All methods are thread-safe. A compute callback runs outside the cache
 // lock; if it throws, every waiter of that flight rethrows and nothing is
@@ -58,10 +61,9 @@ struct CacheKey {
 /// the disk file name and the in-memory bucket identity.
 std::uint64_t cache_address(const CacheKey& key);
 
-/// Monotonic counters describing cache behaviour. Thread-count invariant
-/// by single-flight (see the file comment): for a fixed request multiset,
-/// hits + disk_hits and misses are the same whether requests arrive
-/// serially or concurrently.
+/// Monotonic counters describing cache behaviour. Single-flight makes
+/// misses independent of the schedule for a fixed set of requested keys;
+/// hits and flight_joins are not (see the file comment).
 struct CacheCounters {
   long long hits = 0;        ///< served from memory (coalesced joins included)
   long long disk_hits = 0;   ///< served from the on-disk store
@@ -71,7 +73,7 @@ struct CacheCounters {
   long long disk_corrupt = 0;     ///< disk payloads rejected by parsing
   long long disk_write_failed = 0;  ///< best-effort disk writes that failed
   /// The subset of `hits` that joined another caller's in-progress flight
-  /// — the cross-job sub-result shares the task graph is after.
+  /// — the cross-job sub-result shares the job stages are after.
   long long flight_joins = 0;
   /// Entries preloaded from disk by warm() (boot warm-up; not hits).
   long long warmed = 0;

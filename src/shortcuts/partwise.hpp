@@ -56,7 +56,7 @@ class PartwiseEngine {
   /// The construction cost is recorded in setup_cost().
   PartwiseEngine(const EmbeddedGraph& g, NodeId root);
 
-  /// Adopts a precomputed global BFS tree (e.g. the task graph's
+  /// Adopts a precomputed global BFS tree (e.g. the job stages'
   /// spanning-tree artifact). setup_cost() and every derived structure are
   /// pure functions of `bfs`, so an engine built this way is
   /// indistinguishable from one that ran distributed_bfs itself.

@@ -46,225 +46,38 @@ congest::BfsResult decode_spanning_tree_bytes(
   return io::decode_spanning_tree(sec.bytes).bfs;
 }
 
-std::shared_ptr<shortcuts::PartwiseEngine> engine_of(TaskContext& ctx) {
-  return std::static_pointer_cast<shortcuts::PartwiseEngine>(
-      ctx.value(kEngineTask));
+std::vector<std::uint8_t> separator_bytes(const separator::PartSeparator& part,
+                                          const shortcuts::RoundCost& cost) {
+  return single_section(io::SectionId::kSeparator,
+                        io::encode_separator({part, cost}));
 }
 
-// The shared front of both graphs: the spanning-tree artifact and the
-// ephemeral PartwiseEngine decoded from its *bytes* (one bytes→value
-// path, so cache-served and freshly-computed trees drive identical
-// downstream computations).
-void record_tree_and_engine(TaskGraph& g) {
-  g.add(TaskDef{
-      kSpanningTreeTask,
-      kSpanningTreeArtifactId,
-      {},
-      [](TaskContext& ctx) {
-        const planar::EmbeddedGraph& graph = *ctx.in.graph;
-        PLANSEP_CHECK_MSG(graph.num_components() == 1,
-                          "graph must be connected");
-        congest::BfsResult bfs;
-        {
-          // The PartwiseEngine(g, root) ctor wraps its BFS in this span;
-          // replay it here so serial metrics stay comparable.
-          PLANSEP_SPAN("pa/setup_bfs");
-          bfs = congest::distributed_bfs(graph, ctx.in.root);
-        }
-        TaskOutput out;
-        out.bytes = single_section(io::SectionId::kSpanningTree,
-                                   io::encode_spanning_tree({std::move(bfs)}));
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kEngineTask,
-      "",
-      {kSpanningTreeTask},
-      [](TaskContext& ctx) {
-        congest::BfsResult bfs =
-            decode_spanning_tree_bytes(*ctx.bytes(kSpanningTreeTask));
-        TaskOutput out;
-        out.value = std::make_shared<shortcuts::PartwiseEngine>(
-            *ctx.in.graph, std::move(bfs));
-        return out;
-      },
-      nullptr});
+std::vector<std::uint8_t> dfs_bytes(const dfs::DfsBuildResult& build,
+                                    const shortcuts::RoundCost& cost) {
+  io::DfsArtifact da = io::dfs_artifact_from_tree(build.tree);
+  da.phases = build.phases;
+  da.cost = cost;
+  return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
 }
 
-TaskGraph record_pipeline() {
-  TaskGraph g("pipeline");
-  record_tree_and_engine(g);
-  g.add(TaskDef{
-      kSeparatorTask,
-      "separator@v1",
-      {kEngineTask},
-      [](TaskContext& ctx) {
-        // Replays core::compute_cycle_separator from the prepared engine.
-        const planar::EmbeddedGraph& graph = *ctx.in.graph;
-        auto engine = engine_of(ctx);
-        std::vector<int> part(static_cast<std::size_t>(graph.num_nodes()), 0);
-        sub::PartSet ps =
-            sub::build_part_set(graph, part, 1, *engine, {ctx.in.root});
-        separator::SeparatorEngine sep(*engine);
-        separator::SeparatorResult res = sep.compute(ps);
-        shortcuts::RoundCost cost = engine->setup_cost();
-        cost += ps.cost;
-        cost += res.cost;
-        io::SeparatorArtifact sa{res.parts.at(0), cost};
-        TaskOutput out;
-        out.bytes = single_section(io::SectionId::kSeparator,
-                                   io::encode_separator(sa));
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kDfsTask,
-      "dfs@v1",
-      {kEngineTask},
-      [](TaskContext& ctx) {
-        // Replays core::compute_dfs_tree; build_dfs_tree folds the
-        // engine's setup cost in, so the artifact bytes match the library
-        // reference exactly.
-        auto engine = engine_of(ctx);
-        dfs::DfsBuildResult build =
-            dfs::build_dfs_tree(*ctx.in.graph, ctx.in.root, *engine);
-        io::DfsArtifact da = io::dfs_artifact_from_tree(build.tree);
-        da.phases = build.phases;
-        da.cost = build.cost;
-        TaskOutput out;
-        out.bytes =
-            single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kBaselineTask,
-      kLevelSeparatorArtifactId,
-      {kSpanningTreeTask},
-      [](TaskContext& ctx) {
-        const congest::BfsResult bfs =
-            decode_spanning_tree_bytes(*ctx.bytes(kSpanningTreeTask));
-        congest::check_spanning_tree(*ctx.in.graph, bfs);
-        baselines::LevelSeparatorResult res =
-            baselines::bfs_level_separator(*ctx.in.graph, bfs);
-        TaskOutput out;
-        out.bytes =
-            single_section(io::SectionId::kLevelSeparator,
-                           io::encode_level_separator({std::move(res)}));
-        return out;
-      },
-      nullptr});
-  return g;
-}
-
-TaskGraph record_recovery() {
-  TaskGraph g("recovery");
-  g.add(TaskDef{
-      kSeparatorTask,
-      "",
-      {},
-      [](TaskContext& ctx) {
-        faults::RecoveredSeparator rec =
-            faults::compute_separator_with_recovery(*ctx.in.graph, ctx.in.root,
-                                                    ctx.in.retry);
-        TaskOutput out;
-        if (rec.recovery.ok) {
-          io::SeparatorArtifact sa{rec.result->parts.at(0), rec.cost};
-          out.bytes = single_section(io::SectionId::kSeparator,
-                                     io::encode_separator(sa));
-        }
-        out.value = std::make_shared<faults::RetryStats>(rec.recovery);
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kDfsTask,
-      "",
-      {},
-      [](TaskContext& ctx) {
-        faults::RecoveredDfs rec = faults::build_dfs_tree_with_recovery(
-            *ctx.in.graph, ctx.in.root, ctx.in.retry);
-        TaskOutput out;
-        if (rec.recovery.ok) {
-          io::DfsArtifact da = io::dfs_artifact_from_tree(rec.build->tree);
-          da.phases = rec.build->phases;
-          da.cost = rec.cost;
-          out.bytes =
-              single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-        }
-        out.value = std::make_shared<faults::RetryStats>(rec.recovery);
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kBaselineTask,
-      "",
-      {},
-      [](TaskContext& ctx) {
-        // The level search is a pure function of the BFS wave, which is
-        // deterministic under a fault plan. It has no recovery driver: a
-        // wave the plan breaks fails the job (the search checks depths).
-        TaskOutput out;
-        out.bytes = single_section(
-            io::SectionId::kLevelSeparator,
-            io::encode_level_separator(
-                {baselines::bfs_level_separator(*ctx.in.graph, ctx.in.root)}));
-        return out;
-      },
-      nullptr});
-  return g;
-}
-
-TaskGraph record_query() {
-  TaskGraph g("query");
-  record_tree_and_engine(g);
-  g.add(TaskDef{
-      kHierarchyTask,
-      "",
-      {kEngineTask},
-      [](TaskContext& ctx) {
-        auto engine = engine_of(ctx);
-        TaskOutput out;
-        out.value = std::make_shared<separator::SeparatorHierarchy>(
-            separator::build_hierarchy(*ctx.in.graph, *engine,
-                                       ctx.in.leaf_size));
-        return out;
-      },
-      nullptr});
-  g.add(TaskDef{
-      kQueryIndexTask,
-      query::kIndexAlgorithmId,
-      {kHierarchyTask},
-      [](TaskContext& ctx) {
-        const planar::EmbeddedGraph& graph = *ctx.in.graph;
-        auto h = std::static_pointer_cast<separator::SeparatorHierarchy>(
-            ctx.value(kHierarchyTask));
-        const query::QueryIndex qi =
-            query::build_query_index(graph, *h, ctx.in.leaf_size);
-        // No seed in kMeta: jobs of two seeds can share a fingerprint
-        // (grid and cycle ignore theirs), and the stored bytes must not
-        // depend on which of them ran first.
-        io::Artifact a;
-        a.add(io::SectionId::kMeta,
-              io::encode_meta({ctx.in.family, 0, ctx.in.fingerprint}));
-        a.add(io::SectionId::kHierarchy,
-              io::encode_hierarchy({graph.num_nodes(), *h}));
-        a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
-        TaskOutput out;
-        out.bytes = io::assemble(a);
-        return out;
-      },
-      // The index key mixes leaf_size in (query::index_cache_key); the
-      // spanning tree above keeps the plain root mix so batch and query
-      // jobs share one tree per (fingerprint, root).
-      [](const JobInputs& in) {
-        return cache_config_hash(in.root, in.leaf_size);
-      }});
-  return g;
+std::vector<std::uint8_t> level_separator_bytes(
+    baselines::LevelSeparatorResult res) {
+  return single_section(io::SectionId::kLevelSeparator,
+                        io::encode_level_separator({std::move(res)}));
 }
 
 }  // namespace
+
+void TaskGraphCounters::count_run(const char* stage) {
+  ++tasks_run;
+  ++runs[stage];
+}
+
+void TaskGraphCounters::merge(const TaskGraphCounters& o) {
+  tasks_run += o.tasks_run;
+  cache_served += o.cache_served;
+  for (const auto& [name, n] : o.runs) runs[name] += n;
+}
 
 std::uint64_t cache_config_hash(planar::NodeId root, int leaf_size) {
   return core::mix_seed(0x726f6f7400000000ULL /* "root" */,
@@ -272,19 +85,155 @@ std::uint64_t cache_config_hash(planar::NodeId root, int leaf_size) {
                         static_cast<std::uint64_t>(leaf_size));
 }
 
-const TaskGraph& pipeline_graph() {
-  static const TaskGraph graph = record_pipeline();
-  return graph;
+// ----------------------------------------------------------------- stages --
+
+Stages::Stages(const JobInputs& in, serve::ArtifactCache& cache)
+    : in_(in), cache_(cache) {}
+
+Stages::~Stages() = default;
+
+serve::ArtifactCache::Value Stages::resolve(
+    const char* stage, const serve::CacheKey& key,
+    const std::function<std::vector<std::uint8_t>()>& compute) {
+  bool ran = false;
+  serve::ArtifactCache::Value bytes = cache_.get_or_compute(key, [&] {
+    ran = true;
+    return compute();
+  });
+  if (ran) {
+    counters_.count_run(stage);
+  } else {
+    ++counters_.cache_served;
+  }
+  return bytes;
 }
 
-const TaskGraph& recovery_graph() {
-  static const TaskGraph graph = record_recovery();
-  return graph;
+serve::ArtifactCache::Value Stages::spanning_tree() {
+  if (tree_) return tree_;
+  tree_ = resolve(
+      kSpanningTreeTask,
+      {in_.fingerprint, kSpanningTreeArtifactId, in_.config_hash}, [&] {
+        const planar::EmbeddedGraph& graph = *in_.graph;
+        PLANSEP_CHECK_MSG(graph.num_components() == 1,
+                          "graph must be connected");
+        congest::BfsResult bfs;
+        {
+          // The PartwiseEngine(g, root) ctor wraps its BFS in this span;
+          // replay it here so serial metrics stay comparable.
+          PLANSEP_SPAN("pa/setup_bfs");
+          bfs = congest::distributed_bfs(graph, in_.root);
+        }
+        return single_section(io::SectionId::kSpanningTree,
+                              io::encode_spanning_tree({std::move(bfs)}));
+      });
+  return tree_;
 }
 
-const TaskGraph& query_graph() {
-  static const TaskGraph graph = record_query();
-  return graph;
+// Decoded from the tree's *bytes* (one bytes→value path), so cache-served
+// and freshly computed trees drive identical downstream computations.
+shortcuts::PartwiseEngine& Stages::engine() {
+  if (!engine_) {
+    congest::BfsResult bfs = decode_spanning_tree_bytes(*spanning_tree());
+    engine_ = std::make_unique<shortcuts::PartwiseEngine>(*in_.graph,
+                                                          std::move(bfs));
+    counters_.count_run(kEngineTask);
+  }
+  return *engine_;
+}
+
+serve::ArtifactCache::Value Stages::separator() {
+  return resolve(
+      kSeparatorTask, {in_.fingerprint, "separator@v1", in_.config_hash}, [&] {
+        // Replays core::compute_cycle_separator from the prepared engine.
+        const planar::EmbeddedGraph& graph = *in_.graph;
+        shortcuts::PartwiseEngine& eng = engine();
+        std::vector<int> part(static_cast<std::size_t>(graph.num_nodes()), 0);
+        sub::PartSet ps = sub::build_part_set(graph, part, 1, eng, {in_.root});
+        separator::SeparatorEngine sep(eng);
+        separator::SeparatorResult res = sep.compute(ps);
+        shortcuts::RoundCost cost = eng.setup_cost();
+        cost += ps.cost;
+        cost += res.cost;
+        return separator_bytes(res.parts.at(0), cost);
+      });
+}
+
+serve::ArtifactCache::Value Stages::dfs() {
+  return resolve(
+      kDfsTask, {in_.fingerprint, "dfs@v1", in_.config_hash}, [&] {
+        // Replays core::compute_dfs_tree; build_dfs_tree folds the engine's
+        // setup cost in, so the bytes match the library reference exactly.
+        const dfs::DfsBuildResult build =
+            dfs::build_dfs_tree(*in_.graph, in_.root, engine());
+        return dfs_bytes(build, build.cost);
+      });
+}
+
+serve::ArtifactCache::Value Stages::baseline() {
+  return resolve(
+      kBaselineTask,
+      {in_.fingerprint, kLevelSeparatorArtifactId, in_.config_hash}, [&] {
+        const congest::BfsResult bfs =
+            decode_spanning_tree_bytes(*spanning_tree());
+        congest::check_spanning_tree(*in_.graph, bfs);
+        return level_separator_bytes(
+            baselines::bfs_level_separator(*in_.graph, bfs));
+      });
+}
+
+serve::ArtifactCache::Value Stages::query_index() {
+  // The index key mixes leaf_size in; the spanning tree keeps the plain
+  // root mix, so batch and query jobs share one tree per (fingerprint,
+  // root).
+  return resolve(
+      kQueryIndexTask,
+      query::index_cache_key(in_.fingerprint, in_.root, in_.leaf_size), [&] {
+        const planar::EmbeddedGraph& graph = *in_.graph;
+        const separator::SeparatorHierarchy h =
+            separator::build_hierarchy(graph, engine(), in_.leaf_size);
+        counters_.count_run(kHierarchyTask);
+        const query::QueryIndex qi =
+            query::build_query_index(graph, h, in_.leaf_size);
+        // No seed in kMeta: jobs of two seeds can share a fingerprint
+        // (grid and cycle ignore theirs), and the stored bytes must not
+        // depend on which of them ran first.
+        io::Artifact a;
+        a.add(io::SectionId::kMeta,
+              io::encode_meta({in_.family, 0, in_.fingerprint}));
+        a.add(io::SectionId::kHierarchy,
+              io::encode_hierarchy({graph.num_nodes(), h}));
+        a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
+        return io::assemble(a);
+      });
+}
+
+// --------------------------------------------------------- fault stages --
+
+Recovered recover_separator(const JobInputs& in) {
+  faults::RecoveredSeparator rec =
+      faults::compute_separator_with_recovery(*in.graph, in.root, in.retry);
+  Recovered out{{}, rec.recovery};
+  if (rec.recovery.ok) {
+    out.bytes = separator_bytes(rec.result->parts.at(0), rec.cost);
+  }
+  return out;
+}
+
+Recovered recover_dfs(const JobInputs& in) {
+  faults::RecoveredDfs rec =
+      faults::build_dfs_tree_with_recovery(*in.graph, in.root, in.retry);
+  Recovered out{{}, rec.recovery};
+  if (rec.recovery.ok) out.bytes = dfs_bytes(*rec.build, rec.cost);
+  return out;
+}
+
+Recovered recover_baseline(const JobInputs& in) {
+  // The level search is a pure function of the BFS wave, which is
+  // deterministic under a fault plan; the search checks its depths. With
+  // no driver, it returns after one attempt or throws.
+  return {level_separator_bytes(
+              baselines::bfs_level_separator(*in.graph, in.root)),
+          {true, 1, 0, ""}};
 }
 
 const std::vector<std::string>& warmable_artifact_ids() {

@@ -14,7 +14,7 @@
 // the recorded stream doubles as the ground truth for the per-edge
 // per-round bandwidth oracle (oracles.hpp).
 //
-// ScopedTraceCapture installs a recorder as the process-global sink for
+// ScopedTraceCapture installs a recorder as the calling thread's sink for
 // the duration of a scope, so traffic of networks constructed deep inside
 // the pipeline (the BFS wave of PartwiseEngine, message-level aggregates)
 // is captured without plumbing.
@@ -71,8 +71,8 @@ int first_divergence(const std::vector<TraceEvent>& a,
 std::string diff_traces(const std::vector<TraceEvent>& a,
                         const std::vector<TraceEvent>& b, int context = 3);
 
-/// RAII: installs `rec` as the process-global trace sink, restoring the
-/// previous sink on destruction.
+/// RAII: installs `rec` as the calling thread's trace sink, restoring the
+/// thread's previous sink on destruction.
 class ScopedTraceCapture {
  public:
   explicit ScopedTraceCapture(TraceRecorder& rec);  ///< installs rec

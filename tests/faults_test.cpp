@@ -154,7 +154,7 @@ TEST(NetworkFaults, DropLosesTheMessage) {
   const GeneratedGraph gg = planar::path(3);
   congest::Network net(gg.graph);
   FixedFate drop(FaultInjector::Fate::kDrop);
-  net.set_fault_injector(&drop);
+  ScopedFaultInjection inject(drop);
   PingProgram prog(1);
   net.run(prog, 16);
   EXPECT_TRUE(prog.received[1].empty());
@@ -164,7 +164,7 @@ TEST(NetworkFaults, DuplicateDeliversTwoCopies) {
   const GeneratedGraph gg = planar::path(3);
   congest::Network net(gg.graph);
   FixedFate dup(FaultInjector::Fate::kDuplicate);
-  net.set_fault_injector(&dup);
+  ScopedFaultInjection inject(dup);
   PingProgram prog(1);
   net.run(prog, 16);
   ASSERT_EQ(prog.received[1].size(), 2u);
@@ -175,7 +175,7 @@ TEST(NetworkFaults, StallDelaysDeliveryExactlyOneRound) {
   const GeneratedGraph gg = planar::path(3);
   congest::Network net(gg.graph);
   FixedFate stall(FaultInjector::Fate::kStall);
-  net.set_fault_injector(&stall);
+  ScopedFaultInjection inject(stall);
   PingProgram prog(1);
   net.run(prog, 16);
   // A clean send in round 0 is read in round 1; stalled, in round 2. The
@@ -205,7 +205,7 @@ TEST(NetworkFaults, CrashLosesMailAndRestartGrantsEmptyTurn) {
   const GeneratedGraph gg = planar::path(3);
   congest::Network net(gg.graph);
   CrashWindow crash(/*v=*/1, /*from=*/1, /*to=*/3);
-  net.set_fault_injector(&crash);
+  ScopedFaultInjection inject(crash);
   PingProgram prog(3);  // node 0 sends in rounds 0, 1, 2
   net.run(prog, 32);
   // Sends of rounds 0 and 1 would be read in rounds 1 and 2 — both inside
@@ -231,7 +231,7 @@ TEST(NetworkFaults, CrashedQuietNodeGetsRestartTurn) {
   const GeneratedGraph gg = planar::path(2);
   congest::Network net(gg.graph);
   CrashWindow crash(/*v=*/1, /*from=*/1, /*to=*/3);
-  net.set_fault_injector(&crash);
+  ScopedFaultInjection inject(crash);
   PingProgram prog(1);
   net.run(prog, 32);
   EXPECT_TRUE(prog.received[1].empty());
@@ -286,7 +286,7 @@ TEST(NetworkFaults, ReorderIsDeterministicAndNontrivial) {
   for (auto* out : {&shuffled_a, &shuffled_b}) {
     congest::Network net(gg.graph);
     ReorderRound reorder(0);
-    net.set_fault_injector(&reorder);
+    ScopedFaultInjection inject(reorder);
     Gather prog;
     net.run(prog, 8);
     *out = prog.order;

@@ -1,12 +1,14 @@
 // Tests for the observability subsystem (src/obs/): histogram bucketing,
 // registry determinism (byte-identical to_json for identical executions),
 // span nesting/notes/caps, the MetricsSink bridge against a real CONGEST
-// run, sink chaining on top of the proptest trace recorder, the disabled
-// path, and the structural shape of both exporters.
+// run, sink chaining on top of the proptest trace recorder, slots bound to
+// the installing thread, the disabled path, and the structural shape of
+// both exporters.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "congest/bfs_tree.hpp"
@@ -226,6 +228,28 @@ TEST(Sink, AnalyticChargesFlowThroughCostModel) {
   }
   EXPECT_TRUE(saw_setup);
   EXPECT_TRUE(saw_agg);
+}
+
+// The registry and trace-sink slots belong to the thread that installs
+// them: a run on another thread neither sees nor feeds them.
+TEST(ObsThreads, RegistryAndSinkAreBoundToTheInstallingThread) {
+  const GeneratedGraph gg = planar::grid(5, 5);
+  MetricsRegistry reg;
+  ScopedMetrics scope(reg);
+  const long long before = reg.counter("congest/runs");
+  MetricsRegistry* other_registry = &reg;
+  congest::TraceSink* other_sink = &scope.sink();
+  std::thread other([&] {
+    other_registry = global_registry();
+    other_sink = congest::global_trace_sink();
+    congest::distributed_bfs(gg.graph, gg.root_hint);
+  });
+  other.join();
+  EXPECT_EQ(other_registry, nullptr);
+  EXPECT_EQ(other_sink, nullptr);
+  EXPECT_EQ(reg.counter("congest/runs"), before);
+  congest::distributed_bfs(gg.graph, gg.root_hint);
+  EXPECT_EQ(reg.counter("congest/runs"), before + 1);
 }
 
 TEST(Disabled, HelpersAreNoOpsWithoutRegistry) {

@@ -539,8 +539,8 @@ TEST(ServeBatch, FaultyJobRecoversAndStaysDeterministic) {
   EXPECT_EQ(rep1.check_failed, 0);
   EXPECT_NE(rep1.results[1].row.find("\"faults\":true"), std::string::npos);
   // Faulty jobs bypass the cache: only the fault-free job missed — its
-  // spanning-tree, separator, and DFS sub-artifacts (the task graph caches
-  // the tree the two stages share).
+  // spanning-tree, separator, and DFS sub-artifacts (the job's stages
+  // cache the tree the two of them share).
   EXPECT_EQ(rep1.cache.misses, 3);
 
   // Deterministic replay, even on a warm cache and more threads.

@@ -1,15 +1,14 @@
-// The phase-level task graph (src/taskgraph/): recording validation,
-// demand-driven execution with per-execution memoization, cache
-// short-circuiting that prunes whole subtrees, error propagation — and
-// the acceptance properties the serving layer rides on: cross-job
-// spanning-tree sharing (counter-asserted), rows whose artifacts equal
-// the core library's, clean and under faults, across thread counts and
-// cache temperatures, and stored bytes that do not depend on job order.
+// The job stages (src/taskgraph/): one spanning tree and one engine per
+// job, warm artifacts that never touch the stages below them, leaf-keyed
+// indexes over a shared tree — and the acceptance properties the serving
+// layer rides on: cross-job spanning-tree sharing (counter-asserted), rows
+// whose artifacts equal the core library's, clean and under faults,
+// across thread counts and cache temperatures, and stored bytes that do
+// not depend on job order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -27,9 +26,7 @@
 #include "query/service.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
-#include "taskgraph/graph.hpp"
 #include "taskgraph/pipeline.hpp"
-#include "util/check.hpp"
 
 namespace plansep {
 namespace {
@@ -55,198 +52,92 @@ class ScratchDir {
   std::string path_;
 };
 
-// A tiny synthetic graph: a -> b -> c, where b is ephemeral. Bodies
-// count their runs so the tests can pin execution semantics without
-// involving the real pipeline.
-struct ToyGraph {
-  taskgraph::TaskGraph g{"toy"};
-  std::atomic<int> runs_a{0}, runs_b{0}, runs_c{0};
+// ------------------------------------------------------------- stages ----
 
-  ToyGraph() {
-    using taskgraph::TaskContext;
-    using taskgraph::TaskDef;
-    using taskgraph::TaskOutput;
-    g.add(TaskDef{"a", "toy-a@v1", {},
-                  [this](TaskContext&) {
-                    ++runs_a;
-                    TaskOutput out;
-                    out.bytes = {1, 2, 3};
-                    return out;
-                  },
-                  nullptr});
-    g.add(TaskDef{"b", "", {"a"},
-                  [this](TaskContext& ctx) {
-                    ++runs_b;
-                    TaskOutput out;
-                    out.value = std::make_shared<std::vector<std::uint8_t>>(
-                        *ctx.bytes("a"));
-                    return out;
-                  },
-                  nullptr});
-    g.add(TaskDef{"c", "toy-c@v1", {"b"},
-                  [this](TaskContext& ctx) {
-                    ++runs_c;
-                    auto v = std::static_pointer_cast<
-                        std::vector<std::uint8_t>>(ctx.value("b"));
-                    TaskOutput out;
-                    out.bytes = *v;
-                    out.bytes.push_back(9);
-                    return out;
-                  },
-                  nullptr});
-  }
-};
-
-taskgraph::JobInputs toy_inputs() {
-  taskgraph::JobInputs in;
-  in.fingerprint = 0x1234;
-  in.config_hash = 0x99;
-  return in;
+// A real instance, acquired the way a job acquires it.
+serve::Instance stage_instance() {
+  serve::JobSpec spec;
+  spec.family = "triangulation";
+  spec.n = 80;
+  spec.seed = 11;
+  return serve::acquire_instance(spec);
 }
 
-// ----------------------------------------------------------- recording ----
-
-TEST(TaskGraphRecord, RejectsDuplicateNamesAndUnrecordedDeps) {
-  taskgraph::TaskGraph g("bad");
-  const auto body = [](taskgraph::TaskContext&) {
-    return taskgraph::TaskOutput{};
-  };
-  g.add({"a", "", {}, body, nullptr});
-  EXPECT_THROW(g.add({"a", "", {}, body, nullptr}), CheckError);
-  EXPECT_THROW(g.add({"b", "", {"missing"}, body, nullptr}), CheckError);
-  EXPECT_THROW(g.add({"", "", {}, body, nullptr}), CheckError);
-  EXPECT_THROW(g.add({"c", "", {}, nullptr, nullptr}), CheckError);
-  // Deps-before-use makes the recorded order a topological order.
-  EXPECT_EQ(g.index_of("a"), 0);
-  EXPECT_EQ(g.index_of("missing"), -1);
-}
-
-TEST(TaskGraphRecord, PipelineAndQueryGraphsAreWellFormed) {
-  const taskgraph::TaskGraph& p = taskgraph::pipeline_graph();
-  for (const char* task :
+// A pipeline job's separator and DFS share one spanning tree and one
+// engine: four runs, three cache entries.
+TEST(TaskGraphStages, PipelineJobBuildsTreeAndEngineOnce) {
+  const serve::Instance inst = stage_instance();
+  serve::ResultCache cache({1 << 22, ""});
+  taskgraph::Stages stages(inst.inputs(), cache);
+  stages.separator();
+  stages.dfs();
+  const taskgraph::TaskGraphCounters& c = stages.counters();
+  EXPECT_EQ(c.tasks_run, 4);
+  EXPECT_EQ(c.cache_served, 0);
+  for (const char* stage :
        {taskgraph::kSpanningTreeTask, taskgraph::kEngineTask,
-        taskgraph::kSeparatorTask, taskgraph::kDfsTask,
-        taskgraph::kBaselineTask}) {
-    EXPECT_GE(p.index_of(task), 0) << task;
+        taskgraph::kSeparatorTask, taskgraph::kDfsTask}) {
+    EXPECT_EQ(c.runs.at(stage), 1) << stage;
   }
-  // Every dep is recorded before its consumer: recorded order is
-  // topological, the determinism argument's anchor.
-  for (int i = 0; i < p.size(); ++i) {
-    for (const std::string& dep : p.task(i).deps) {
-      EXPECT_LT(p.index_of(dep), i);
-    }
-  }
-  const taskgraph::TaskGraph& q = taskgraph::query_graph();
-  EXPECT_GE(q.index_of(taskgraph::kQueryIndexTask), 0);
-  // The fault-job twin answers the same sinks, with no cacheable task.
-  const taskgraph::TaskGraph& r = taskgraph::recovery_graph();
-  for (const char* task : {taskgraph::kSeparatorTask, taskgraph::kDfsTask,
-                           taskgraph::kBaselineTask}) {
-    EXPECT_GE(r.index_of(task), 0) << task;
-  }
-  for (int i = 0; i < r.size(); ++i) EXPECT_TRUE(r.task(i).artifact.empty());
-  // The graphs hold compute stages only; the corpus store runs beside
-  // them (serve::store_instance).
-  EXPECT_EQ(p.size(), 5);
-  EXPECT_EQ(q.size(), 4);
-  EXPECT_EQ(r.size(), 3);
+  EXPECT_EQ(cache.counters().misses, 3);
 }
 
-// ----------------------------------------------------------- execution ----
-
-TEST(TaskGraphExec, DemandDrivenMemoizedSingleRunPerTask) {
-  ToyGraph toy;
-  taskgraph::Execution exec(toy.g, toy_inputs(), {});
-  const auto c1 = exec.request("c");
-  const auto c2 = exec.request("c");  // memo: nothing reruns
-  EXPECT_EQ(*c1, (std::vector<std::uint8_t>{1, 2, 3, 9}));
-  EXPECT_EQ(*c1, *c2);
-  EXPECT_EQ(toy.runs_a.load(), 1);
-  EXPECT_EQ(toy.runs_b.load(), 1);
-  EXPECT_EQ(toy.runs_c.load(), 1);
-  const auto counters = exec.counters();
-  EXPECT_EQ(counters.tasks_run, 3);
-  EXPECT_EQ(counters.cache_served, 0);
-  EXPECT_EQ(counters.runs.at("a"), 1);
+// The BFS-level baseline reads the spanning tree only.
+TEST(TaskGraphStages, BaselineNeverBuildsTheEngine) {
+  const serve::Instance inst = stage_instance();
+  serve::ResultCache cache({1 << 22, ""});
+  taskgraph::Stages stages(inst.inputs(), cache);
+  EXPECT_FALSE(stages.baseline()->empty());
+  const taskgraph::TaskGraphCounters& c = stages.counters();
+  EXPECT_EQ(c.tasks_run, 2);
+  EXPECT_EQ(c.runs.at(taskgraph::kSpanningTreeTask), 1);
+  EXPECT_EQ(c.runs.at(taskgraph::kBaselineTask), 1);
+  EXPECT_EQ(c.runs.count(taskgraph::kEngineTask), 0u);
 }
 
-TEST(TaskGraphExec, RequestingOnlyTheRootRunsNothingElse) {
-  ToyGraph toy;
-  taskgraph::Execution exec(toy.g, toy_inputs(), {});
-  exec.request("a");
-  EXPECT_EQ(toy.runs_a.load(), 1);
-  EXPECT_EQ(toy.runs_b.load(), 0);
-  EXPECT_EQ(toy.runs_c.load(), 0);
-}
-
-TEST(TaskGraphExec, WarmCachePrunesTheWholeSubtree) {
-  serve::ResultCache cache({1 << 20, ""});
-  ToyGraph cold;
+// A warm separator is one cache hit: the stages below it are never
+// touched.
+TEST(TaskGraphStages, WarmSeparatorRunsNothing) {
+  const serve::Instance inst = stage_instance();
+  serve::ResultCache cache({1 << 22, ""});
+  serve::ArtifactCache::Value cold;
   {
-    taskgraph::Execution exec(cold.g, toy_inputs(), &cache);
-    exec.request("c");
-    EXPECT_EQ(exec.counters().tasks_run, 3);
+    taskgraph::Stages stages(inst.inputs(), cache);
+    cold = stages.separator();
   }
-  // Same key set, fresh execution: "c" answers from the cache and its
-  // deps ("b", "a") are never touched — a warm job costs one cache entry.
-  ToyGraph warm;
-  taskgraph::Execution exec(warm.g, toy_inputs(), &cache);
-  const auto bytes = exec.request("c");
-  EXPECT_EQ(*bytes, (std::vector<std::uint8_t>{1, 2, 3, 9}));
-  EXPECT_EQ(warm.runs_a.load(), 0);
-  EXPECT_EQ(warm.runs_b.load(), 0);
-  EXPECT_EQ(warm.runs_c.load(), 0);
-  EXPECT_EQ(exec.counters().tasks_run, 0);
-  EXPECT_EQ(exec.counters().cache_served, 1);
+  const serve::CacheCounters before = cache.counters();
+  taskgraph::Stages stages(inst.inputs(), cache);
+  EXPECT_EQ(*stages.separator(), *cold);
+  EXPECT_EQ(stages.counters().tasks_run, 0);
+  EXPECT_EQ(stages.counters().cache_served, 1);
+  EXPECT_TRUE(stages.counters().runs.empty());
+  const serve::CacheCounters delta = cache.counters() - before;
+  EXPECT_EQ(delta.hits, 1);
+  EXPECT_EQ(delta.misses, 0);
 }
 
-TEST(TaskGraphExec, DifferentConfigHashesDoNotShare) {
-  serve::ResultCache cache({1 << 20, ""});
-  ToyGraph toy1;
-  taskgraph::JobInputs in1 = toy_inputs();
-  taskgraph::Execution e1(toy1.g, in1, &cache);
-  e1.request("c");
-  ToyGraph toy2;
-  taskgraph::JobInputs in2 = toy_inputs();
-  in2.config_hash = 0xdead;  // different config: its own artifacts
-  taskgraph::Execution e2(toy2.g, in2, &cache);
-  e2.request("c");
-  EXPECT_EQ(toy2.runs_c.load(), 1);
-  EXPECT_EQ(cache.counters().misses, 4);  // a and c, for each config
-}
-
-TEST(TaskGraphExec, UndeclaredDepAccessThrowsCheckError) {
-  taskgraph::TaskGraph g("undeclared");
-  g.add({"dep", "", {},
-         [](taskgraph::TaskContext&) { return taskgraph::TaskOutput{}; },
-         nullptr});
-  g.add({"bad", "", {},
-         [](taskgraph::TaskContext& ctx) {
-           ctx.bytes("dep");  // never declared in deps
-           return taskgraph::TaskOutput{};
-         },
-         nullptr});
-  taskgraph::Execution exec(g, toy_inputs(), {});
-  EXPECT_THROW(exec.request("bad"), CheckError);
-  EXPECT_THROW(exec.request("nonexistent"), CheckError);
-}
-
-TEST(TaskGraphExec, TaskFailurePropagatesToEveryRequester) {
-  taskgraph::TaskGraph g("failing");
-  std::atomic<int> runs{0};
-  g.add({"boom", "", {},
-         [&runs](taskgraph::TaskContext&) -> taskgraph::TaskOutput {
-           ++runs;
-           throw std::runtime_error("task exploded");
-         },
-         nullptr});
-  taskgraph::Execution exec(g, toy_inputs(), {});
-  EXPECT_THROW(exec.request("boom"), std::runtime_error);
-  // The failure is recorded, not retried: the second request rethrows
-  // without running the body again.
-  EXPECT_THROW(exec.request("boom"), std::runtime_error);
-  EXPECT_EQ(runs.load(), 1);
-  EXPECT_EQ(exec.counters().tasks_run, 0);
+// The index keys on its leaf size and the tree does not: two leaf sizes
+// build two indexes over one tree.
+TEST(TaskGraphStages, TwoLeafSizesBuildTwoIndexesOverOneTree) {
+  const serve::Instance inst = stage_instance();
+  serve::ResultCache cache({1 << 22, ""});
+  taskgraph::JobInputs in = inst.inputs();
+  for (const int leaf : {8, 16}) {
+    in.leaf_size = leaf;
+    taskgraph::Stages stages(in, cache);
+    stages.query_index();
+    const taskgraph::TaskGraphCounters& c = stages.counters();
+    for (const char* stage : {taskgraph::kEngineTask,
+                              taskgraph::kHierarchyTask,
+                              taskgraph::kQueryIndexTask}) {
+      EXPECT_EQ(c.runs.at(stage), 1) << stage << " leaf " << leaf;
+    }
+    EXPECT_NE(cache.peek(query::index_cache_key(inst.fingerprint, inst.root,
+                                                leaf)),
+              nullptr);
+  }
+  EXPECT_EQ(cache.counters().misses, 3);
+  EXPECT_EQ(cache.counters().hits, 1);  // the second index's tree
 }
 
 TEST(TaskGraphCounters, MergeAccumulatesComponentWise) {
@@ -310,7 +201,7 @@ TEST(TaskGraphSharing, ByteIdenticalAcrossThreadCountsAndTemperature) {
     serve::ResultCache cache({1 << 22, ""});
     const auto cold = serve::run_batch(sharing_jobs(), opts, cache, nullptr);
     ASSERT_EQ(cold.ok, 2) << "threads=" << threads;
-    // tasks_run totals are thread-count invariant by single-flight.
+    // This pair runs each stage once whoever leads the tree's flight.
     EXPECT_EQ(cold.taskgraph.tasks_run, 4) << "threads=" << threads;
     const auto warm = serve::run_batch(sharing_jobs(), opts, cache, nullptr);
     EXPECT_EQ(joined_rows(cold), joined_rows(warm));

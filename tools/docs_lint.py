@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs freshness lint.
 
-Four checks over the repo's markdown:
+Five checks over the repo's markdown:
 
 1. Every intra-repo link resolves: for each ``[text](target)`` in a
    tracked ``.md`` file (repo root + docs/), a relative ``target`` —
@@ -28,6 +28,13 @@ Four checks over the repo's markdown:
    prefix (``NetworkFaults.Crash*``). A deleted or renamed test cannot
    stay cited as evidence.
 
+5. Named APIs stay real: over the same files as check 3, every
+   ``<ns>::<Name>`` token whose ``<ns>`` is a namespace declared in src/
+   (``taskgraph``, ``serve``, ``obs``, ``congest``, ...) must name an
+   identifier that occurs in src/ code, with comments and string
+   literals stripped first. Fenced blocks count. A deleted class or
+   function cannot stay named in the docs.
+
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -48,6 +55,15 @@ TEST_REF_RE = re.compile(
     r"(?<![\w./-])([A-Z][a-z0-9][A-Za-z0-9]*\.[A-Z][a-z0-9][A-Za-z0-9]*)"
     r"(\*?)")
 TEST_DEF_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+# Overlapping, so plansep::serve::X yields both plansep::serve and serve::X.
+API_REF_RE = re.compile(r"(?=\b([A-Za-z_]\w*)::([A-Za-z_]\w*))")
+NS_DECL_RE = re.compile(r"\bnamespace\s+([A-Za-z_][\w:]*)\s*\{")
+# Comments, raw and plain string literals, and char literals (not digit
+# separators such as 1'000).
+CPP_NOISE_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|R"([^(\s]*)\(.*?\)\1"|"(?:\\.|[^"\\\n])*"'
+    r"|(?<!\w)'(?:\\.|[^'\\\n]){1,8}'", re.S)
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def markdown_files():
@@ -85,6 +101,21 @@ def test_names():
                     for m in TEST_DEF_RE.finditer(f.read()):
                         names.add(f"{m.group(1)}.{m.group(2)}")
     return names
+
+
+def src_code():
+    """The namespaces declared in src/ and every identifier of src/ code,
+    comments and string literals stripped."""
+    namespaces, idents = set(), set()
+    for root, _dirs, names in os.walk(os.path.join(REPO, "src")):
+        for n in names:
+            if n.endswith((".cpp", ".hpp", ".h")):
+                with open(os.path.join(root, n), errors="replace") as f:
+                    code = CPP_NOISE_RE.sub(" ", f.read())
+                for m in NS_DECL_RE.finditer(code):
+                    namespaces.update(m.group(1).split("::"))
+                idents.update(IDENT_RE.findall(code))
+    return namespaces, idents
 
 
 def check_links(path, lines, errors):
@@ -202,10 +233,21 @@ def check_test_refs(path, lines, tests, errors):
                           f"defined in tests/")
 
 
+def check_api_refs(path, lines, namespaces, idents, errors):
+    rel = os.path.relpath(path, REPO)
+    for ln, line in enumerate(lines, 1):
+        for m in API_REF_RE.finditer(line):
+            ns, name = m.group(1), m.group(2)
+            if ns in namespaces and name not in idents:
+                errors.append(f"{rel}:{ln}: named API '{ns}::{name}' not "
+                              f"found in src/ code")
+
+
 def main():
     errors = []
     blob = source_blob()
     tests = test_names()
+    namespaces, idents = src_code()
     for path in markdown_files():
         with open(path, errors="replace") as f:
             lines = f.read().splitlines()
@@ -216,6 +258,7 @@ def main():
         if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
             check_env_names(path, lines, blob, errors)
             check_test_refs(path, lines, tests, errors)
+            check_api_refs(path, lines, namespaces, idents, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
