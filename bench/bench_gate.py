@@ -20,10 +20,10 @@ Two tiers, run in this order:
    from a fresh bench run against the committed baseline and fails when
    any matched row's gated fields (--fields, default the kind's entry in
    KIND_FIELDS) regressed by more than the tolerance (default 20%). E.g.
-   the serving tier gates `bench_loadgen` rows with:
+   the query tier's warm batch alone is gated with:
 
-  bench_gate.py --kind loadgen --fields wall_ms,p99_ms \
-      --current loadgen.bench.json --baseline bench/baselines/loadgen.bench.json
+  bench_gate.py --kind query --fields warm_wall_ms \
+      --current query.bench.json --baseline bench/baselines/query.bench.json
 
 Wall-clock matching and noise policy:
   * Rows are keyed on (kind, workload, family, n, threads, host_cores) —
@@ -58,7 +58,6 @@ WALL_FIELDS = ("wall_ms",)
 # Per-kind field defaults, so the common gates need no --fields flag.
 KIND_FIELDS = {
     "engine": WALL_FIELDS,
-    "loadgen": ("wall_ms",),
     "query": ("warm_wall_ms", "cold_job_ms"),
     "ingest": ("wall_ms", "reject_wall_ms"),
     "taskgraph": ("dag_wall_ms",),

@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
         .set("cache_served", cold.taskgraph.cache_served)
         .set("spanning_tree_runs", st_runs)
         .set("shared_subresults", shared)
-        .set("flight_joins", cold.cache.flight_joins)
         .set("cache_hits", cold.cache.hits)
         .set("warm_cache_served", warm_report.taskgraph.cache_served);
   }

@@ -4,7 +4,7 @@
 //            [--cache-bytes=N] [--cache-shards=N] [--cache-dir=DIR]
 //            [--corpus=DIR] [--warm-from-corpus]
 //            [--metrics-out=FILE] [--trace-out=FILE]
-//            [--dump-every-ms=N] [--chaos-seed=S] [--chaos-crash=P]
+//            [--chaos-seed=S] [--chaos-crash=P]
 //
 // Clients speak the length-prefixed frame protocol of daemon/protocol.hpp
 // (docs/SERVING.md): submissions carry one plansep_batch job line each,
@@ -60,7 +60,7 @@ int usage() {
       "[--cache-bytes=N] [--cache-shards=N] [--cache-dir=DIR] "
       "[--corpus=DIR] [--warm-from-corpus] "
       "[--metrics-out=FILE] [--trace-out=FILE] "
-      "[--dump-every-ms=N] [--chaos-seed=S] [--chaos-crash=P]\n");
+      "[--chaos-seed=S] [--chaos-crash=P]\n");
   return 2;
 }
 
@@ -113,8 +113,6 @@ int main(int argc, char** argv) {
       opts.metrics_out = v;
     } else if (flag_value(arg, "trace-out", &v)) {
       opts.trace_out = v;
-    } else if (flag_value(arg, "dump-every-ms", &v)) {
-      ok = int_in(v, 0, kLongMax, &opts.dump_every_ms);
     } else if (flag_value(arg, "chaos-seed", &v)) {
       const std::optional<std::uint64_t> seed = parse_u64(v);
       ok = seed.has_value();

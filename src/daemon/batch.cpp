@@ -80,7 +80,6 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     reg->add("serve/cache_misses", rep.cache.misses);
     reg->add("serve/cache_served_warm", rep.cache.served_without_compute());
     reg->add("serve/cache_evictions", rep.cache.evictions);
-    reg->add("serve/cache_flight_joins", rep.cache.flight_joins);
     // Stage counters, folded after the jobs (stages never touch obs
     // globals). Which of them depend on the schedule:
     // taskgraph::TaskGraphCounters.

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -88,36 +89,15 @@ void Client::submit_query(std::uint64_t id, const QueryRequestPayload& req) {
 std::optional<QueryResponsePayload> Client::query(
     std::uint64_t id, const QueryRequestPayload& req, int timeout_ms) {
   submit_query(id, req);
-  // The daemon answers a query with kQueryResp, or immediately with
-  // kReject/kError; match any of the three for this id, parking the rest.
-  const auto wanted = [id](const io::Frame& f) {
-    return f.id == id &&
-           (f.type == static_cast<std::uint8_t>(FrameType::kQueryResp) ||
-            f.type == static_cast<std::uint8_t>(FrameType::kReject) ||
-            f.type == static_cast<std::uint8_t>(FrameType::kError));
-  };
-  std::optional<io::Frame> hit;
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (wanted(*it)) {
-      hit = std::move(*it);
-      stash_.erase(it);
-      break;
-    }
-  }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!hit) {
-    auto f = read_socket_frame(remaining_ms(deadline));
-    if (!f) return std::nullopt;
-    if (wanted(*f)) {
-      hit = std::move(*f);
-    } else {
-      stash_.push_back(std::move(*f));
-    }
-  }
-  if (hit->type != static_cast<std::uint8_t>(FrameType::kQueryResp)) {
+  // The daemon answers a query with kQueryResp, or at once with kReject
+  // or kError.
+  const auto f = read_first_of(
+      id, {FrameType::kQueryResp, FrameType::kReject, FrameType::kError},
+      timeout_ms);
+  if (!f || f->type != static_cast<std::uint8_t>(FrameType::kQueryResp)) {
     return std::nullopt;
   }
-  return decode_query_response(hit->payload);
+  return decode_query_response(f->payload);
 }
 
 void Client::submit_ingest(std::uint64_t id, const IngestRequestPayload& req) {
@@ -128,34 +108,13 @@ std::optional<IngestResponsePayload> Client::ingest(
     std::uint64_t id, const IngestRequestPayload& req, int timeout_ms) {
   submit_ingest(id, req);
   // Same shape as query(): kIngestResp, or an immediate kReject/kError.
-  const auto wanted = [id](const io::Frame& f) {
-    return f.id == id &&
-           (f.type == static_cast<std::uint8_t>(FrameType::kIngestResp) ||
-            f.type == static_cast<std::uint8_t>(FrameType::kReject) ||
-            f.type == static_cast<std::uint8_t>(FrameType::kError));
-  };
-  std::optional<io::Frame> hit;
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (wanted(*it)) {
-      hit = std::move(*it);
-      stash_.erase(it);
-      break;
-    }
-  }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!hit) {
-    auto f = read_socket_frame(remaining_ms(deadline));
-    if (!f) return std::nullopt;
-    if (wanted(*f)) {
-      hit = std::move(*f);
-    } else {
-      stash_.push_back(std::move(*f));
-    }
-  }
-  if (hit->type != static_cast<std::uint8_t>(FrameType::kIngestResp)) {
+  const auto f = read_first_of(
+      id, {FrameType::kIngestResp, FrameType::kReject, FrameType::kError},
+      timeout_ms);
+  if (!f || f->type != static_cast<std::uint8_t>(FrameType::kIngestResp)) {
     return std::nullopt;
   }
-  return decode_ingest_response(hit->payload);
+  return decode_ingest_response(f->payload);
 }
 
 std::optional<io::Frame> Client::read_socket_frame(int timeout_ms) {
@@ -193,18 +152,27 @@ std::optional<io::Frame> Client::next_frame(int timeout_ms) {
 std::optional<io::Frame> Client::read_matching(FrameType type,
                                                std::uint64_t id,
                                                int timeout_ms) {
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (it->type == static_cast<std::uint8_t>(type) && it->id == id) {
-      io::Frame f = std::move(*it);
-      stash_.erase(it);
-      return f;
-    }
+  return read_first_of(id, {type}, timeout_ms);
+}
+
+std::optional<io::Frame> Client::read_first_of(
+    std::uint64_t id, std::initializer_list<FrameType> types, int timeout_ms) {
+  const auto wanted = [&](const io::Frame& f) {
+    return f.id == id &&
+           std::any_of(types.begin(), types.end(), [&](FrameType t) {
+             return f.type == static_cast<std::uint8_t>(t);
+           });
+  };
+  const auto it = std::find_if(stash_.begin(), stash_.end(), wanted);
+  if (it != stash_.end()) {
+    io::Frame f = std::move(*it);
+    stash_.erase(it);
+    return f;
   }
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     auto f = read_socket_frame(remaining_ms(deadline));
-    if (!f) return std::nullopt;
-    if (f->type == static_cast<std::uint8_t>(type) && f->id == id) return f;
+    if (!f || wanted(*f)) return f;
     stash_.push_back(std::move(*f));
   }
 }

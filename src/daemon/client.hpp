@@ -2,10 +2,10 @@
 
 /// \file
 /// Blocking plansepd client: connect-with-retry, typed submit/control
-/// helpers, and a stashing frame reader (used by tests and the loadgen).
+/// helpers, and a stashing frame reader (used by tests and perfbench).
 
-// A small blocking client for the plansepd protocol, shared by
-// tests/daemon_test.cpp and bench/bench_loadgen.cpp.
+// A small blocking client for the plansepd protocol, shared by the
+// daemon tests and perfbench.
 //
 // Reads go through a stash: read_matching() scans for a frame of the
 // wanted type(s)/id, parking every other frame for later next_frame()
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -109,6 +110,12 @@ class Client {
 
  private:
   std::optional<io::Frame> read_socket_frame(int timeout_ms);
+  // The first frame for `id` of any of `types`, from the stash or the
+  // socket, parking every other frame read meanwhile. nullopt on
+  // timeout/EOF.
+  std::optional<io::Frame> read_first_of(
+      std::uint64_t id, std::initializer_list<FrameType> types,
+      int timeout_ms);
 
   int fd_ = -1;
   io::FrameDecoder decoder_;

@@ -15,7 +15,6 @@ Dispatcher::Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
       engine_cache_(opts_.engine_capacity) {
   opts_.workers = std::max(1, opts_.workers);
   opts_.max_queue = std::max<std::size_t>(1, opts_.max_queue);
-  opts_.chaos_max_attempts = std::max(1, opts_.chaos_max_attempts);
 
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -108,16 +107,12 @@ long long Dispatcher::outstanding(std::uint64_t client) const {
   return it == clients_.end() ? 0 : it->second.outstanding;
 }
 
-bool Dispatcher::draining() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return draining_;
-}
-
 bool Dispatcher::chaos_fires(std::uint64_t id, int attempt) const {
   if (opts_.chaos_crash_prob <= 0) return false;
   // The final attempt never crashes, so every job eventually delivers the
   // same payload a chaos-free run would.
-  if (attempt + 1 >= opts_.chaos_max_attempts) return false;
+  constexpr int kMaxAttempts = 3;
+  if (attempt + 1 >= kMaxAttempts) return false;
   const std::uint64_t h = core::mix_seed(
       opts_.chaos_seed, id, static_cast<std::uint64_t>(attempt),
       0x63686170736f63ULL /* "chaos" */);

@@ -71,10 +71,11 @@ struct DispatcherOptions {
   int workers = 2;                ///< worker threads (clamped to >= 1)
   std::size_t max_queue = 64;     ///< queued-job bound across both classes
   long long per_client_quota = 16;  ///< max outstanding jobs per client
-  serve::BatchOptions batch;      ///< execution options (corpus dir, retry)
+  serve::BatchOptions batch;      ///< execution options (corpus dir)
   std::uint64_t chaos_seed = 0;   ///< seed of the chaos coin
-  double chaos_crash_prob = 0.0;  ///< per-attempt crash probability (0 = off)
-  int chaos_max_attempts = 3;     ///< attempt bound; the last never crashes
+  /// Per-attempt crash probability (0 = off). A job gets at most three
+  /// attempts, and the last never crashes.
+  double chaos_crash_prob = 0.0;
   std::size_t engine_capacity = 4;  ///< prepared query engines held (LRU)
 };
 
@@ -167,8 +168,6 @@ class Dispatcher {
   std::size_t queue_depth() const;
   /// The client's outstanding (admitted, not yet delivered) jobs.
   long long outstanding(std::uint64_t client) const;
-  /// True once drain() was entered.
-  bool draining() const;
   /// The configured options.
   const DispatcherOptions& options() const { return opts_; }
   /// The prepared-engine cache (query jobs; counters for tests/metrics).

@@ -16,12 +16,12 @@
 // admission decisions: counters, the queue-depth histogram, and per-job
 // spans on the analytic clock (1 completed job = 1 round, so the Perfetto
 // dump shows jobs as unit slices in completion order). Wall-clock
-// latency is deliberately absent — it lives only in the load generator's
-// bench rows, keeping metrics snapshots diffable across runs.
+// latency is deliberately absent — it lives only in perfbench's rows,
+// keeping metrics snapshots diffable across runs.
 //
 // snapshot_json() folds the serving cache's CacheCounters in as
 // daemon/cache_* counters (including daemon/cache_served_warm, the
-// warm-hit signal the CI smoke asserts on), so one document answers both
+// warm-hit signal the daemon tests assert on), so one document answers both
 // "what did the daemon do" and "how warm was the cache".
 
 #include <mutex>
@@ -100,7 +100,6 @@ class DaemonMetrics {
     copy.add("daemon/cache_misses", c.misses);
     copy.add("daemon/cache_evictions", c.evictions);
     copy.add("daemon/cache_served_warm", c.served_without_compute());
-    copy.add("daemon/cache_flight_joins", c.flight_joins);
     copy.add("daemon/cache_warmed", c.warmed);
     return copy.to_json();
   }

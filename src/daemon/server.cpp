@@ -15,6 +15,7 @@
 #include <utility>
 #include <variant>
 
+#include "ingest/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/trace_export.hpp"
 #include "taskgraph/pipeline.hpp"
@@ -39,10 +40,17 @@ bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
   return true;
 }
 
-// Parses a submit/query frame's job-file line.
+// Parses a submit/query frame's job-file line. A generated instance is
+// held to ingest's node cap before admission, so no wire request makes
+// the daemon generate a graph larger than it would admit as an edge list.
 serve::JobSpec parse_spec(const std::string& line) {
   auto parsed = serve::parse_job_line(line, 0);
   if (!parsed) throw std::runtime_error("empty job spec");
+  const std::int64_t cap = ingest::IngestOptions{}.max_nodes;
+  if (parsed->graph_path.empty() && parsed->n > cap) {
+    throw std::runtime_error("--n=" + std::to_string(parsed->n) +
+                             " exceeds the node cap " + std::to_string(cap));
+  }
   return std::move(*parsed);
 }
 
@@ -159,10 +167,6 @@ void Server::start() {
   }
   accepting_.store(true);
   listener_ = std::thread([this] { listener_loop(); });
-  if (opts_.dump_every_ms > 0 &&
-      (!opts_.metrics_out.empty() || !opts_.trace_out.empty())) {
-    dumper_ = std::thread([this] { dump_loop(); });
-  }
 }
 
 void Server::listener_loop() {
@@ -200,17 +204,6 @@ void Server::reap_sessions() {
     sessions_.erase(gone, sessions_.end());
   }
   for (const auto& s : ended) s->release();
-}
-
-void Server::dump_loop() {
-  std::unique_lock<std::mutex> lk(state_mu_);
-  while (!stop_requested_ && !stopped_) {
-    state_cv_.wait_for(lk, std::chrono::milliseconds(opts_.dump_every_ms));
-    if (stop_requested_ || stopped_) break;
-    lk.unlock();
-    write_dumps();
-    lk.lock();
-  }
 }
 
 void Server::write_dumps() {
@@ -452,7 +445,6 @@ void Server::stop() {
   }
   for (const auto& s : sessions) s->sever();
   for (const auto& s : sessions) s->release();
-  if (dumper_.joinable()) dumper_.join();
   if (!opts_.socket_path.empty()) ::unlink(opts_.socket_path.c_str());
 }
 

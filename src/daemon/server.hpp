@@ -56,8 +56,6 @@ struct ServerOptions {
   std::string cache_disk_dir;  ///< disk tier directory ("" disables)
   std::string metrics_out;     ///< metrics JSON path written at drain ("")
   std::string trace_out;       ///< Perfetto trace path written at drain ("")
-  /// Period of the live metrics/trace dump thread, ms; 0 disables.
-  long long dump_every_ms = 0;
   /// Boot warm-up: before accepting connections, preload every warmable
   /// task-graph artifact of every corpus instance from the cache disk
   /// tier into the sharded cache (taskgraph::warm_from_corpus), so the
@@ -77,9 +75,8 @@ class Server {
   Server(const Server&) = delete;             ///< non-copyable
   Server& operator=(const Server&) = delete;  ///< non-copyable
 
-  /// Binds the socket and starts the listener (and dump thread, if
-  /// configured). Throws std::runtime_error when the socket can't be
-  /// bound.
+  /// Binds the socket and starts the listener. Throws std::runtime_error
+  /// when the socket can't be bound.
   void start();
   /// Blocks until a drain completes or stop() is called.
   void wait();
@@ -109,7 +106,6 @@ class Server {
   // daemon holds one thread and one fd per live connection only.
   void reap_sessions();
   void session_loop(const std::shared_ptr<Session>& s);
-  void dump_loop();
   void handle_frame(const std::shared_ptr<Session>& s, const io::Frame& f);
   // Decodes a submit/query/ingest frame, or answers its typed error and
   // returns nullopt.
@@ -129,7 +125,6 @@ class Server {
 
   int listen_fd_ = -1;
   std::thread listener_;
-  std::thread dumper_;
 
   std::mutex sessions_mu_;
   std::vector<std::shared_ptr<Session>> sessions_;

@@ -243,8 +243,7 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
     // One Stages per job shares the spanning tree and the engine between
     // this job's stages; the cache's single-flight shares artifacts with
     // concurrent jobs on the same fingerprint.
-    taskgraph::JobInputs in = inst.inputs();
-    in.retry = opts.retry;
+    const taskgraph::JobInputs in = inst.inputs();
     taskgraph::Stages stages(in, cache);
     // A fault job computes each stage through its recovery driver instead,
     // uncached, since its bytes depend on the fault plan; this takes one

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "faults/plan.hpp"
-#include "faults/recovery.hpp"
 #include "planar/embedded_graph.hpp"
 #include "serve/cache.hpp"
 #include "taskgraph/pipeline.hpp"
@@ -108,7 +107,6 @@ std::future<void> store_instance(const Instance& inst,
 struct BatchOptions {
   int threads = 1;             ///< run_batch's dispatcher workers
   std::string corpus_dir;      ///< store generated instances here ("" = off)
-  faults::RetryPolicy retry;   ///< recovery policy for fault-injected jobs
 };
 
 /// Outcome of one job, in admission order.

@@ -39,7 +39,6 @@ CacheCounters CacheCounters::operator-(const CacheCounters& o) const {
   d.inserted_bytes = inserted_bytes - o.inserted_bytes;
   d.disk_corrupt = disk_corrupt - o.disk_corrupt;
   d.disk_write_failed = disk_write_failed - o.disk_write_failed;
-  d.flight_joins = flight_joins - o.flight_joins;
   d.warmed = warmed - o.warmed;
   return d;
 }
@@ -103,7 +102,6 @@ ResultCache::Value ResultCache::get_or_compute(const CacheKey& key,
     if (flight->error) std::rethrow_exception(flight->error);
     std::lock_guard<std::mutex> clk(mu_);
     ++counters_.hits;  // coalesced join: served without a compute
-    ++counters_.flight_joins;
     return flight->value;
   }
 
@@ -203,13 +201,6 @@ ResultCache::Value ResultCache::peek(const CacheKey& key) const {
   return it->second->value;
 }
 
-void ResultCache::clear_memory() {
-  std::lock_guard<std::mutex> lk(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-}
-
 std::size_t ResultCache::size_bytes() const {
   std::lock_guard<std::mutex> lk(mu_);
   return bytes_;
@@ -266,10 +257,6 @@ ShardedResultCache::Value ShardedResultCache::peek(const CacheKey& key) const {
   return shards_[static_cast<std::size_t>(shard_of(key))]->peek(key);
 }
 
-void ShardedResultCache::clear_memory() {
-  for (auto& s : shards_) s->clear_memory();
-}
-
 std::size_t ShardedResultCache::size_bytes() const {
   std::size_t total = 0;
   for (const auto& s : shards_) total += s->size_bytes();
@@ -293,7 +280,6 @@ CacheCounters ShardedResultCache::counters() const {
     sum.inserted_bytes += c.inserted_bytes;
     sum.disk_corrupt += c.disk_corrupt;
     sum.disk_write_failed += c.disk_write_failed;
-    sum.flight_joins += c.flight_joins;
     sum.warmed += c.warmed;
   }
   return sum;

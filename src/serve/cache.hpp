@@ -25,8 +25,7 @@
 //     the keys requested, independent of thread count (the scheduler's
 //     determinism argument, DESIGN.md §9, leans on this). Hit counts are
 //     not: a caller may request more keys when it leads a flight (a job's
-//     stages do, taskgraph::TaskGraphCounters), and whether a hit joins a
-//     flight depends on timing.
+//     stages do, taskgraph::TaskGraphCounters).
 //
 // All methods are thread-safe. A compute callback runs outside the cache
 // lock; if it throws, every waiter of that flight rethrows and nothing is
@@ -63,7 +62,7 @@ std::uint64_t cache_address(const CacheKey& key);
 
 /// Monotonic counters describing cache behaviour. Single-flight makes
 /// misses independent of the schedule for a fixed set of requested keys;
-/// hits and flight_joins are not (see the file comment).
+/// hits are not (see the file comment).
 struct CacheCounters {
   long long hits = 0;        ///< served from memory (coalesced joins included)
   long long disk_hits = 0;   ///< served from the on-disk store
@@ -72,9 +71,6 @@ struct CacheCounters {
   long long inserted_bytes = 0;   ///< payload bytes ever inserted
   long long disk_corrupt = 0;     ///< disk payloads rejected by parsing
   long long disk_write_failed = 0;  ///< best-effort disk writes that failed
-  /// The subset of `hits` that joined another caller's in-progress flight
-  /// — the cross-job sub-result shares the job stages are after.
-  long long flight_joins = 0;
   /// Entries preloaded from disk by warm() (boot warm-up; not hits).
   long long warmed = 0;
 
@@ -141,9 +137,6 @@ class ResultCache : public ArtifactCache {
 
   /// Memory-only peek (counts neither hit nor miss); null when absent.
   Value peek(const CacheKey& key) const;
-
-  /// Drops every in-memory entry (the disk tier is untouched).
-  void clear_memory();
 
   /// Current in-memory payload bytes.
   std::size_t size_bytes() const;
@@ -215,8 +208,6 @@ class ShardedResultCache : public ArtifactCache {
   bool warm(const CacheKey& key) override;
   /// Memory-only peek into the owning shard.
   Value peek(const CacheKey& key) const;
-  /// Drops every shard's in-memory entries (disk tier untouched).
-  void clear_memory();
 
   /// The shard index key maps to: a stable function of cache_address(key)
   /// and the shard count only.

@@ -211,7 +211,7 @@ serve::ArtifactCache::Value Stages::query_index() {
 
 Recovered recover_separator(const JobInputs& in) {
   faults::RecoveredSeparator rec =
-      faults::compute_separator_with_recovery(*in.graph, in.root, in.retry);
+      faults::compute_separator_with_recovery(*in.graph, in.root);
   Recovered out{{}, rec.recovery};
   if (rec.recovery.ok) {
     out.bytes = separator_bytes(rec.result->parts.at(0), rec.cost);
@@ -221,7 +221,7 @@ Recovered recover_separator(const JobInputs& in) {
 
 Recovered recover_dfs(const JobInputs& in) {
   faults::RecoveredDfs rec =
-      faults::build_dfs_tree_with_recovery(*in.graph, in.root, in.retry);
+      faults::build_dfs_tree_with_recovery(*in.graph, in.root);
   Recovered out{{}, rec.recovery};
   if (rec.recovery.ok) out.bytes = dfs_bytes(*rec.build, rec.cost);
   return out;

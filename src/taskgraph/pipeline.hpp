@@ -107,7 +107,6 @@ struct JobInputs {
   std::uint64_t config_hash = 0;    ///< serve cache config hash (root mix)
   std::string family;               ///< provenance family (index kMeta)
   int leaf_size = 0;                ///< query hierarchy leaf bound (query jobs)
-  faults::RetryPolicy retry;        ///< recovery policy (fault jobs)
 };
 
 /// The cache-key config hash of a job rooted at `root`; the query index
@@ -161,9 +160,11 @@ struct Recovered {
   faults::RetryStats retry;         ///< how recovery went
 };
 
-/// Fault-job separator: faults::compute_separator_with_recovery.
+/// Fault-job separator: faults::compute_separator_with_recovery under
+/// the default RetryPolicy.
 Recovered recover_separator(const JobInputs& in);
-/// Fault-job DFS: faults::build_dfs_tree_with_recovery.
+/// Fault-job DFS: faults::build_dfs_tree_with_recovery under the default
+/// RetryPolicy.
 Recovered recover_dfs(const JobInputs& in);
 /// Fault-job baseline: the level search over a fresh BFS wave. It has no
 /// recovery driver, so a wave the plan breaks throws.

@@ -297,12 +297,21 @@ TEST(DaemonQuery, BadSpecAndBadPairsYieldTypedErrors) {
   EXPECT_EQ(daemon::decode_status(err->payload).code,
             daemon::StatusCode::kBadJobSpec);
 
+  // A generated instance over ingest's node cap (2^20) is rejected before
+  // admission, so no worker starts generating it.
+  req.spec_line = "--family=grid --n=1048577 --seed=1";
+  c.submit_query(2, req);
+  const auto cap = c.read_matching(daemon::FrameType::kError, 2, 10000);
+  ASSERT_TRUE(cap.has_value());
+  EXPECT_EQ(daemon::decode_status(cap->payload).code,
+            daemon::StatusCode::kBadJobSpec);
+
   // Spec parses, pairs are out of range: the job runs and reports an
   // error outcome (a data error, not a protocol error).
   req.spec_line = "--family=grid --n=25 --seed=1";
   req.leaf_size = 4;
   req.pairs = {{0, 9999}};
-  const auto out = c.query(2, req);
+  const auto out = c.query(3, req);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status, "error");
   EXPECT_NE(out->error.find("query pair"), std::string::npos) << out->error;

@@ -511,9 +511,19 @@ TEST(DaemonServer, BadJobSpecIsRejectedAndTheSessionContinues) {
   EXPECT_EQ(daemon::decode_status(f->payload).code,
             daemon::StatusCode::kBadJobSpec);
 
-  c.submit(3, daemon::Priority::kNormal, kSpecB);
+  // A generated instance over ingest's node cap (2^20) is rejected before
+  // admission, so the daemon never starts generating it.
+  c.submit(3, daemon::Priority::kNormal, "--family=grid --n=1048577");
+  f = c.read_matching(daemon::FrameType::kError, 3, 10000);
+  ASSERT_TRUE(f.has_value());
+  const auto cap = daemon::decode_status(f->payload);
+  EXPECT_EQ(cap.code, daemon::StatusCode::kBadJobSpec);
+  EXPECT_NE(cap.detail.find("node cap"), std::string::npos) << cap.detail;
+
+  c.submit(4, daemon::Priority::kNormal, kSpecB);
   const auto rows = collect_responses(c, 1);
-  EXPECT_EQ(rows.count(3), 1u);
+  EXPECT_EQ(rows.count(4), 1u);
+  EXPECT_EQ(d.server->metrics().counter("daemon/submitted"), 1);
 }
 
 // ------------------------------------------------------ disconnects ----

@@ -327,8 +327,7 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
       int attempts = 1;
       if (sep) {
         const faults::RecoveredSeparator rec =
-            faults::compute_separator_with_recovery(g, inst.root,
-                                                    opts.retry);
+            faults::compute_separator_with_recovery(g, inst.root);
         ASSERT_TRUE(rec.recovery.ok) << row;
         attempts = std::max(attempts, rec.recovery.attempts);
         const auto& part = rec.result->parts.at(0);
@@ -340,7 +339,7 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
       }
       if (dfs) {
         const faults::RecoveredDfs rec =
-            faults::build_dfs_tree_with_recovery(g, inst.root, opts.retry);
+            faults::build_dfs_tree_with_recovery(g, inst.root);
         ASSERT_TRUE(rec.recovery.ok) << row;
         attempts = std::max(attempts, rec.recovery.attempts);
         EXPECT_EQ(row_int(row, "dfs", "phases"), rec.build->phases);

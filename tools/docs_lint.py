@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs freshness lint.
 
-Five checks over the repo's markdown:
+Six checks over the repo's markdown:
 
 1. Every intra-repo link resolves: for each ``[text](target)`` in a
    tracked ``.md`` file (repo root + docs/), a relative ``target`` —
@@ -10,7 +10,8 @@ Five checks over the repo's markdown:
    and pure in-page anchors (``#section``) are skipped.
 
 2. Fenced shell snippets stay runnable in spirit: inside ``sh``/
-   ``bash``/``console`` fences in docs/ and README.md, any command
+   ``bash``/``console`` fences in docs/, README.md, DESIGN.md and
+   EXPERIMENTS.md, any command
    whose basename looks like one of our binaries (``plansep*``,
    ``bench_*``) must have a matching source file under examples/ or
    bench/, and every ``--flag`` passed to it must appear somewhere in
@@ -35,6 +36,13 @@ Five checks over the repo's markdown:
    literals stripped first. Fenced blocks count. A deleted class or
    function cannot stay named in the docs.
 
+6. Named benches and CI jobs stay real: over the same files as check 3,
+   every ``bench_*`` token inside backticks, bare or in a path such as
+   ``bench/bench_query.cpp``, must name a file under bench/, and every
+   backticked ``*-tier1`` token must name a job of
+   .github/workflows/ci.yml (its id or the first word of its name). A
+   deleted benchmark or CI job cannot stay named in the docs.
+
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -51,6 +59,7 @@ BINARY_RE = re.compile(r"^(plansep\w*|bench_\w+)$")
 FLAG_RE = re.compile(r"^--([a-zA-Z0-9][a-zA-Z0-9-]*)(=.*)?$")
 ENV_RE = re.compile(r"\bPLANSEP_[A-Z0-9_]+")
 ENV_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+SNIPPET_DOCS = ENV_DOCS
 TEST_REF_RE = re.compile(
     r"(?<![\w./-])([A-Z][a-z0-9][A-Za-z0-9]*\.[A-Z][a-z0-9][A-Za-z0-9]*)"
     r"(\*?)")
@@ -64,6 +73,12 @@ CPP_NOISE_RE = re.compile(
     r'//[^\n]*|/\*.*?\*/|R"([^(\s]*)\(.*?\)\1"|"(?:\\.|[^"\\\n])*"'
     r"|(?<!\w)'(?:\\.|[^'\\\n]){1,8}'", re.S)
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+BENCH_NAME_RE = re.compile(r"\b(bench_\w+)")
+CI_JOB_NAME_RE = re.compile(r"(?<![\w-])([\w-]+-tier1)(?![\w-])")
+CI_YML = os.path.join(".github", "workflows", "ci.yml")
+# A job id (two-space key under `jobs:`) or its `name:` (first word).
+CI_JOB_RE = re.compile(r"^  ([\w-]+):\s*$|^    name:\s*(\S+)", re.M)
 
 
 def markdown_files():
@@ -116,6 +131,18 @@ def src_code():
                     namespaces.update(m.group(1).split("::"))
                 idents.update(IDENT_RE.findall(code))
     return namespaces, idents
+
+
+def bench_names():
+    """The file stems under bench/ (bench_query, bench_gate, ...)."""
+    return {os.path.splitext(n)[0]
+            for n in os.listdir(os.path.join(REPO, "bench"))}
+
+
+def ci_jobs():
+    """Every CI job's id and the first word of its display name."""
+    with open(os.path.join(REPO, CI_YML)) as f:
+        return {a or b for a, b in CI_JOB_RE.findall(f.read())}
 
 
 def check_links(path, lines, errors):
@@ -243,22 +270,38 @@ def check_api_refs(path, lines, namespaces, idents, errors):
                               f"found in src/ code")
 
 
+def check_named_tools(path, lines, benches, jobs, errors):
+    rel = os.path.relpath(path, REPO)
+    for ln, line in enumerate(lines, 1):
+        for span in CODE_SPAN_RE.findall(line):
+            for name in BENCH_NAME_RE.findall(span):
+                if name not in benches:
+                    errors.append(f"{rel}:{ln}: named bench '{name}' has "
+                                  f"no source in bench/")
+            for job in CI_JOB_NAME_RE.findall(span):
+                if job not in jobs:
+                    errors.append(f"{rel}:{ln}: named CI job '{job}' not "
+                                  f"in {CI_YML}")
+
+
 def main():
     errors = []
     blob = source_blob()
     tests = test_names()
     namespaces, idents = src_code()
+    benches, jobs = bench_names(), ci_jobs()
     for path in markdown_files():
         with open(path, errors="replace") as f:
             lines = f.read().splitlines()
         check_links(path, lines, errors)
         in_docs = path.startswith(os.path.join(REPO, "docs"))
-        if in_docs or os.path.basename(path) == "README.md":
+        if in_docs or os.path.relpath(path, REPO) in SNIPPET_DOCS:
             check_snippets(path, lines, blob, errors)
         if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
             check_env_names(path, lines, blob, errors)
             check_test_refs(path, lines, tests, errors)
             check_api_refs(path, lines, namespaces, idents, errors)
+            check_named_tools(path, lines, benches, jobs, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
