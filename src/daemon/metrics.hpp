@@ -12,12 +12,13 @@
 // (bump a counter, sample a histogram, record a completed job span), so
 // every registry mutation is serialized without the callers coordinating.
 //
-// Everything recorded here is deterministic given the request stream and
-// admission decisions: counters, the queue-depth histogram, and per-job
-// spans on the analytic clock (1 completed job = 1 round, so the Perfetto
-// dump shows jobs as unit slices in completion order). Wall-clock
-// latency is deliberately absent — it lives only in perfbench's rows,
-// keeping metrics snapshots diffable across runs.
+// No wall clock is recorded here; latency lives only in perfbench's rows.
+// The counters are a function of the request stream and the admission
+// decisions. Two parts follow the workers' schedule instead: the
+// daemon/queue_depth histogram (the backlog each admission saw, which
+// depends on how fast workers dequeue) and the order of the per-job
+// spans (one unit slice per completed job on the analytic clock, in
+// completion order).
 //
 // snapshot_json() folds the serving cache's CacheCounters in as
 // daemon/cache_* counters (including daemon/cache_served_warm, the

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -40,16 +41,33 @@ bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
   return true;
 }
 
-// Parses a submit/query frame's job-file line. A generated instance is
-// held to ingest's node cap before admission, so no wire request makes
-// the daemon generate a graph larger than it would admit as an edge list.
-serve::JobSpec parse_spec(const std::string& line) {
+// Parses a submit/query frame's job-file line. Before admission, a
+// generated instance is held to ingest's node cap, and a loaded one must
+// be a regular file under the corpus root (a daemon without one loads
+// nothing): no wire request makes the daemon generate a graph larger than
+// it would admit as an edge list, or open a path ingest could not have
+// landed.
+serve::JobSpec parse_spec(const std::string& line,
+                          const std::string& corpus_root) {
+  namespace fs = std::filesystem;
   auto parsed = serve::parse_job_line(line, 0);
   if (!parsed) throw std::runtime_error("empty job spec");
+  const std::string& path = parsed->graph_path;
   const std::int64_t cap = ingest::IngestOptions{}.max_nodes;
-  if (parsed->graph_path.empty() && parsed->n > cap) {
+  if (path.empty() && parsed->n > cap) {
     throw std::runtime_error("--n=" + std::to_string(parsed->n) +
                              " exceeds the node cap " + std::to_string(cap));
+  }
+  if (path.empty()) return std::move(*parsed);
+  // Canonical forms resolve symlinks and relative roots alike; one that
+  // fails to resolve is empty, and nothing is relative to it.
+  std::error_code ec;
+  const fs::path rel = fs::weakly_canonical(path, ec).lexically_relative(
+      fs::weakly_canonical(corpus_root, ec));
+  if (corpus_root.empty() || rel.empty() || *rel.begin() == ".." ||
+      !fs::is_regular_file(path, ec)) {
+    throw std::runtime_error("--graph=" + path +
+                             " is not a regular file under the corpus root");
   }
   return std::move(*parsed);
 }
@@ -311,11 +329,12 @@ std::optional<Submission> Server::decode_submission(Session& s,
     if (f.type == static_cast<std::uint8_t>(FrameType::kSubmit)) {
       SubmitPayload req = decode_submit(f.payload);
       sub.priority = req.priority;
-      sub.job = parse_spec(req.spec_line);
+      sub.job = parse_spec(req.spec_line, opts_.dispatcher.batch.corpus_dir);
     } else if (f.type == static_cast<std::uint8_t>(FrameType::kQueryReq)) {
       QueryRequestPayload req = decode_query_request(f.payload);
       auto job = std::make_shared<query::QueryJob>();
-      job->instance = parse_spec(req.spec_line);
+      job->instance =
+          parse_spec(req.spec_line, opts_.dispatcher.batch.corpus_dir);
       job->leaf_size = req.leaf_size;
       job->pairs.assign(req.pairs.begin(), req.pairs.end());
       job->dead_edges.assign(req.dead_edges.begin(), req.dead_edges.end());

@@ -1,12 +1,10 @@
 #pragma once
 
 /// \file
-/// Recovery drivers: retry/backoff wrappers that run the separator and
-/// DFS pipelines to a validated result under an active fault plan.
+/// Recovery drivers: one retry/backoff loop, and the wrappers that run the
+/// separator and DFS pipelines through it to a validated result under an
+/// active fault plan.
 
-// Recovery drivers: retry/backoff wrappers around the separator and DFS
-// pipelines for execution under an active fault plan.
-//
 // The paper's protocols assume the failure-free CONGEST model; under an
 // injected fault plan a stage can fail in exactly two observable ways —
 // it throws (a protocol invariant broke mid-run, e.g. the BFS wave left
@@ -19,6 +17,7 @@
 // algorithm can survive is eventually survived, and a plan it cannot is
 // reported with the last attempt's diagnosis — never silently.
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -49,6 +48,15 @@ struct RetryStats {
   /// summary or the thrown exception's message.
   std::string failure;
 };
+
+/// The one retry loop behind every recovery driver: runs `attempt` until
+/// it returns "" (its output passed the stage's validator; otherwise the
+/// return is the diagnosis, or "<stage> attempt threw: <what>") or the
+/// policy runs out, charging each retry's backoff to `cost` and the obs
+/// clock, inside one "faults/recover_<stage>" span.
+RetryStats retry_stage(const std::string& stage, const RetryPolicy& policy,
+                       shortcuts::RoundCost& cost,
+                       const std::function<std::string()>& attempt);
 
 /// Result of build_dfs_tree_with_recovery. `build` is engaged iff
 /// recovery.ok.

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "core/fingerprint.hpp"
@@ -643,6 +644,12 @@ void write_file(const std::string& path,
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
+  // Regular files only: a FIFO would block the open, and a directory
+  // sizes as garbage.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw FormatError("cannot open " + path);
+  }
   std::ifstream f(path, std::ios::binary);
   if (!f) throw FormatError("cannot open " + path);
   std::vector<std::uint8_t> bytes;

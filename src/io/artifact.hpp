@@ -201,7 +201,8 @@ LoadedGraph decode_graph_artifact(const std::vector<std::uint8_t>& bytes);
 /// + rename). Throws FormatError on I/O failure.
 void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes);
 
-/// Reads a whole file; throws FormatError if unreadable.
+/// Reads a whole regular file; throws FormatError if it is unreadable or
+/// anything but a regular file.
 std::vector<std::uint8_t> read_file(const std::string& path);
 
 /// encode_graph_artifact + write_file.

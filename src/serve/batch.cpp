@@ -240,9 +240,8 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
       inj.emplace(*ctl);
     }
 
-    // One Stages per job shares the spanning tree and the engine between
-    // this job's stages; the cache's single-flight shares artifacts with
-    // concurrent jobs on the same fingerprint.
+    // One Stages per job; the cache's single-flight shares artifacts, the
+    // spanning tree included, with concurrent jobs on the same fingerprint.
     const taskgraph::JobInputs in = inst.inputs();
     taskgraph::Stages stages(in, cache);
     // A fault job computes each stage through its recovery driver instead,

@@ -132,8 +132,7 @@ struct BatchReport {
   long long deadline_missed = 0;  ///< status "deadline"
   long long errors = 0;           ///< status "error"
   CacheCounters cache;            ///< cache counter delta over this batch
-  /// Merged stage counters across the batch's jobs. Which of them depend
-  /// on the schedule: taskgraph::TaskGraphCounters.
+  /// Merged stage counters across the batch's jobs.
   taskgraph::TaskGraphCounters taskgraph;
   std::vector<JobResult> results; ///< per-job outcomes, admission order
 };

@@ -23,9 +23,7 @@
 //     a shared flight instead of computing in parallel — exactly one
 //     compute per key ever runs, so the miss count is a pure function of
 //     the keys requested, independent of thread count (the scheduler's
-//     determinism argument, DESIGN.md §9, leans on this). Hit counts are
-//     not: a caller may request more keys when it leads a flight (a job's
-//     stages do, taskgraph::TaskGraphCounters).
+//     determinism argument, DESIGN.md §9, leans on this).
 //
 // All methods are thread-safe. A compute callback runs outside the cache
 // lock; if it throws, every waiter of that flight rethrows and nothing is
@@ -61,8 +59,9 @@ struct CacheKey {
 std::uint64_t cache_address(const CacheKey& key);
 
 /// Monotonic counters describing cache behaviour. Single-flight makes
-/// misses independent of the schedule for a fixed set of requested keys;
-/// hits are not (see the file comment).
+/// them independent of the schedule for a fixed multiset of requested
+/// keys, as long as every value stays resident (none is evicted or too
+/// large to keep).
 struct CacheCounters {
   long long hits = 0;        ///< served from memory (coalesced joins included)
   long long disk_hits = 0;   ///< served from the on-disk store
@@ -78,6 +77,8 @@ struct CacheCounters {
   long long served_without_compute() const { return hits + disk_hits; }
   /// Component-wise difference (for before/after snapshots).
   CacheCounters operator-(const CacheCounters& o) const;
+  /// Field-wise equality.
+  bool operator==(const CacheCounters& o) const = default;
 };
 
 /// Interface shared by the flat and sharded caches: everything a job

@@ -46,6 +46,18 @@ congest::BfsResult decode_spanning_tree_bytes(
   return io::decode_spanning_tree(sec.bytes).bfs;
 }
 
+// One artifact compute's engine, built from the spanning tree's *bytes*
+// (one bytes→value path), so cache-served and freshly computed trees
+// drive identical computations. The engine keeps no state across
+// aggregate calls, so each compute may build its own.
+shortcuts::PartwiseEngine engine_from(const planar::EmbeddedGraph& g,
+                                      const std::vector<std::uint8_t>& tree,
+                                      TaskGraphCounters& counters) {
+  shortcuts::PartwiseEngine eng(g, decode_spanning_tree_bytes(tree));
+  counters.count_run(kEngineTask);
+  return eng;
+}
+
 std::vector<std::uint8_t> separator_bytes(const separator::PartSeparator& part,
                                           const shortcuts::RoundCost& cost) {
   return single_section(io::SectionId::kSeparator,
@@ -90,8 +102,6 @@ std::uint64_t cache_config_hash(planar::NodeId root, int leaf_size) {
 Stages::Stages(const JobInputs& in, serve::ArtifactCache& cache)
     : in_(in), cache_(cache) {}
 
-Stages::~Stages() = default;
-
 serve::ArtifactCache::Value Stages::resolve(
     const char* stage, const serve::CacheKey& key,
     const std::function<std::vector<std::uint8_t>()>& compute) {
@@ -109,8 +119,7 @@ serve::ArtifactCache::Value Stages::resolve(
 }
 
 serve::ArtifactCache::Value Stages::spanning_tree() {
-  if (tree_) return tree_;
-  tree_ = resolve(
+  return resolve(
       kSpanningTreeTask,
       {in_.fingerprint, kSpanningTreeArtifactId, in_.config_hash}, [&] {
         const planar::EmbeddedGraph& graph = *in_.graph;
@@ -126,27 +135,15 @@ serve::ArtifactCache::Value Stages::spanning_tree() {
         return single_section(io::SectionId::kSpanningTree,
                               io::encode_spanning_tree({std::move(bfs)}));
       });
-  return tree_;
-}
-
-// Decoded from the tree's *bytes* (one bytes→value path), so cache-served
-// and freshly computed trees drive identical downstream computations.
-shortcuts::PartwiseEngine& Stages::engine() {
-  if (!engine_) {
-    congest::BfsResult bfs = decode_spanning_tree_bytes(*spanning_tree());
-    engine_ = std::make_unique<shortcuts::PartwiseEngine>(*in_.graph,
-                                                          std::move(bfs));
-    counters_.count_run(kEngineTask);
-  }
-  return *engine_;
 }
 
 serve::ArtifactCache::Value Stages::separator() {
   return resolve(
       kSeparatorTask, {in_.fingerprint, "separator@v1", in_.config_hash}, [&] {
-        // Replays core::compute_cycle_separator from the prepared engine.
+        // Replays core::compute_cycle_separator over an adopted tree.
         const planar::EmbeddedGraph& graph = *in_.graph;
-        shortcuts::PartwiseEngine& eng = engine();
+        shortcuts::PartwiseEngine eng =
+            engine_from(graph, *spanning_tree(), counters_);
         std::vector<int> part(static_cast<std::size_t>(graph.num_nodes()), 0);
         sub::PartSet ps = sub::build_part_set(graph, part, 1, eng, {in_.root});
         separator::SeparatorEngine sep(eng);
@@ -163,8 +160,10 @@ serve::ArtifactCache::Value Stages::dfs() {
       kDfsTask, {in_.fingerprint, "dfs@v1", in_.config_hash}, [&] {
         // Replays core::compute_dfs_tree; build_dfs_tree folds the engine's
         // setup cost in, so the bytes match the library reference exactly.
+        shortcuts::PartwiseEngine eng =
+            engine_from(*in_.graph, *spanning_tree(), counters_);
         const dfs::DfsBuildResult build =
-            dfs::build_dfs_tree(*in_.graph, in_.root, engine());
+            dfs::build_dfs_tree(*in_.graph, in_.root, eng);
         return dfs_bytes(build, build.cost);
       });
 }
@@ -189,8 +188,10 @@ serve::ArtifactCache::Value Stages::query_index() {
       kQueryIndexTask,
       query::index_cache_key(in_.fingerprint, in_.root, in_.leaf_size), [&] {
         const planar::EmbeddedGraph& graph = *in_.graph;
+        shortcuts::PartwiseEngine eng =
+            engine_from(graph, *spanning_tree(), counters_);
         const separator::SeparatorHierarchy h =
-            separator::build_hierarchy(graph, engine(), in_.leaf_size);
+            separator::build_hierarchy(graph, eng, in_.leaf_size);
         counters_.count_run(kHierarchyTask);
         const query::QueryIndex qi =
             query::build_query_index(graph, h, in_.leaf_size);
@@ -228,12 +229,17 @@ Recovered recover_dfs(const JobInputs& in) {
 }
 
 Recovered recover_baseline(const JobInputs& in) {
-  // The level search is a pure function of the BFS wave, which is
-  // deterministic under a fault plan; the search checks its depths. With
-  // no driver, it returns after one attempt or throws.
-  return {level_separator_bytes(
-              baselines::bfs_level_separator(*in.graph, in.root)),
-          {true, 1, 0, ""}};
+  // The level search runs over a fresh BFS wave and checks its depths, so
+  // a wave the plan broke throws, and the loop retries it under fresh
+  // faults. The artifact has no round ledger to charge the backoff to.
+  baselines::LevelSeparatorResult res;
+  shortcuts::RoundCost unused;
+  Recovered out{{}, faults::retry_stage(kBaselineTask, {}, unused, [&] {
+                  res = baselines::bfs_level_separator(*in.graph, in.root);
+                  return std::string();
+                })};
+  if (out.retry.ok) out.bytes = level_separator_bytes(std::move(res));
+  return out;
 }
 
 const std::vector<std::string>& warmable_artifact_ids() {

@@ -22,10 +22,13 @@
 // artifact bytes. Each resolves through serve::ArtifactCache under
 // {fingerprint, artifact id, config hash}, and only on a miss does its
 // compute fetch the stages below it: a warm "separator@v1" never touches
-// the spanning tree. The tree lookup and the engine build therefore run
-// inside the consuming artifact's compute, and a job builds each of them
-// at most once. The cache's single-flight shares an artifact's compute
-// across concurrent jobs on one fingerprint.
+// the spanning tree. Each artifact compute looks the tree up itself and
+// builds its own engine from the tree's bytes, as compute_cycle_separator
+// and compute_dfs_tree build one engine per call; nothing is memoized
+// per job. The cache's single-flight runs one compute per key, shared
+// across concurrent jobs on one fingerprint, so with a cache that evicts
+// nothing every lookup, stage run and engine build is a pure function of
+// the job list.
 //
 // Fault jobs (any of --drop/--dup/--stall/--reorder/--crash/--outage) run
 // recover_separator, recover_dfs and recover_baseline instead: uncached,
@@ -47,17 +50,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "faults/recovery.hpp"
 #include "planar/embedded_graph.hpp"
 #include "serve/cache.hpp"
-
-namespace plansep::shortcuts {
-class PartwiseEngine;
-}  // namespace plansep::shortcuts
 
 namespace plansep::taskgraph {
 
@@ -78,14 +76,8 @@ inline constexpr const char* kLevelSeparatorArtifactId = "lt-level@v1";
 
 /// Per-job counters, folded into serve/daemon metrics snapshots *after*
 /// the job (never mutated through obs globals mid-run, which keeps the
-/// metrics deterministic).
-///
-/// For a fixed job list, the per-artifact runs (every stage but the
-/// engine) do not depend on the schedule: the cache runs one compute per
-/// key. The rest do. A job that leads a separator or DFS flight builds
-/// its own engine and looks the tree up once more, so tasks_run,
-/// cache_served and the engine runs depend on which concurrent job leads
-/// which flight.
+/// metrics deterministic). A job's own counters say which job ran each
+/// compute; their sum over a job list does not depend on the schedule.
 struct TaskGraphCounters {
   long long tasks_run = 0;      ///< stage bodies actually executed
   long long cache_served = 0;   ///< artifact lookups answered without a run
@@ -97,6 +89,8 @@ struct TaskGraphCounters {
   void count_run(const char* stage);
   /// Component-wise accumulate (runs merge by name).
   void merge(const TaskGraphCounters& o);
+  /// Field-wise equality.
+  bool operator==(const TaskGraphCounters& o) const = default;
 };
 
 /// One job's inputs.
@@ -120,7 +114,6 @@ class Stages {
   /// Binds the job's inputs and the cache its artifacts resolve through
   /// (both must outlive the stages).
   Stages(const JobInputs& in, serve::ArtifactCache& cache);
-  ~Stages();
   Stages(const Stages&) = delete;             ///< non-copyable
   Stages& operator=(const Stages&) = delete;  ///< non-copyable
 
@@ -139,7 +132,6 @@ class Stages {
 
  private:
   serve::ArtifactCache::Value spanning_tree();
-  shortcuts::PartwiseEngine& engine();
   /// The artifact under `key`, through the cache. Counts one run of
   /// `stage`, or one cache_served.
   serve::ArtifactCache::Value resolve(
@@ -148,8 +140,6 @@ class Stages {
 
   JobInputs in_;
   serve::ArtifactCache& cache_;
-  serve::ArtifactCache::Value tree_;                  // built at most once
-  std::unique_ptr<shortcuts::PartwiseEngine> engine_;  // built at most once
   TaskGraphCounters counters_;
 };
 
@@ -166,8 +156,9 @@ Recovered recover_separator(const JobInputs& in);
 /// Fault-job DFS: faults::build_dfs_tree_with_recovery under the default
 /// RetryPolicy.
 Recovered recover_dfs(const JobInputs& in);
-/// Fault-job baseline: the level search over a fresh BFS wave. It has no
-/// recovery driver, so a wave the plan breaks throws.
+/// Fault-job baseline: the level search over a fresh BFS wave, retried
+/// through faults::retry_stage under the default RetryPolicy while the
+/// plan breaks the wave.
 Recovered recover_baseline(const JobInputs& in);
 
 /// Every artifact algorithm id worth preloading at daemon boot for a

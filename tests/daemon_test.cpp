@@ -6,6 +6,7 @@
 // crash/retry, byte-identical to a fault-free serial reference.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "daemon/dispatcher.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/server.hpp"
+#include "io/artifact.hpp"
 #include "io/frame.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch.hpp"
@@ -184,9 +186,11 @@ struct TestDaemon {
   std::unique_ptr<daemon::Server> server;
 
   explicit TestDaemon(int workers = 2, std::size_t queue = 64,
-                      long long quota = 64, double chaos = 0.0)
+                      long long quota = 64, double chaos = 0.0,
+                      std::string corpus = "")
       : dir("srv") {
     opts.socket_path = dir.path() + "/d.sock";
+    opts.dispatcher.batch.corpus_dir = std::move(corpus);
     opts.dispatcher.workers = workers;
     opts.dispatcher.max_queue = queue;
     opts.dispatcher.per_client_quota = quota;
@@ -495,7 +499,8 @@ TEST(DaemonServer, CorruptFramesGetTypedErrorsAndTheDaemonSurvives) {
 }
 
 TEST(DaemonServer, BadJobSpecIsRejectedAndTheSessionContinues) {
-  TestDaemon d;
+  ScratchDir corpus("corpus");
+  TestDaemon d(2, 64, 64, 0.0, corpus.path());
   daemon::Client c = d.connect();
   c.submit(1, daemon::Priority::kNormal, "--family=grid --bogus=1");
   auto f = c.read_matching(daemon::FrameType::kError, 1, 10000);
@@ -520,9 +525,31 @@ TEST(DaemonServer, BadJobSpecIsRejectedAndTheSessionContinues) {
   EXPECT_EQ(cap.code, daemon::StatusCode::kBadJobSpec);
   EXPECT_NE(cap.detail.find("node cap"), std::string::npos) << cap.detail;
 
-  c.submit(4, daemon::Priority::kNormal, kSpecB);
+  // --graph= must name a regular file under the corpus root: a readable
+  // graph outside it, a FIFO under it (whose open would block a worker)
+  // and a directory under it are all rejected before admission.
+  const std::string outside = d.dir.path() + "/outside.psg";
+  serve::JobSpec grid;
+  io::save_graph(outside, serve::acquire_instance(grid).graph);
+  const std::string fifo = corpus.path() + "/pipe.psg";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string dir = corpus.path() + "/grid";
+  fs::create_directories(dir);
+  std::uint64_t id = 4;
+  for (const std::string& path : {outside, fifo, dir}) {
+    c.submit(id, daemon::Priority::kNormal, "--graph=" + path);
+    f = c.read_matching(daemon::FrameType::kError, id, 10000);
+    ASSERT_TRUE(f.has_value()) << path;
+    const auto st_path = daemon::decode_status(f->payload);
+    EXPECT_EQ(st_path.code, daemon::StatusCode::kBadJobSpec) << path;
+    EXPECT_NE(st_path.detail.find("corpus root"), std::string::npos)
+        << st_path.detail;
+    ++id;
+  }
+
+  c.submit(id, daemon::Priority::kNormal, kSpecB);
   const auto rows = collect_responses(c, 1);
-  EXPECT_EQ(rows.count(4), 1u);
+  EXPECT_EQ(rows.count(id), 1u);
   EXPECT_EQ(d.server->metrics().counter("daemon/submitted"), 1);
 }
 

@@ -4,6 +4,7 @@
 // (truncation, bit flips → CRC failure, version skew → clean reject).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -241,6 +242,18 @@ TEST(ProptestIo, FileRoundTripAndCorpusAddressing) {
   EXPECT_EQ(entries[0].family, "triangulation");
   EXPECT_EQ(entries[0].fingerprint, fp);
   EXPECT_EQ(entries[0].path, stored);
+}
+
+// Only regular files are read: opening a FIFO would block its reader
+// until a writer came, and a directory would size as garbage.
+TEST(ProptestIo, ReadFileRefusesFifosAndDirectories) {
+  ScratchDir dir("special");
+  const std::string fifo = dir.path() + "/pipe.psg";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_THROW(io::read_file(fifo), io::FormatError);
+  EXPECT_THROW(io::load_graph(fifo), io::FormatError);
+  EXPECT_THROW(io::read_file(dir.path()), io::FormatError);
+  EXPECT_THROW(io::read_file(dir.path() + "/absent.psg"), io::FormatError);
 }
 
 TEST(ProptestIo, TruncatedFileIsRejected) {

@@ -1,10 +1,11 @@
-// The job stages (src/taskgraph/): one spanning tree and one engine per
-// job, warm artifacts that never touch the stages below them, leaf-keyed
-// indexes over a shared tree — and the acceptance properties the serving
-// layer rides on: cross-job spanning-tree sharing (counter-asserted), rows
-// whose artifacts equal the core library's, clean and under faults,
-// across thread counts and cache temperatures, and stored bytes that do
-// not depend on job order.
+// The job stages (src/taskgraph/): one tree lookup and one engine per
+// computed artifact, counters that do not depend on which job leads a
+// flight, warm artifacts that never touch the stages below them,
+// leaf-keyed indexes over a shared tree — and the acceptance properties
+// the serving layer rides on: cross-job spanning-tree sharing
+// (counter-asserted), rows whose artifacts equal the core library's, clean
+// and under faults, across thread counts and cache temperatures, and
+// stored bytes that do not depend on job order.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/level_separator.hpp"
@@ -63,23 +66,86 @@ serve::Instance stage_instance() {
   return serve::acquire_instance(spec);
 }
 
-// A pipeline job's separator and DFS share one spanning tree and one
-// engine: four runs, three cache entries.
-TEST(TaskGraphStages, PipelineJobBuildsTreeAndEngineOnce) {
+// A pipeline job's separator and DFS computes each look the spanning tree
+// up and build their own engine from its bytes: the tree is built once
+// and served once, the engine built twice; three cache entries.
+TEST(TaskGraphStages, PipelineJobBuildsOneEnginePerComputedArtifact) {
   const serve::Instance inst = stage_instance();
   serve::ResultCache cache({1 << 22, ""});
   taskgraph::Stages stages(inst.inputs(), cache);
   stages.separator();
   stages.dfs();
   const taskgraph::TaskGraphCounters& c = stages.counters();
-  EXPECT_EQ(c.tasks_run, 4);
-  EXPECT_EQ(c.cache_served, 0);
-  for (const char* stage :
-       {taskgraph::kSpanningTreeTask, taskgraph::kEngineTask,
-        taskgraph::kSeparatorTask, taskgraph::kDfsTask}) {
-    EXPECT_EQ(c.runs.at(stage), 1) << stage;
-  }
+  EXPECT_EQ(c.tasks_run, 5);
+  EXPECT_EQ(c.cache_served, 1);
+  EXPECT_EQ(c.runs.at(taskgraph::kSpanningTreeTask), 1);
+  EXPECT_EQ(c.runs.at(taskgraph::kEngineTask), 2);
+  EXPECT_EQ(c.runs.at(taskgraph::kSeparatorTask), 1);
+  EXPECT_EQ(c.runs.at(taskgraph::kDfsTask), 1);
   EXPECT_EQ(cache.counters().misses, 3);
+}
+
+// Forwards to a shared cache. Its "dfs@v1" lookups first wait for
+// `hold`, and its "dfs@v1" computes first fulfil `started`.
+class DfsGate : public serve::ArtifactCache {
+ public:
+  explicit DfsGate(serve::ArtifactCache& inner) : inner_(inner) {}
+  std::shared_future<void> hold;
+  std::promise<void>* started = nullptr;
+
+  Value get_or_compute(const serve::CacheKey& key,
+                       const Compute& compute) override {
+    if (key.algorithm != "dfs@v1") return inner_.get_or_compute(key, compute);
+    if (hold.valid()) hold.wait();
+    return inner_.get_or_compute(key, [&] {
+      if (started != nullptr) started->set_value();
+      return compute();
+    });
+  }
+  serve::CacheCounters counters() const override { return inner_.counters(); }
+  std::size_t inflight_flights() const override {
+    return inner_.inflight_flights();
+  }
+
+ private:
+  serve::ArtifactCache& inner_;
+};
+
+// Two pipeline jobs on one fingerprint, forced to interleave: job B leads
+// the DFS flight while job A's DFS lookup waits, so A is served B's DFS.
+// Summed, they count exactly what a serial run of A then B counts, cache
+// counters included.
+TEST(TaskGraphStages, InterleavedPipelineJobsCountLikeASerialRun) {
+  const serve::Instance inst = stage_instance();
+
+  serve::ResultCache serial_cache({1 << 22, ""});
+  taskgraph::TaskGraphCounters serial;
+  for (int job = 0; job < 2; ++job) {
+    taskgraph::Stages stages(inst.inputs(), serial_cache);
+    stages.separator();
+    stages.dfs();
+    serial.merge(stages.counters());
+  }
+
+  serve::ResultCache cache({1 << 22, ""});
+  std::promise<void> b_dfs_started;
+  DfsGate gate_a(cache), gate_b(cache);
+  gate_a.hold = b_dfs_started.get_future().share();
+  gate_b.started = &b_dfs_started;
+  taskgraph::Stages a(inst.inputs(), gate_a), b(inst.inputs(), gate_b);
+  const serve::ArtifactCache::Value a_sep = a.separator();
+  serve::ArtifactCache::Value a_dfs;
+  std::thread a_rest([&] { a_dfs = a.dfs(); });
+  EXPECT_EQ(*b.separator(), *a_sep);
+  const serve::ArtifactCache::Value b_dfs = b.dfs();
+  a_rest.join();
+  EXPECT_EQ(*a_dfs, *b_dfs);
+  EXPECT_EQ(a.counters().runs.count(taskgraph::kDfsTask), 0u);
+
+  taskgraph::TaskGraphCounters interleaved = a.counters();
+  interleaved.merge(b.counters());
+  EXPECT_EQ(interleaved, serial);
+  EXPECT_EQ(cache.counters(), serial_cache.counters());
 }
 
 // The BFS-level baseline reads the spanning tree only.
@@ -230,7 +296,9 @@ std::vector<serve::JobSpec> parity_jobs() {
       "--family=grid --n=100 --seed=11 --algo=pipeline --drop=0.15 "
       "--fault-seed=3\n"
       "--family=random_planar --n=120 --seed=10 --algo=baseline-separator "
-      "--drop=0.02 --fault-seed=8\n");
+      "--drop=0.02 --fault-seed=8\n"
+      "--family=random_planar --n=60 --seed=8 --algo=baseline-separator "
+      "--drop=0.02 --fault-seed=6\n");  // the baseline retries its wave
   return serve::parse_job_file(file);
 }
 
@@ -347,8 +415,16 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         EXPECT_EQ(row_int(row, "dfs", "charged"), rec.cost.charged);
       }
       if (spec.algo == serve::Algo::kBaselineSeparator) {
-        const baselines::LevelSeparatorResult res =
-            baselines::bfs_level_separator(g, inst.root);
+        // The level search retries through the drivers' loop.
+        baselines::LevelSeparatorResult res;
+        shortcuts::RoundCost unused;
+        const faults::RetryStats retry =
+            faults::retry_stage("baseline", {}, unused, [&] {
+              res = baselines::bfs_level_separator(g, inst.root);
+              return std::string();
+            });
+        ASSERT_TRUE(retry.ok) << row;
+        attempts = std::max(attempts, retry.attempts);
         EXPECT_EQ(row_int(row, "baseline", "size"),
                   static_cast<long long>(res.separator.size()));
         EXPECT_EQ(row_int(row, "baseline", "levels"), res.levels_used);
@@ -371,22 +447,32 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
 }
 
 // A fault plan can break the baseline's BFS wave before it reaches every
-// node. The level search has no recovery driver, so the job reports a
-// typed error row and the batch carries on.
+// node. The level search retries under fresh faults, like the separator
+// and DFS: the first plan breaks two waves and recovers on the third. A
+// plan that breaks every attempt makes the job a typed error row, and the
+// batch carries on.
 TEST(TaskGraphParity, BrokenBaselineWaveIsAnErrorRow) {
   std::istringstream file(
       "--family=random_planar --n=60 --seed=8 --algo=baseline-separator "
       "--drop=0.02 --fault-seed=6\n"
+      "--family=random_planar --n=60 --seed=8 --algo=baseline-separator "
+      "--drop=0.1 --fault-seed=6\n"
       "--family=grid --n=49 --seed=1 --algo=baseline-separator\n");
   serve::ResultCache cache({1 << 22, ""});
   const auto rep =
       serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr);
-  ASSERT_EQ(rep.jobs, 2);
-  EXPECT_EQ(rep.results[0].status, "error");
-  EXPECT_NE(rep.results[0].error.find("BFS wave did not reach every node"),
+  ASSERT_EQ(rep.jobs, 3);
+  EXPECT_EQ(rep.results[0].status, "ok") << rep.results[0].error;
+  EXPECT_EQ(rep.results[0].attempts, 3);
+  EXPECT_EQ(rep.results[1].status, "error");
+  EXPECT_EQ(rep.results[1].attempts, 4);
+  EXPECT_NE(rep.results[1].error.find("baseline recovery failed"),
             std::string::npos)
-      << rep.results[0].error;
-  EXPECT_EQ(rep.results[1].status, "ok");
+      << rep.results[1].error;
+  EXPECT_NE(rep.results[1].error.find("BFS wave did not reach every node"),
+            std::string::npos)
+      << rep.results[1].error;
+  EXPECT_EQ(rep.results[2].status, "ok");
 }
 
 // A spanning-tree artifact edited on disk, with its CRC recomputed so the

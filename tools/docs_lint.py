@@ -32,9 +32,12 @@ Six checks over the repo's markdown:
 5. Named APIs stay real: over the same files as check 3, every
    ``<ns>::<Name>`` token whose ``<ns>`` is a namespace declared in src/
    (``taskgraph``, ``serve``, ``obs``, ``congest``, ...) must name an
-   identifier that occurs in src/ code, with comments and string
-   literals stripped first. Fenced blocks count. A deleted class or
-   function cannot stay named in the docs.
+   identifier that occurs in src/ code, and every ``<Type>::<member>``
+   token whose ``<Type>`` is a class, struct or enum defined in a src/
+   header must name an identifier of that header's code (of any such
+   header, when several define one name); comments and string literals
+   are stripped first. Fenced blocks count. A deleted class, function or
+   member cannot stay named in the docs. Bare names are not checked.
 
 6. Named benches and CI jobs stay real: over the same files as check 3,
    every ``bench_*`` token inside backticks, bare or in a path such as
@@ -67,6 +70,10 @@ TEST_DEF_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 # Overlapping, so plansep::serve::X yields both plansep::serve and serve::X.
 API_REF_RE = re.compile(r"(?=\b([A-Za-z_]\w*)::([A-Za-z_]\w*))")
 NS_DECL_RE = re.compile(r"\bnamespace\s+([A-Za-z_][\w:]*)\s*\{")
+# A class, struct or enum definition (a body follows; `class X;` does not).
+TYPE_DEF_RE = re.compile(
+    r"\b(?:class|struct|enum(?:\s+class|\s+struct)?)\s+([A-Za-z_]\w*)"
+    r"(?:\s+final)?\s*(?::[^;{}()]*)?\{")
 # Comments, raw and plain string literals, and char literals (not digit
 # separators such as 1'000).
 CPP_NOISE_RE = re.compile(
@@ -119,9 +126,10 @@ def test_names():
 
 
 def src_code():
-    """The namespaces declared in src/ and every identifier of src/ code,
-    comments and string literals stripped."""
-    namespaces, idents = set(), set()
+    """The namespaces declared in src/, every identifier of src/ code, and
+    for each type defined in a src/ header the identifiers of the headers
+    defining it; comments and string literals stripped."""
+    namespaces, idents, types = set(), set(), {}
     for root, _dirs, names in os.walk(os.path.join(REPO, "src")):
         for n in names:
             if n.endswith((".cpp", ".hpp", ".h")):
@@ -129,8 +137,12 @@ def src_code():
                     code = CPP_NOISE_RE.sub(" ", f.read())
                 for m in NS_DECL_RE.finditer(code):
                     namespaces.update(m.group(1).split("::"))
-                idents.update(IDENT_RE.findall(code))
-    return namespaces, idents
+                header = set(IDENT_RE.findall(code))
+                idents |= header
+                if n.endswith((".hpp", ".h")):
+                    for m in TYPE_DEF_RE.finditer(code):
+                        types.setdefault(m.group(1), set()).update(header)
+    return namespaces, idents, types
 
 
 def bench_names():
@@ -260,7 +272,7 @@ def check_test_refs(path, lines, tests, errors):
                           f"defined in tests/")
 
 
-def check_api_refs(path, lines, namespaces, idents, errors):
+def check_api_refs(path, lines, namespaces, idents, types, errors):
     rel = os.path.relpath(path, REPO)
     for ln, line in enumerate(lines, 1):
         for m in API_REF_RE.finditer(line):
@@ -268,6 +280,9 @@ def check_api_refs(path, lines, namespaces, idents, errors):
             if ns in namespaces and name not in idents:
                 errors.append(f"{rel}:{ln}: named API '{ns}::{name}' not "
                               f"found in src/ code")
+            elif ns in types and name not in types[ns]:
+                errors.append(f"{rel}:{ln}: named member '{ns}::{name}' "
+                              f"not found in the header defining {ns}")
 
 
 def check_named_tools(path, lines, benches, jobs, errors):
@@ -288,7 +303,7 @@ def main():
     errors = []
     blob = source_blob()
     tests = test_names()
-    namespaces, idents = src_code()
+    namespaces, idents, types = src_code()
     benches, jobs = bench_names(), ci_jobs()
     for path in markdown_files():
         with open(path, errors="replace") as f:
@@ -300,7 +315,7 @@ def main():
         if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
             check_env_names(path, lines, blob, errors)
             check_test_refs(path, lines, tests, errors)
-            check_api_refs(path, lines, namespaces, idents, errors)
+            check_api_refs(path, lines, namespaces, idents, types, errors)
             check_named_tools(path, lines, benches, jobs, errors)
     for e in errors:
         print(e, file=sys.stderr)
