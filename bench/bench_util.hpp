@@ -6,7 +6,7 @@
 // trajectory accumulates across commits. Flags understood by every binary
 // that uses these helpers:
 //   --quick            shrink the sweep for smoke runs
-//   --threads=K        round-engine shards for the parallel-engine sections
+//   --threads=K        run_batch's worker count (bench_taskgraph only)
 //   --json=PATH        override the JSON output path ("" suppresses it)
 //   --metrics-out=PATH write observability metrics JSON (src/obs/)
 //   --trace-out=PATH   write a Chrome trace-event / Perfetto file

@@ -5,49 +5,66 @@
 //   plansep_cli dot       < edges.txt      Graphviz DOT with the separator
 //   plansep_cli check     < edges.txt      planarity verdict only
 //
-// Input: one "u v" edge per line ('#' comments allowed); arbitrary
-// non-negative ids. The graph must be planar (checked by the built-in DMP
-// embedder) and connected for separator/dfs.
+// Input: an edge list read through the ingest front door (docs/INGEST.md):
+// one "u v" edge per line, '#' comments, arbitrary non-negative 64-bit
+// ids, DIMACS accepted too. Output node ids are ingest's canonical ids:
+// the rank of each input id among all input ids (the smallest is 0, the
+// root). The graph must be planar and, for separator/dfs/dot, connected.
+//
+// Exit codes: 0 success, 1 not planar / not connected / a check failed,
+// 2 the input was rejected (the typed ingest reason on stderr) or an
+// unknown mode.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "core/plansep.hpp"
+#include "ingest/pipeline.hpp"
 #include "io/text.hpp"
 
 int main(int argc, char** argv) {
   using namespace plansep;
   const std::string mode = argc > 1 ? argv[1] : "separator";
-
-  const io::EdgeListInput input = io::read_edge_list(std::cin);
-  if (input.num_nodes == 0) {
-    std::fprintf(stderr, "no input edges\n");
+  if (mode != "separator" && mode != "dfs" && mode != "dot" &&
+      mode != "check") {
+    std::fprintf(stderr, "unknown mode %s\n", mode.c_str());
     return 2;
   }
-  const auto embedded = planar::planar_embedding(input.num_nodes, input.edges);
-  if (mode == "check") {
-    std::printf("{\"planar\":%s,\"n\":%d,\"m\":%zu}\n",
-                embedded.has_value() ? "true" : "false", input.num_nodes,
-                input.edges.size());
-    return embedded.has_value() ? 0 : 1;
-  }
-  if (!embedded.has_value()) {
-    std::fprintf(stderr, "input graph is not planar\n");
+
+  planar::EmbeddedGraph g;
+  try {
+    g = ingest::ingest_text(std::cin, {}).graph;
+  } catch (const ingest::IngestError& e) {
+    if (e.code() != ingest::IngestErrorCode::kNonPlanar) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+    if (mode == "check") {
+      std::printf("{\"planar\":false,\"witness_edges\":%zu}\n",
+                  e.witness().size());
+    } else {
+      std::fprintf(stderr, "%s\n", e.what());
+    }
     return 1;
   }
-  if (embedded->num_components() != 1) {
+  if (mode == "check") {
+    std::printf("{\"planar\":true,\"n\":%d,\"m\":%d}\n", g.num_nodes(),
+                g.num_edges());
+    return 0;
+  }
+  if (g.num_components() != 1) {
     std::fprintf(stderr, "input graph must be connected for %s\n",
                  mode.c_str());
     return 1;
   }
 
   if (mode == "separator" || mode == "dot") {
-    const SeparatorRun run = compute_cycle_separator(*embedded, 0);
+    const SeparatorRun run = compute_cycle_separator(g, 0);
     if (mode == "dot") {
-      std::vector<char> mark(embedded->num_nodes(), 0);
+      std::vector<char> mark(g.num_nodes(), 0);
       for (planar::NodeId v : run.separator.path) mark[v] = 1;
-      std::fputs(io::to_dot(*embedded, mark).c_str(), stdout);
+      std::fputs(io::to_dot(g, mark).c_str(), stdout);
       return 0;
     }
     std::printf(
@@ -58,11 +75,7 @@ int main(int argc, char** argv) {
         run.diameter_bound);
     return run.check.ok() ? 0 : 1;
   }
-  if (mode == "dfs") {
-    const DfsRun run = compute_dfs_tree(*embedded, 0);
-    std::printf("%s\n", io::dfs_to_json(run.build.tree).c_str());
-    return run.check.ok() ? 0 : 1;
-  }
-  std::fprintf(stderr, "unknown mode %s\n", mode.c_str());
-  return 2;
+  const DfsRun run = compute_dfs_tree(g, 0);
+  std::printf("%s\n", io::dfs_to_json(run.build.tree).c_str());
+  return run.check.ok() ? 0 : 1;
 }

@@ -12,15 +12,6 @@ namespace {
 
 using planar::NodeId;
 
-double balance_of(const planar::EmbeddedGraph& g,
-                  const std::vector<char>& in_sep) {
-  const sub::Components comps = sub::connected_components(
-      g, [&](NodeId v) { return !in_sep[static_cast<std::size_t>(v)]; });
-  int max_size = 0;
-  for (int s : comps.size) max_size = std::max(max_size, s);
-  return static_cast<double>(max_size) / g.num_nodes();
-}
-
 }  // namespace
 
 LevelSeparatorResult bfs_level_separator(const planar::EmbeddedGraph& g,
@@ -41,27 +32,21 @@ LevelSeparatorResult bfs_level_separator(const planar::EmbeddedGraph& g,
 
   LevelSeparatorResult best;
   auto consider = [&](const std::vector<int>& which) {
-    std::vector<char> in_sep(static_cast<std::size_t>(g.num_nodes()), 0);
-    std::size_t size = 0;
+    std::vector<NodeId> sep;
     for (int l : which) {
-      for (NodeId v : level[static_cast<std::size_t>(l)]) {
-        in_sep[static_cast<std::size_t>(v)] = 1;
-        ++size;
-      }
+      const auto& nodes = level[static_cast<std::size_t>(l)];
+      sep.insert(sep.end(), nodes.begin(), nodes.end());
     }
-    if (size == 0 ||
-        size == static_cast<std::size_t>(g.num_nodes())) {
+    if (sep.empty() || sep.size() == static_cast<std::size_t>(g.num_nodes())) {
       return;
     }
-    const double bal = balance_of(g, in_sep);
-    if (3 * bal > 2.0) return;  // not balanced
-    if (!best.found || size < best.separator.size()) {
+    const sub::Balance bal = sub::balance_after_removal(g, {}, sep);
+    if (!bal.balanced()) return;
+    if (!best.found || sep.size() < best.separator.size()) {
       best.found = true;
-      best.separator.clear();
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (in_sep[static_cast<std::size_t>(v)]) best.separator.push_back(v);
-      }
-      best.balance = bal;
+      std::sort(sep.begin(), sep.end());
+      best.separator = std::move(sep);
+      best.balance = bal.fraction();
       best.levels_used = static_cast<int>(which.size());
     }
   };

@@ -17,21 +17,6 @@ using planar::NodeId;
 using sub::PartSet;
 using tree::RootedSpanningTree;
 
-bool balanced(const PartSet& ps, int p, const std::vector<NodeId>& path) {
-  const auto& g = *ps.g;
-  const int n = ps.part_size(p);
-  std::vector<char> marked(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v : path) marked[static_cast<std::size_t>(v)] = 1;
-  const sub::Components comps = sub::connected_components(
-      g, [&](NodeId v) {
-        return ps.part_of(v) == p && !marked[static_cast<std::size_t>(v)];
-      });
-  for (int size : comps.size) {
-    if (3 * size > 2 * n) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
@@ -114,7 +99,8 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
         }
       }
       charge_pa(2);  // candidate broadcast + verification sizes
-      if (!path.empty() && balanced(ps, p, path)) {
+      if (!path.empty() &&
+          sub::balance_after_removal(*ps.g, t.nodes(), path).balanced()) {
         auto& sep = res.parts[static_cast<std::size_t>(p)];
         sep.path = path;
         sep.endpoint_a = path.front();

@@ -197,13 +197,13 @@ query::QueryOutcome Dispatcher::run(
   return query::run_query_job(*job, opts_.batch, cache_, &engine_cache_);
 }
 
-IngestOutcome Dispatcher::run(const std::shared_ptr<const IngestJob>& job,
-                              std::uint64_t) {
+IngestResponsePayload Dispatcher::run(
+    const std::shared_ptr<const IngestJob>& job, std::uint64_t) {
   // Ingest jobs are pure functions of (text, options) plus one idempotent
   // corpus write, so a single attempt suffices too.
   ingest::IngestOptions opts = job->options;
   opts.corpus_root = opts_.batch.corpus_dir;
-  IngestOutcome out;
+  IngestResponsePayload out;
   try {
     const ingest::IngestResult res = ingest::ingest_string(job->text, opts);
     out.status = "ok";
@@ -215,7 +215,7 @@ IngestOutcome Dispatcher::run(const std::shared_ptr<const IngestJob>& job,
     out.status = "rejected";
     out.error_code = static_cast<std::uint8_t>(e.code());
     out.error = e.what();
-    out.witness = e.witness();
+    out.witness.assign(e.witness().begin(), e.witness().end());
     if (out.witness.size() > kMaxWitnessEdges) {
       out.witness.resize(kMaxWitnessEdges);
     }
@@ -237,7 +237,7 @@ int Dispatcher::fold_metrics(const query::QueryOutcome& q) {
   return 1;
 }
 
-int Dispatcher::fold_metrics(const IngestOutcome& o) {
+int Dispatcher::fold_metrics(const IngestResponsePayload& o) {
   metrics_.add("daemon/ingests");
   if (o.status == "ok") metrics_.add("daemon/ingest_accepted");
   if (o.status == "rejected") metrics_.add("daemon/ingest_rejected");

@@ -88,22 +88,6 @@ struct IngestJob {
   std::string text;               ///< the edge-list bytes
 };
 
-/// The verdict of one ingest job. Never an exception across the worker
-/// boundary: a rejection is a normal outcome ("rejected" + typed code),
-/// mirroring how query errors travel in QueryOutcome.
-struct IngestOutcome {
-  /// "ok", "rejected", or "error" (the job failed outside the ingest
-  /// pipeline's typed rejections, e.g. a failed corpus write).
-  std::string status;
-  std::uint8_t error_code = 0;    ///< ingest::IngestErrorCode; 0 when ok
-  std::string error;              ///< rejection message; "" when ok
-  std::uint64_t fingerprint = 0;  ///< corpus identity when ok
-  std::string corpus_path;        ///< stored path ("" when unstored)
-  std::int64_t nodes = 0;         ///< canonical node count when ok
-  std::int64_t edges = 0;         ///< canonical edge count when ok
-  std::vector<std::pair<long long, long long>> witness;  ///< non-planar
-};
-
 /// One admitted unit of work. All classes share the queue, the quota and
 /// the backpressure bound — a query or ingest is admitted (or rejected)
 /// exactly like a submit.
@@ -124,9 +108,12 @@ struct Submission {
 struct JobDone {
   /// The outcome of each Submission::Job alternative, in the same order:
   /// the row (pipeline jobs), the answers (query jobs), or the admission
-  /// verdict (ingest jobs).
-  using Outcome =
-      std::variant<serve::JobResult, query::QueryOutcome, IngestOutcome>;
+  /// verdict (ingest jobs). An ingest verdict is never an exception across
+  /// the worker boundary: a rejection is a normal outcome ("rejected" plus
+  /// the typed code), and "error" means the job failed outside ingest's
+  /// typed rejections, e.g. a failed corpus write.
+  using Outcome = std::variant<serve::JobResult, query::QueryOutcome,
+                               IngestResponsePayload>;
   std::uint64_t client = 0;  ///< submitting client
   std::uint64_t id = 0;      ///< the submission's correlation id
   Outcome outcome;           ///< what the job produced
@@ -199,12 +186,12 @@ class Dispatcher {
   serve::JobResult run(const serve::JobSpec& spec, std::uint64_t id);
   query::QueryOutcome run(const std::shared_ptr<const query::QueryJob>& job,
                           std::uint64_t id);
-  IngestOutcome run(const std::shared_ptr<const IngestJob>& job,
-                    std::uint64_t id);
+  IngestResponsePayload run(const std::shared_ptr<const IngestJob>& job,
+                            std::uint64_t id);
   // Folds one outcome's class counters in; returns its attempt count.
   int fold_metrics(const serve::JobResult& r);
   int fold_metrics(const query::QueryOutcome& q);
-  int fold_metrics(const IngestOutcome& o);
+  int fold_metrics(const IngestResponsePayload& o);
   bool chaos_fires(std::uint64_t id, int attempt) const;
 
   DispatcherOptions opts_;

@@ -85,18 +85,9 @@ std::vector<std::uint8_t> response_frame(const JobDone& done) {
             {q->status, q->error, q->distances,
              static_cast<std::uint8_t>(q->engine_cache_hit ? 1 : 0)}));
   }
-  const IngestOutcome& out = std::get<IngestOutcome>(done.outcome);
-  IngestResponsePayload resp;
-  resp.status = out.status;
-  resp.error_code = out.error_code;
-  resp.error = out.error;
-  resp.fingerprint = out.fingerprint;
-  resp.corpus_path = out.corpus_path;
-  resp.nodes = out.nodes;
-  resp.edges = out.edges;
-  resp.witness.assign(out.witness.begin(), out.witness.end());
-  return make_frame(FrameType::kIngestResp, done.id,
-                    encode_ingest_response(resp));
+  return make_frame(
+      FrameType::kIngestResp, done.id,
+      encode_ingest_response(std::get<IngestResponsePayload>(done.outcome)));
 }
 
 }  // namespace

@@ -26,6 +26,10 @@ class PartialDfsTree {
   bool contains(NodeId v) const { return depth_[static_cast<std::size_t>(v)] >= 0; }
   int depth(NodeId v) const { return depth_[static_cast<std::size_t>(v)]; }
   NodeId parent(NodeId v) const { return parent_[static_cast<std::size_t>(v)]; }
+  /// Parent per node (kNoNode for the root and for nodes not yet added).
+  const std::vector<NodeId>& parents() const { return parent_; }
+  /// Depth per node (-1 for nodes not yet added).
+  const std::vector<int>& depths() const { return depth_; }
   int size() const { return size_; }
   const EmbeddedGraph& graph() const { return *g_; }
 

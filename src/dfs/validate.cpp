@@ -20,29 +20,32 @@ std::string DfsCheck::summary() const {
   return s;
 }
 
-DfsCheck check_dfs_tree(const planar::EmbeddedGraph& g,
-                        const PartialDfsTree& tree) {
+DfsCheck check_dfs_tree(const planar::EmbeddedGraph& g, NodeId root,
+                        std::span<const NodeId> parent,
+                        std::span<const int> depth) {
   DfsCheck out;
   const NodeId n = g.num_nodes();
+  if (parent.size() != static_cast<std::size_t>(n) ||
+      depth.size() != static_cast<std::size_t>(n) || root < 0 || root >= n) {
+    return out;  // wrong shape: nothing holds
+  }
+  const auto at = [](auto arr, NodeId v) {
+    return arr[static_cast<std::size_t>(v)];
+  };
 
-  out.spanning = true;
-  out.depths_consistent = true;
+  out.spanning = at(parent, root) == planar::kNoNode;
+  out.depths_consistent = at(depth, root) == 0;
   std::vector<std::vector<NodeId>> children(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
-    if (!tree.contains(v)) {
+    if (v == root) continue;
+    const NodeId p = at(parent, v);
+    if (p < 0 || p >= n || !g.has_edge(p, v)) {
       out.spanning = false;
       continue;
     }
-    if (v == tree.root()) {
-      if (tree.depth(v) != 0) out.depths_consistent = false;
-      continue;
+    if (at(depth, v) != static_cast<long long>(at(depth, p)) + 1) {
+      out.depths_consistent = false;
     }
-    const NodeId p = tree.parent(v);
-    if (p == planar::kNoNode || !tree.contains(p) || !g.has_edge(p, v)) {
-      out.spanning = false;
-      continue;
-    }
-    if (tree.depth(v) != tree.depth(p) + 1) out.depths_consistent = false;
     children[static_cast<std::size_t>(p)].push_back(v);
   }
   if (!out.spanning) return out;
@@ -51,8 +54,8 @@ DfsCheck check_dfs_tree(const planar::EmbeddedGraph& g,
   std::vector<int> tin(static_cast<std::size_t>(n), -1);
   std::vector<int> tout(static_cast<std::size_t>(n), -1);
   int clock = 0;
-  std::vector<std::pair<NodeId, std::size_t>> stack{{tree.root(), 0}};
-  tin[static_cast<std::size_t>(tree.root())] = clock++;
+  std::vector<std::pair<NodeId, std::size_t>> stack{{root, 0}};
+  tin[static_cast<std::size_t>(root)] = clock++;
   while (!stack.empty()) {
     auto& [v, idx] = stack.back();
     if (idx < children[static_cast<std::size_t>(v)].size()) {

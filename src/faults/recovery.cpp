@@ -9,13 +9,11 @@
 
 namespace plansep::faults {
 
-RetryStats retry_stage(const std::string& stage, const RetryPolicy& policy,
-                       shortcuts::RoundCost& cost,
+RetryStats retry_stage(const std::string& stage, shortcuts::RoundCost& cost,
                        const std::function<std::string()>& attempt) {
   obs::Span span(("faults/recover_" + stage).c_str());
   RetryStats stats;
-  const int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int k = 1; k <= max_attempts; ++k) {
+  for (int k = 1; k <= kMaxAttempts; ++k) {
     stats.attempts = k;
     try {
       stats.failure = attempt();
@@ -26,11 +24,11 @@ RetryStats retry_stage(const std::string& stage, const RetryPolicy& policy,
     } catch (const std::exception& e) {
       stats.failure = stage + " attempt threw: " + e.what();
     }
-    if (k < max_attempts) {
+    if (k < kMaxAttempts) {
       // Backoff models the adversary-mandated cool-down before a re-run.
       // It is real protocol time, so it lands in both ledger columns and
       // on the obs round clock.
-      const long long backoff = policy.backoff_base_rounds << (k - 1);
+      const long long backoff = kBackoffBaseRounds << (k - 1);
       stats.backoff_rounds += backoff;
       cost.measured += backoff;
       cost.charged += backoff;
@@ -45,10 +43,9 @@ RetryStats retry_stage(const std::string& stage, const RetryPolicy& policy,
 }
 
 RecoveredDfs build_dfs_tree_with_recovery(const planar::EmbeddedGraph& g,
-                                          planar::NodeId root,
-                                          const RetryPolicy& policy) {
+                                          planar::NodeId root) {
   RecoveredDfs out;
-  out.recovery = retry_stage("dfs", policy, out.cost, [&] {
+  out.recovery = retry_stage("dfs", out.cost, [&] {
     // Fresh engine per attempt: its BFS tree is itself built over the
     // faulty network, so a broken setup must be redone too.
     shortcuts::PartwiseEngine engine(g, root);
@@ -63,10 +60,9 @@ RecoveredDfs build_dfs_tree_with_recovery(const planar::EmbeddedGraph& g,
 }
 
 RecoveredSeparator compute_separator_with_recovery(
-    const planar::EmbeddedGraph& g, planar::NodeId root,
-    const RetryPolicy& policy) {
+    const planar::EmbeddedGraph& g, planar::NodeId root) {
   RecoveredSeparator out;
-  out.recovery = retry_stage("separator", policy, out.cost, [&] {
+  out.recovery = retry_stage("separator", out.cost, [&] {
     shortcuts::PartwiseEngine engine(g, root);
     out.cost += engine.setup_cost();
     std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);

@@ -26,14 +26,11 @@
 
 namespace plansep::faults {
 
-/// Retry/backoff knobs of a recovery driver.
-struct RetryPolicy {
-  /// Attempts before giving up (>= 1).
-  int max_attempts = 4;
-  /// Backoff charged after failed attempt k (1-based) is
-  /// `backoff_base_rounds << (k-1)` rounds, on both ledgers.
-  long long backoff_base_rounds = 32;
-};
+/// Attempts a recovery driver makes before giving up.
+inline constexpr int kMaxAttempts = 4;
+/// Backoff charged after failed attempt k (1-based) is
+/// `kBackoffBaseRounds << (k-1)` rounds, on both ledgers.
+inline constexpr long long kBackoffBaseRounds = 32;
 
 /// Outcome of a recovery driver: how hard it had to try, and why it gave
 /// up when it did.
@@ -51,11 +48,10 @@ struct RetryStats {
 
 /// The one retry loop behind every recovery driver: runs `attempt` until
 /// it returns "" (its output passed the stage's validator; otherwise the
-/// return is the diagnosis, or "<stage> attempt threw: <what>") or the
-/// policy runs out, charging each retry's backoff to `cost` and the obs
-/// clock, inside one "faults/recover_<stage>" span.
-RetryStats retry_stage(const std::string& stage, const RetryPolicy& policy,
-                       shortcuts::RoundCost& cost,
+/// return is the diagnosis, or "<stage> attempt threw: <what>") or
+/// kMaxAttempts run out, charging each retry's backoff to `cost` and the
+/// obs clock, inside one "faults/recover_<stage>" span.
+RetryStats retry_stage(const std::string& stage, shortcuts::RoundCost& cost,
                        const std::function<std::string()>& attempt);
 
 /// Result of build_dfs_tree_with_recovery. `build` is engaged iff
@@ -70,10 +66,9 @@ struct RecoveredDfs {
 /// Builds a DFS tree of connected g rooted at `root` (Theorem 2),
 /// re-running the whole phase pipeline — fresh PartwiseEngine included,
 /// since its BFS tree is itself fault-exposed — until dfs::check_dfs_tree
-/// passes or the policy's attempts are exhausted.
+/// passes or kMaxAttempts are exhausted.
 RecoveredDfs build_dfs_tree_with_recovery(const planar::EmbeddedGraph& g,
-                                          planar::NodeId root,
-                                          const RetryPolicy& policy = {});
+                                          planar::NodeId root);
 
 /// Result of compute_separator_with_recovery. `result` is engaged iff
 /// recovery.ok.
@@ -87,9 +82,8 @@ struct RecoveredSeparator {
 
 /// Computes a cycle separator of connected g as one part (Theorem 1),
 /// re-running setup + part build + engine until separator::check_separator
-/// passes or the policy's attempts are exhausted.
+/// passes or kMaxAttempts are exhausted.
 RecoveredSeparator compute_separator_with_recovery(
-    const planar::EmbeddedGraph& g, planar::NodeId root,
-    const RetryPolicy& policy = {});
+    const planar::EmbeddedGraph& g, planar::NodeId root);
 
 }  // namespace plansep::faults

@@ -1,38 +1,8 @@
 #include "io/text.hpp"
 
-#include <istream>
-#include <map>
 #include <sstream>
 
-#include "util/check.hpp"
-
 namespace plansep::io {
-
-EdgeListInput read_edge_list(std::istream& in) {
-  EdgeListInput out;
-  std::map<long long, planar::NodeId> compact;
-  auto intern = [&](long long raw) {
-    PLANSEP_CHECK_MSG(raw >= 0, "node ids must be non-negative");
-    auto it = compact.find(raw);
-    if (it != compact.end()) return it->second;
-    const planar::NodeId id = static_cast<planar::NodeId>(out.original_id.size());
-    compact.emplace(raw, id);
-    out.original_id.push_back(raw);
-    return id;
-  };
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    long long a = 0, b = 0;
-    PLANSEP_CHECK_MSG(static_cast<bool>(ls >> a >> b),
-                      "malformed edge line: " + line);
-    out.edges.emplace_back(intern(a), intern(b));
-  }
-  out.num_nodes = static_cast<planar::NodeId>(out.original_id.size());
-  return out;
-}
 
 std::string to_dot(const planar::EmbeddedGraph& g,
                    const std::vector<char>& highlight,

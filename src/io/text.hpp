@@ -1,30 +1,17 @@
 #pragma once
 
-// Text import/export: edge lists, Graphviz DOT, and JSON summaries — the
-// glue for using plansep on external data and inspecting results visually.
-// The binary persistence format lives next door in io/artifact.hpp.
+// Text export: Graphviz DOT and JSON summaries, for inspecting results
+// visually. Edge-list import is the ingest front door's
+// (ingest/pipeline.hpp); the binary persistence format lives next door in
+// io/artifact.hpp.
 
-#include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dfs/partial_tree.hpp"
 #include "planar/embedded_graph.hpp"
 
 namespace plansep::io {
-
-/// Parses whitespace-separated "u v" pairs, one edge per line; lines
-/// starting with '#' are comments. Node ids are arbitrary non-negative
-/// integers and are compacted; returns (n, edges). Throws CheckError on
-/// malformed input.
-struct EdgeListInput {
-  planar::NodeId num_nodes = 0;
-  std::vector<std::pair<planar::NodeId, planar::NodeId>> edges;
-  /// Compacted id -> original id.
-  std::vector<long long> original_id;
-};
-EdgeListInput read_edge_list(std::istream& in);
 
 /// Graphviz DOT of the graph; nodes in `highlight` are filled. When a tree
 /// is given, tree edges are drawn bold.

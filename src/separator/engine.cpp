@@ -26,24 +26,6 @@ struct Candidate {
   int phase = 0;
 };
 
-/// True iff removing `path` from part p leaves components of size at most
-/// 2n/3 (n = part size). The distributed check is one components pass plus
-/// a size aggregation; values are computed directly.
-bool balanced(const PartSet& ps, int p, const std::vector<NodeId>& path) {
-  const auto& g = *ps.g;
-  const int n = ps.part_size(p);
-  std::vector<char> marked(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v : path) marked[static_cast<std::size_t>(v)] = 1;
-  const sub::Components comps = sub::connected_components(
-      g, [&](NodeId v) {
-        return ps.part_of(v) == p && !marked[static_cast<std::size_t>(v)];
-      });
-  for (int size : comps.size) {
-    if (3 * size > 2 * n) return false;
-  }
-  return true;
-}
-
 /// Path length (node count) of the tree path between a and b.
 int path_nodes(const RootedSpanningTree& t, NodeId a, NodeId b) {
   const NodeId w = t.lca(a, b);
@@ -241,11 +223,15 @@ Candidate last_resort(const PartSet& ps, int p) {
   for (EdgeId e : faces::real_fundamental_edges(t)) {
     const FundamentalEdge fe = faces::analyze_fundamental_edge(t, e);
     Candidate c = make_path_candidate(t, fe.u, fe.v, fe.edge, 99);
-    if (balanced(ps, p, c.path)) return c;
+    if (sub::balance_after_removal(*ps.g, t.nodes(), c.path).balanced()) {
+      return c;
+    }
   }
   for (NodeId v : t.nodes()) {
     Candidate c = make_path_candidate(t, t.root(), v, planar::kNoEdge, 99);
-    if (balanced(ps, p, c.path)) return c;
+    if (sub::balance_after_removal(*ps.g, t.nodes(), c.path).balanced()) {
+      return c;
+    }
   }
   PLANSEP_CHECK_MSG(false, "no balanced separator path exists at all");
   return {};
@@ -324,7 +310,10 @@ SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
     for (Candidate& c : cands) {
       if (c.phase == 99) c = last_resort(ps, p);
       ++tried;
-      if (balanced(ps, p, c.path)) {
+      // The distributed check is one components pass plus a size
+      // aggregation; values are computed directly.
+      if (sub::balance_after_removal(*ps.g, ps.tree_of_part(p).nodes(), c.path)
+              .balanced()) {
         PartSeparator& sep = out.parts[static_cast<std::size_t>(p)];
         sep.path = c.path;
         sep.endpoint_a = c.path.front();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "subroutines/components.hpp"
-#include "util/check.hpp"
 
 namespace plansep::separator {
 
@@ -39,19 +38,10 @@ SeparatorCheck check_separator(const sub::PartSet& ps, int p,
     }
   }
 
-  // Balance.
-  std::vector<char> marked(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v : sep.path) marked[static_cast<std::size_t>(v)] = 1;
-  const sub::Components comps = sub::connected_components(
-      g, [&](NodeId v) {
-        return ps.part_of(v) == p && !marked[static_cast<std::size_t>(v)];
-      });
-  out.components = comps.count;
-  int max_size = 0;
-  for (int s : comps.size) max_size = std::max(max_size, s);
-  const int n = ps.part_size(p);
-  out.balance = n > 0 ? static_cast<double>(max_size) / n : 0.0;
-  out.balanced = 3 * max_size <= 2 * n;
+  const sub::Balance b = sub::balance_after_removal(g, t.nodes(), sep.path);
+  out.components = b.components;
+  out.balance = b.fraction();
+  out.balanced = b.balanced();
   return out;
 }
 

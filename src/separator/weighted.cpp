@@ -83,28 +83,6 @@ WeightedView weighted_view(const RootedSpanningTree& t,
   return wv;
 }
 
-bool weighted_balanced(const PartSet& ps, int p,
-                       const std::vector<planar::NodeId>& path,
-                       const std::vector<long long>& weight,
-                       long long total) {
-  const auto& g = *ps.g;
-  std::vector<char> marked(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (planar::NodeId v : path) marked[static_cast<std::size_t>(v)] = 1;
-  const sub::Components comps = sub::connected_components(
-      g, [&](planar::NodeId v) {
-        return ps.part_of(v) == p && !marked[static_cast<std::size_t>(v)];
-      });
-  std::vector<long long> wsum(static_cast<std::size_t>(comps.count), 0);
-  for (planar::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const int c = comps.label[static_cast<std::size_t>(v)];
-    if (c >= 0) wsum[static_cast<std::size_t>(c)] += weight[static_cast<std::size_t>(v)];
-  }
-  for (long long w : wsum) {
-    if (3 * w > 2 * total) return false;
-  }
-  return true;
-}
-
 /// Weighted analog of faces::root_sweep_weight: the weight swept by the
 /// closed curve path(root..x) + virtual closing edge at the root stub.
 long long weighted_root_sweep(const RootedSpanningTree& t,
@@ -261,6 +239,11 @@ SeparatorResult SeparatorEngine::compute_weighted(
     const RootedSpanningTree& t = ps.tree_of_part(p);
     const WeightedView wv = weighted_view(t, weight);
     const long long total = wv.total;
+    // Weighted-balance verification of one candidate path.
+    const auto balances = [&](const std::vector<planar::NodeId>& path) {
+      return sub::balance_after_removal(*ps.g, t.nodes(), path, weight)
+          .balanced();
+    };
 
     struct Cand {
       std::vector<planar::NodeId> path;
@@ -379,7 +362,7 @@ SeparatorResult SeparatorEngine::compute_weighted(
     int tried = 0;
     for (const Cand& cand : cands) {
       ++tried;
-      if (weighted_balanced(ps, p, cand.path, weight, total)) {
+      if (balances(cand.path)) {
         auto& sep = out.parts[static_cast<std::size_t>(p)];
         sep.path = cand.path;
         sep.endpoint_a = cand.path.front();
@@ -397,7 +380,7 @@ SeparatorResult SeparatorEngine::compute_weighted(
       for (planar::EdgeId e : faces::real_fundamental_edges(t)) {
         const auto fe = faces::analyze_fundamental_edge(t, e);
         const auto path = t.path(fe.u, fe.v);
-        if (weighted_balanced(ps, p, path, weight, total)) {
+        if (balances(path)) {
           auto& sep = out.parts[static_cast<std::size_t>(p)];
           sep.path = path;
           sep.endpoint_a = fe.u;
@@ -413,7 +396,7 @@ SeparatorResult SeparatorEngine::compute_weighted(
     if (!settled) {
       for (planar::NodeId v : t.nodes()) {
         const auto path = t.path(t.root(), v);
-        if (weighted_balanced(ps, p, path, weight, total)) {
+        if (balances(path)) {
           auto& sep = out.parts[static_cast<std::size_t>(p)];
           sep.path = path;
           sep.endpoint_a = t.root();

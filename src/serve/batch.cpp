@@ -17,7 +17,6 @@
 #include "obs/json.hpp"
 #include "planar/generators.hpp"
 #include "serve/verify.hpp"
-#include "subroutines/components.hpp"
 #include "util/parse.hpp"
 
 namespace plansep::serve {
@@ -147,8 +146,8 @@ SepRow sep_row_from_bytes(const planar::EmbeddedGraph& g,
   SepRow row;
   row.phase = sa.part.phase;
   row.path = static_cast<long long>(sa.part.path.size());
-  row.balance = v.balance;
-  row.components = v.components;
+  row.balance = v.balance.fraction();
+  row.components = v.balance.components;
   row.verified = v.ok();
   row.measured = sa.cost.measured;
   row.charged = sa.cost.charged;
@@ -161,11 +160,10 @@ DfsRow dfs_row_from_bytes(const planar::EmbeddedGraph& g,
   const io::Section* sec = a.find(io::SectionId::kDfsTree);
   if (sec == nullptr) throw io::FormatError("artifact lacks kDfsTree");
   const io::DfsArtifact da = io::decode_dfs(sec->bytes);
-  const DfsVerify v = verify_dfs_artifact(g, da);
   DfsRow row;
   row.phases = da.phases;
-  row.depth = v.max_depth;
-  row.verified = v.ok();
+  for (const int d : da.depth) row.depth = std::max(row.depth, d);
+  row.verified = verify_dfs_artifact(g, da).ok();
   row.measured = da.cost.measured;
   row.charged = da.cost.charged;
   return row;
@@ -182,32 +180,7 @@ BaselineRow baseline_row_from_bytes(const planar::EmbeddedGraph& g,
   row.size = static_cast<long long>(la.result.separator.size());
   row.balance = la.result.balance;
   row.levels = la.result.levels_used;
-  if (!la.result.found) {
-    row.verified = la.result.separator.empty();
-    return row;
-  }
-  // Re-derive the balance from the decoded node set: ids in range, no
-  // duplicates, stored balance exact, and the 2/3 bound actually held.
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<char> in_sep(n, 0);
-  bool ok = !la.result.separator.empty() && la.result.separator.size() < n;
-  for (const planar::NodeId v : la.result.separator) {
-    if (v < 0 || static_cast<std::size_t>(v) >= n ||
-        in_sep[static_cast<std::size_t>(v)]) {
-      ok = false;
-      break;
-    }
-    in_sep[static_cast<std::size_t>(v)] = 1;
-  }
-  if (ok) {
-    const sub::Components comps = sub::connected_components(
-        g, [&](planar::NodeId v) { return !in_sep[static_cast<std::size_t>(v)]; });
-    int max_size = 0;
-    for (const int s : comps.size) max_size = std::max(max_size, s);
-    const double bal = static_cast<double>(max_size) / g.num_nodes();
-    ok = bal == la.result.balance && 3 * bal <= 2.0;
-  }
-  row.verified = ok;
+  row.verified = verify_level_separator_artifact(g, la);
   return row;
 }
 

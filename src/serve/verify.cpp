@@ -1,6 +1,5 @@
 #include "serve/verify.hpp"
 
-#include <algorithm>
 #include <vector>
 
 namespace plansep::serve {
@@ -8,23 +7,28 @@ namespace plansep::serve {
 using planar::EmbeddedGraph;
 using planar::NodeId;
 
+namespace {
+
+/// True iff `ids` is non-empty, every id names a node of g and none
+/// repeats.
+bool distinct_nodes(const EmbeddedGraph& g, const std::vector<NodeId>& ids) {
+  const NodeId n = g.num_nodes();
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (const NodeId v : ids) {
+    if (v < 0 || v >= n || seen[static_cast<std::size_t>(v)]) return false;
+    seen[static_cast<std::size_t>(v)] = 1;
+  }
+  return !ids.empty();
+}
+
+}  // namespace
+
 SeparatorVerify verify_separator_artifact(const EmbeddedGraph& g,
                                           const io::SeparatorArtifact& s) {
   SeparatorVerify out;
-  const NodeId n = g.num_nodes();
   const auto& path = s.part.path;
-
-  std::vector<char> on_path(static_cast<std::size_t>(n), 0);
-  out.nodes_valid = !path.empty();
-  for (const NodeId v : path) {
-    if (v < 0 || v >= n || on_path[static_cast<std::size_t>(v)]) {
-      out.nodes_valid = false;
-      break;
-    }
-    on_path[static_cast<std::size_t>(v)] = 1;
-  }
+  out.nodes_valid = distinct_nodes(g, path);
   if (!out.nodes_valid) return out;
-
   out.path_connected = true;
   for (std::size_t i = 1; i < path.size(); ++i) {
     if (!g.has_edge(path[i - 1], path[i])) {
@@ -32,91 +36,25 @@ SeparatorVerify verify_separator_artifact(const EmbeddedGraph& g,
       break;
     }
   }
-
-  // Components of g − path by BFS over the untouched nodes.
-  std::vector<int> comp(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> queue;
-  long long max_comp = 0;
-  for (NodeId s0 = 0; s0 < n; ++s0) {
-    if (on_path[static_cast<std::size_t>(s0)] ||
-        comp[static_cast<std::size_t>(s0)] >= 0) {
-      continue;
-    }
-    queue.assign(1, s0);
-    comp[static_cast<std::size_t>(s0)] = out.components;
-    long long size = 0;
-    while (!queue.empty()) {
-      const NodeId v = queue.back();
-      queue.pop_back();
-      ++size;
-      for (const planar::DartId d : g.rotation(v)) {
-        const NodeId u = g.head(d);
-        if (on_path[static_cast<std::size_t>(u)] ||
-            comp[static_cast<std::size_t>(u)] >= 0) {
-          continue;
-        }
-        comp[static_cast<std::size_t>(u)] = out.components;
-        queue.push_back(u);
-      }
-    }
-    max_comp = std::max(max_comp, size);
-    ++out.components;
-  }
-  out.balance = n > 0 ? static_cast<double>(max_comp) / n : 0;
-  out.balanced = 3 * max_comp <= 2LL * n;
+  out.balance = sub::balance_after_removal(g, {}, path);
   return out;
 }
 
-DfsVerify verify_dfs_artifact(const EmbeddedGraph& g,
-                              const io::DfsArtifact& d) {
-  DfsVerify out;
-  const NodeId n = g.num_nodes();
-  if (d.parent.size() != static_cast<std::size_t>(n) ||
-      d.depth.size() != static_cast<std::size_t>(n) || d.root < 0 ||
-      d.root >= n) {
-    return out;  // wrong shape: nothing holds
-  }
+dfs::DfsCheck verify_dfs_artifact(const EmbeddedGraph& g,
+                                  const io::DfsArtifact& d) {
+  return dfs::check_dfs_tree(g, d.root, d.parent, d.depth);
+}
 
-  out.spanning = d.parent[static_cast<std::size_t>(d.root)] == planar::kNoNode;
-  out.depths_consistent = d.depth[static_cast<std::size_t>(d.root)] == 0;
-  for (NodeId v = 0; v < n && (out.spanning || out.depths_consistent); ++v) {
-    if (v == d.root) continue;
-    const NodeId p = d.parent[static_cast<std::size_t>(v)];
-    if (p < 0 || p >= n || !g.has_edge(p, v)) {
-      out.spanning = false;
-      break;
-    }
-    if (d.depth[static_cast<std::size_t>(v)] !=
-        d.depth[static_cast<std::size_t>(p)] + 1) {
-      out.depths_consistent = false;
-    }
-    out.max_depth =
-        std::max(out.max_depth, static_cast<int>(d.depth[static_cast<std::size_t>(v)]));
+bool verify_level_separator_artifact(const EmbeddedGraph& g,
+                                     const io::LevelSeparatorArtifact& l) {
+  const baselines::LevelSeparatorResult& r = l.result;
+  if (!r.found) return r.separator.empty();
+  if (!distinct_nodes(g, r.separator) ||
+      r.separator.size() >= static_cast<std::size_t>(g.num_nodes())) {
+    return false;
   }
-  if (!out.spanning || !out.depths_consistent) return out;
-
-  // Ancestor test by parent walks from the deeper endpoint: with depths
-  // consistent this is O(depth) per edge, and batches run on modest n.
-  const auto is_ancestor_pair = [&](NodeId a, NodeId b) {
-    NodeId lo = d.depth[static_cast<std::size_t>(a)] >=
-                        d.depth[static_cast<std::size_t>(b)]
-                    ? a
-                    : b;
-    const NodeId hi = lo == a ? b : a;
-    while (d.depth[static_cast<std::size_t>(lo)] >
-           d.depth[static_cast<std::size_t>(hi)]) {
-      lo = d.parent[static_cast<std::size_t>(lo)];
-    }
-    return lo == hi;
-  };
-  out.dfs_property = true;
-  for (planar::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!is_ancestor_pair(g.edge_u(e), g.edge_v(e))) {
-      out.dfs_property = false;
-      ++out.violating_edges;
-    }
-  }
-  return out;
+  const sub::Balance b = sub::balance_after_removal(g, {}, r.separator);
+  return b.balanced() && b.fraction() == r.balance;
 }
 
 }  // namespace plansep::serve

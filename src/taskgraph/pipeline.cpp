@@ -234,7 +234,7 @@ Recovered recover_baseline(const JobInputs& in) {
   // faults. The artifact has no round ledger to charge the backoff to.
   baselines::LevelSeparatorResult res;
   shortcuts::RoundCost unused;
-  Recovered out{{}, faults::retry_stage(kBaselineTask, {}, unused, [&] {
+  Recovered out{{}, faults::retry_stage(kBaselineTask, unused, [&] {
                   res = baselines::bfs_level_separator(*in.graph, in.root);
                   return std::string();
                 })};

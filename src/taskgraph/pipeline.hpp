@@ -150,15 +150,12 @@ struct Recovered {
   faults::RetryStats retry;         ///< how recovery went
 };
 
-/// Fault-job separator: faults::compute_separator_with_recovery under
-/// the default RetryPolicy.
+/// Fault-job separator: faults::compute_separator_with_recovery.
 Recovered recover_separator(const JobInputs& in);
-/// Fault-job DFS: faults::build_dfs_tree_with_recovery under the default
-/// RetryPolicy.
+/// Fault-job DFS: faults::build_dfs_tree_with_recovery.
 Recovered recover_dfs(const JobInputs& in);
 /// Fault-job baseline: the level search over a fresh BFS wave, retried
-/// through faults::retry_stage under the default RetryPolicy while the
-/// plan breaks the wave.
+/// through faults::retry_stage while the plan breaks the wave.
 Recovered recover_baseline(const JobInputs& in);
 
 /// Every artifact algorithm id worth preloading at daemon boot for a

@@ -14,49 +14,22 @@ using planar::NodeId;
 
 // Centralized, network-free balance check of a recovered separator:
 // the marked path must be node-simple and every component of G − path
-// must have at most 2n/3 nodes. Independent of the distributed state the
-// recovery driver validated against, so a corrupted PartSet cannot vouch
-// for itself.
+// must have at most 2n/3 nodes, by the oracles' reference search.
+// Independent of the distributed state the recovery driver validated
+// against, so a corrupted PartSet cannot vouch for itself.
 void cross_check_separator(const planar::EmbeddedGraph& g,
                            const separator::PartSeparator& sep,
                            InvariantReport& rep) {
-  const int n = g.num_nodes();
   std::vector<NodeId> path = sep.path;
   std::sort(path.begin(), path.end());
   if (std::adjacent_find(path.begin(), path.end()) != path.end()) {
     rep.fail("chaos/separator: recovered path repeats a node");
     return;
   }
-  std::vector<char> removed(static_cast<std::size_t>(n), 0);
-  for (const NodeId v : sep.path) removed[static_cast<std::size_t>(v)] = 1;
-  std::vector<int> comp(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> queue;
-  for (NodeId s = 0; s < n; ++s) {
-    if (removed[static_cast<std::size_t>(s)] ||
-        comp[static_cast<std::size_t>(s)] >= 0) {
-      continue;
-    }
-    long long size = 0;
-    comp[static_cast<std::size_t>(s)] = s;
-    queue.assign(1, s);
-    while (!queue.empty()) {
-      const NodeId v = queue.back();
-      queue.pop_back();
-      ++size;
-      for (const NodeId w : g.neighbors(v)) {
-        if (removed[static_cast<std::size_t>(w)] ||
-            comp[static_cast<std::size_t>(w)] >= 0) {
-          continue;
-        }
-        comp[static_cast<std::size_t>(w)] = s;
-        queue.push_back(w);
-      }
-    }
-    if (3 * size > 2LL * n) {
-      rep.fail("chaos/separator: component of " + std::to_string(size) +
-               " nodes exceeds 2n/3 (n=" + std::to_string(n) + ")");
-      return;
-    }
+  const ReferenceBalance bal = reference_balance(g, {}, 0, sep.path);
+  if (!bal.ok()) {
+    rep.fail("chaos/separator: component of " + std::to_string(bal.heaviest) +
+             " nodes exceeds 2n/3 (n=" + std::to_string(bal.total) + ")");
   }
 }
 
@@ -120,7 +93,7 @@ ChaosStats run_pipeline_chaos(const Instance& inst, const ChaosOptions& opt,
     faults::ScopedFaultInjection inject(ctl);
 
     const faults::RecoveredSeparator sep =
-        faults::compute_separator_with_recovery(g, root, opt.policy);
+        faults::compute_separator_with_recovery(g, root);
     st.separator_survived = sep.recovery.ok;
     st.separator_attempts = sep.recovery.attempts;
     if (sep.recovery.ok) {
@@ -131,12 +104,15 @@ ChaosStats run_pipeline_chaos(const Instance& inst, const ChaosOptions& opt,
 
     if (opt.run_dfs) {
       const faults::RecoveredDfs d =
-          faults::build_dfs_tree_with_recovery(g, root, opt.policy);
+          faults::build_dfs_tree_with_recovery(g, root);
       st.dfs_survived = d.recovery.ok;
       st.dfs_attempts = d.recovery.attempts;
       if (d.recovery.ok) {
-        // Independent centralized DFS oracle over the recovered tree.
-        check_dfs_tree_oracle(g, d.build->tree, rep);
+        // Independent centralized DFS oracle over the recovered tree: the
+        // driver accepted it by dfs::check_dfs_tree, the oracle re-judges
+        // it by parent walks.
+        const dfs::PartialDfsTree& t = d.build->tree;
+        check_dfs_tree_oracle(g, t.root(), t.parents(), t.depths(), rep);
       } else if (d.recovery.failure.empty()) {
         rep.fail("chaos/dfs: failed without a diagnosis");
       }

@@ -37,8 +37,6 @@ struct ChaosOptions {
   bool run_dfs = true;
   /// Capture the CONGEST trace and check the bandwidth discipline on it.
   bool capture_trace = true;
-  /// Retry/backoff policy handed to the recovery drivers.
-  faults::RetryPolicy policy;
 };
 
 /// What a chaos run observed.

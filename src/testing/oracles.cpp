@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
-#include "dfs/validate.hpp"
 #include "planar/face_structure.hpp"
 #include "separator/validate.hpp"
-#include "subroutines/components.hpp"
 
 namespace plansep::testing {
 
@@ -81,6 +81,43 @@ void check_triangulation(const planar::EmbeddedGraph& g,
   }
 }
 
+ReferenceBalance reference_balance(const planar::EmbeddedGraph& g,
+                                   const std::vector<int>& part, int p,
+                                   const std::vector<NodeId>& removed,
+                                   const std::vector<long long>& weight) {
+  const NodeId n = g.num_nodes();
+  const auto in_part = [&](NodeId v) {
+    return part.empty() || part[static_cast<std::size_t>(v)] == p;
+  };
+  const auto w = [&](NodeId v) {
+    return weight.empty() ? 1LL : weight[static_cast<std::size_t>(v)];
+  };
+  std::vector<char> done(static_cast<std::size_t>(n), 0);
+  for (const NodeId v : removed) done[static_cast<std::size_t>(v)] = 1;
+  ReferenceBalance out;
+  std::deque<NodeId> queue;
+  for (NodeId s = 0; s < n; ++s) {
+    if (!in_part(s)) continue;
+    out.total += w(s);
+    if (done[static_cast<std::size_t>(s)]) continue;
+    long long size = 0;
+    done[static_cast<std::size_t>(s)] = 1;
+    queue.assign(1, s);
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop_front();
+      size += w(v);
+      for (const NodeId u : g.neighbors(v)) {
+        if (!in_part(u) || done[static_cast<std::size_t>(u)]) continue;
+        done[static_cast<std::size_t>(u)] = 1;
+        queue.push_back(u);
+      }
+    }
+    out.heaviest = std::max(out.heaviest, size);
+  }
+  return out;
+}
+
 void check_cycle_separator(const sub::PartSet& ps, int p,
                            const separator::PartSeparator& sep,
                            InvariantReport& rep) {
@@ -88,13 +125,17 @@ void check_cycle_separator(const sub::PartSet& ps, int p,
     rep.fail("separator/empty: no path marked");
     return;
   }
+  // The structural properties come from the library check; the balance
+  // from the reference search.
   const separator::SeparatorCheck chk = separator::check_separator(ps, p, sep);
   if (!chk.is_tree_path) rep.fail("separator/tree_path: marked set is not the tree path between its endpoints");
   if (!chk.simple_path) rep.fail("separator/simple: a node repeats on the marked path");
   if (!chk.closure_ok) rep.fail("separator/closure: closing edge does not join the endpoints");
-  if (!chk.balanced) {
+  const ReferenceBalance bal = reference_balance(*ps.g, ps.part, p, sep.path);
+  if (!bal.ok()) {
     std::ostringstream os;
-    os << "separator/balance: max component fraction " << chk.balance
+    os << "separator/balance: max component fraction "
+       << static_cast<double>(bal.heaviest) / static_cast<double>(bal.total)
        << " > 2/3 (phase " << sep.phase << ")";
     rep.fail(os.str());
   }
@@ -108,35 +149,59 @@ void check_weighted_separator(const sub::PartSet& ps, int p,
     rep.fail("wseparator/empty: no path marked");
     return;
   }
-  const auto& g = *ps.g;
-  std::vector<char> marked(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v : sep.path) marked[static_cast<std::size_t>(v)] = 1;
-  const sub::Components comps = sub::connected_components(g, [&](NodeId v) {
-    return ps.part_of(v) == p && !marked[static_cast<std::size_t>(v)];
-  });
-  std::vector<long long> sums(static_cast<std::size_t>(comps.count), 0);
-  long long total = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (ps.part_of(v) != p) continue;
-    total += weight[static_cast<std::size_t>(v)];
-    const int c = comps.label[static_cast<std::size_t>(v)];
-    if (c >= 0) sums[static_cast<std::size_t>(c)] += weight[static_cast<std::size_t>(v)];
-  }
-  long long mx = 0;
-  for (long long s : sums) mx = std::max(mx, s);
-  if (3 * mx > 2 * total) {
+  const ReferenceBalance bal =
+      reference_balance(*ps.g, ps.part, p, sep.path, weight);
+  if (!bal.ok()) {
     std::ostringstream os;
-    os << "wseparator/balance: max component weight " << mx << " > 2/3 of "
-       << total << " (phase " << sep.phase << ")";
+    os << "wseparator/balance: max component weight " << bal.heaviest
+       << " > 2/3 of " << bal.total << " (phase " << sep.phase << ")";
     rep.fail(os.str());
   }
 }
 
-void check_dfs_tree_oracle(const planar::EmbeddedGraph& g,
-                           const dfs::PartialDfsTree& tree,
-                           InvariantReport& rep) {
-  const dfs::DfsCheck chk = dfs::check_dfs_tree(g, tree);
-  if (!chk.ok()) rep.fail(fmt("dfs/tree", chk.summary()));
+void check_dfs_tree_oracle(const planar::EmbeddedGraph& g, NodeId root,
+                           std::span<const NodeId> parent,
+                           std::span<const int> depth, InvariantReport& rep) {
+  const NodeId n = g.num_nodes();
+  if (parent.size() != static_cast<std::size_t>(n) ||
+      depth.size() != static_cast<std::size_t>(n) || root < 0 || root >= n) {
+    rep.fail("dfs/shape: arrays do not match the graph");
+    return;
+  }
+  const auto at = [](auto arr, NodeId v) {
+    return arr[static_cast<std::size_t>(v)];
+  };
+  if (at(parent, root) != planar::kNoNode || at(depth, root) != 0) {
+    rep.fail("dfs/root: root has a parent or a nonzero depth");
+    return;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == root) continue;
+    const NodeId p = at(parent, v);
+    if (p < 0 || p >= n || !g.has_edge(p, v)) {
+      rep.fail(fmt("dfs/spanning",
+                   "node " + std::to_string(v) + " has no tree edge up"));
+      return;
+    }
+    if (at(depth, v) != static_cast<long long>(at(depth, p)) + 1) {
+      rep.fail(fmt("dfs/depth", "node " + std::to_string(v)));
+      return;
+    }
+  }
+  // With depths consistent every parent chain ends at the root, so a walk
+  // from the deeper endpoint up to the shallower one's depth is O(depth).
+  long long violating = 0;
+  for (planar::EdgeId e = 0; e < g.num_edges(); ++e) {
+    NodeId lo = g.edge_u(e);
+    NodeId hi = g.edge_v(e);
+    if (at(depth, lo) < at(depth, hi)) std::swap(lo, hi);
+    while (at(depth, lo) > at(depth, hi)) lo = at(parent, lo);
+    if (lo != hi) ++violating;
+  }
+  if (violating > 0) {
+    rep.fail(fmt("dfs/ancestor", std::to_string(violating) +
+                                     " edges join non-ancestor pairs"));
+  }
 }
 
 void check_hierarchy(const planar::EmbeddedGraph& g,

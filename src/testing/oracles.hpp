@@ -7,7 +7,10 @@
 // Centralized invariant oracles for the property-based harness.
 //
 // Each oracle re-checks one of the paper's structural guarantees from
-// scratch, with full knowledge of the graph (no distributed state):
+// scratch, with full knowledge of the graph (no distributed state). The
+// balance and DFS oracles are re-implementations, not calls into the
+// library's own checks (sub::balance_after_removal, dfs::check_dfs_tree),
+// so a broken library check cannot vouch for itself:
 //
 //   * embedding      — the rotation system is a plane embedding (Euler
 //                      genus 0) of a connected graph;
@@ -16,9 +19,10 @@
 //   * cycle separator (Theorem 1) — marked set is a simple tree path whose
 //                      endpoints the closing edge joins, components of
 //                      G[P]−S have ≤ 2/3 of the part (weighted variant:
-//                      ≤ 2/3 of the total weight);
+//                      ≤ 2/3 of the total weight), by reference_balance's
+//                      plain BFS;
 //   * DFS tree (Theorem 2) — spanning, depths consistent, every graph edge
-//                      joins an ancestor/descendant pair;
+//                      joins an ancestor/descendant pair, by parent walks;
 //   * hierarchy      — pieces partition correctly, children shrink by the
 //                      2/3 factor, leaves respect the size cutoff;
 //   * bandwidth      — a captured CONGEST trace sends at most one message
@@ -31,10 +35,10 @@
 // failing case reports every broken invariant at once and the proptest
 // shrinker can re-evaluate cheaply.
 
+#include <span>
 #include <string>
 #include <vector>
 
-#include "dfs/partial_tree.hpp"
 #include "planar/triangulate.hpp"
 #include "separator/engine.hpp"
 #include "separator/hierarchy.hpp"
@@ -65,6 +69,22 @@ void check_triangulation(const planar::EmbeddedGraph& g,
                          const planar::Triangulation& tri,
                          InvariantReport& rep);
 
+/// The reference balance search behind the separator oracles: a plain BFS
+/// over the nodes of part `p` (every node when `part` is empty) minus
+/// `removed`, weighted by `weight` (unit weights when empty).
+struct ReferenceBalance {
+  long long heaviest = 0;  ///< weight of the heaviest remaining component
+  long long total = 0;     ///< weight of the part, removed nodes included
+  /// No remaining component exceeds 2/3 of the part.
+  bool ok() const { return 3 * heaviest <= 2 * total; }
+};
+
+/// Runs the reference search; `removed` must name nodes of g.
+ReferenceBalance reference_balance(const planar::EmbeddedGraph& g,
+                                   const std::vector<int>& part, int p,
+                                   const std::vector<planar::NodeId>& removed,
+                                   const std::vector<long long>& weight = {});
+
 /// Theorem 1 on part p of ps.
 void check_cycle_separator(const sub::PartSet& ps, int p,
                            const separator::PartSeparator& sep,
@@ -76,10 +96,12 @@ void check_weighted_separator(const sub::PartSet& ps, int p,
                               const std::vector<long long>& weight,
                               InvariantReport& rep);
 
-/// Theorem 2 on the built tree.
-void check_dfs_tree_oracle(const planar::EmbeddedGraph& g,
-                           const dfs::PartialDfsTree& tree,
-                           InvariantReport& rep);
+/// Theorem 2 on (root, parent, depth) arrays: shape, spanning, depths,
+/// then the ancestor test by walking parents up from the deeper endpoint
+/// of every edge.
+void check_dfs_tree_oracle(const planar::EmbeddedGraph& g, planar::NodeId root,
+                           std::span<const planar::NodeId> parent,
+                           std::span<const int> depth, InvariantReport& rep);
 
 /// Separator-hierarchy structure over connected g.
 void check_hierarchy(const planar::EmbeddedGraph& g,

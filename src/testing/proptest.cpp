@@ -282,7 +282,8 @@ PipelineStats run_pipeline_checked(const Instance& inst,
 
     if (opt.run_dfs) {
       const dfs::DfsBuildResult build = dfs::build_dfs_tree(g, root, engine);
-      check_dfs_tree_oracle(g, build.tree, rep);
+      check_dfs_tree_oracle(g, build.tree.root(), build.tree.parents(),
+                            build.tree.depths(), rep);
       st.dfs_phases = build.phases;
       st.dfs_measured = build.cost.measured;
       st.dfs_charged = build.cost.charged;

@@ -21,19 +21,7 @@ using planar::NodeId;
 
 dfs::DfsCheck check_awerbuch(const planar::EmbeddedGraph& g,
                              const AwerbuchResult& res) {
-  // Reuse the DFS validator by loading the result into a PartialDfsTree.
-  dfs::PartialDfsTree tree(g, res.root);
-  // Attach nodes in depth order (parents before children).
-  std::vector<NodeId> order;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) order.push_back(v);
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return res.depth[a] < res.depth[b];
-  });
-  for (NodeId v : order) {
-    if (v == res.root || res.depth[v] < 0) continue;
-    tree.attach_path(res.parent[v], {v});
-  }
-  return dfs::check_dfs_tree(g, tree);
+  return dfs::check_dfs_tree(g, res.root, res.parent, res.depth);
 }
 
 TEST(Awerbuch, ProducesValidDfsTrees) {

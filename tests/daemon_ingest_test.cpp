@@ -299,10 +299,11 @@ TEST(DaemonIngest, FailedCorpusWriteIsAnErrorOutcome) {
 
   auto job = std::make_shared<daemon::IngestJob>();
   job->text = grid_text();
-  std::optional<daemon::IngestOutcome> got;
+  std::optional<daemon::IngestResponsePayload> got;
   ASSERT_EQ(disp.submit({1, 7, daemon::Priority::kNormal, job},
                         [&](const daemon::JobDone& done) {
-                          got = std::get<daemon::IngestOutcome>(done.outcome);
+                          got = std::get<daemon::IngestResponsePayload>(
+                              done.outcome);
                         }),
             daemon::Admission::kAdmitted);
   disp.drain();

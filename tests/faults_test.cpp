@@ -465,12 +465,9 @@ TEST(Recovery, SurvivesOrDiagnosesUnderDrops) {
   spec.drop_prob = 0.02;
   FaultController ctl(spec, /*seed=*/11);
   ScopedFaultInjection inject(ctl);
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  const RecoveredDfs r =
-      build_dfs_tree_with_recovery(gg.graph, gg.root_hint, policy);
+  const RecoveredDfs r = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
   EXPECT_GE(r.recovery.attempts, 1);
-  EXPECT_LE(r.recovery.attempts, policy.max_attempts);
+  EXPECT_LE(r.recovery.attempts, kMaxAttempts);
   if (r.recovery.ok) {
     ASSERT_TRUE(r.build.has_value());
     EXPECT_TRUE(dfs::check_dfs_tree(gg.graph, r.build->tree).ok());
@@ -492,24 +489,22 @@ TEST(Recovery, BackoffIsChargedToLedgerAndObsClock) {
   FaultController ctl(spec, 3);
   ScopedFaultInjection inject(ctl);
   obs::MetricsRegistry reg;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.backoff_base_rounds = 16;
+  static_assert(kMaxAttempts == 4 && kBackoffBaseRounds == 32);
   long long retries = 0;
   {
     obs::ScopedMetrics metrics(reg);
-    const RecoveredDfs r =
-        build_dfs_tree_with_recovery(gg.graph, gg.root_hint, policy);
+    const RecoveredDfs r = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
     EXPECT_FALSE(r.recovery.ok);
-    EXPECT_EQ(r.recovery.attempts, 3);
+    EXPECT_EQ(r.recovery.attempts, 4);
     EXPECT_FALSE(r.recovery.failure.empty());
-    // 16 + 32: backoff after attempts 1 and 2, none after the final one.
-    EXPECT_EQ(r.recovery.backoff_rounds, 48);
-    EXPECT_GE(r.cost.measured, 48);
-    EXPECT_GE(r.cost.charged, 48);
+    // 32 + 64 + 128: backoff after attempts 1 to 3, none after the final
+    // one.
+    EXPECT_EQ(r.recovery.backoff_rounds, 224);
+    EXPECT_GE(r.cost.measured, 224);
+    EXPECT_GE(r.cost.charged, 224);
     retries = reg.counter("faults/retries");
   }
-  EXPECT_EQ(retries, 2);
+  EXPECT_EQ(retries, 3);
   // The recovery span with its annotations reached the registry (and
   // therefore the Perfetto export, which serializes span notes as args).
   bool found = false;
@@ -518,11 +513,11 @@ TEST(Recovery, BackoffIsChargedToLedgerAndObsClock) {
     found = true;
     for (const auto& [key, value] : span.notes) {
       if (key == std::string("attempts")) {
-        EXPECT_EQ(value, 3);
+        EXPECT_EQ(value, 4);
       } else if (key == std::string("ok")) {
         EXPECT_EQ(value, 0);
       } else if (key == std::string("backoff_rounds")) {
-        EXPECT_EQ(value, 48);
+        EXPECT_EQ(value, 224);
       }
     }
   }

@@ -1,7 +1,8 @@
 // The acceptance round trip, end to end through the real binaries: an
 // external edge list admitted by plansep_ingest lands in a corpus as a
 // fingerprinted .psg that plansep_batch then serves via --graph= with
-// exit code 0. Also pins the ingest CLI's exit-code contract:
+// exit code 0. Also pins the ingest CLI's exit-code contract (and
+// plansep_cli's, which reads through the same pipeline):
 //   0 — accepted (one JSON line on stdout);
 //   1 — rejected (typed reason, plus a witness for non-planar inputs);
 //   2 — usage or I/O error.
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -147,6 +149,49 @@ TEST(IngestCliTest, MalformedInputAndUsageErrors) {
       run(std::string(PLANSEP_INGEST_BIN) + " " + dir.path() + "/absent.txt",
           dir);
   EXPECT_EQ(missing.exit_code, 2);
+}
+
+// plansep_cli reads stdin through the same pipeline: a rejected input is
+// exit 2 with the typed reason (not an uncaught exception), a non-planar
+// one exit 1 with check's verdict line, and a planar one runs.
+TEST(IngestCliTest, PlansepCliReadsThroughIngest) {
+  ScratchDir dir("cli");
+  const auto cli = [&](const char* mode, const std::string& text) {
+    return run(std::string(PLANSEP_CLI_BIN) + " " + mode + " < " +
+                   write_file(dir, "in.txt", text),
+               dir);
+  };
+  const std::pair<const char*, const char*> rejected[] = {
+      {"1 two\n", "[parse]"},
+      {"1 2\n2 3\n3 2\n", "[duplicate-edge]"},
+      {"1 2\n2 2\n", "[self-loop]"}};
+  for (const auto& [text, code] : rejected) {
+    const RunResult r = cli("separator", text);
+    EXPECT_EQ(r.exit_code, 2) << text << r.err;
+    EXPECT_NE(r.err.find(code), std::string::npos) << r.err;
+  }
+
+  std::string k5;
+  for (int u = 0; u < 5; ++u) {
+    for (int v = u + 1; v < 5; ++v) {
+      k5 += std::to_string(u) + " " + std::to_string(v) + "\n";
+    }
+  }
+  const RunResult nonplanar = cli("check", k5);
+  EXPECT_EQ(nonplanar.exit_code, 1) << nonplanar.err;
+  EXPECT_EQ(nonplanar.out.rfind("{\"planar\":false", 0), 0u) << nonplanar.out;
+
+  std::string grid;  // 3x3 grid, ids 10..18
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      const int v = 10 + 3 * r + c;
+      if (c < 2) grid += std::to_string(v) + " " + std::to_string(v + 1) + "\n";
+      if (r < 2) grid += std::to_string(v) + " " + std::to_string(v + 3) + "\n";
+    }
+  }
+  const RunResult sep = cli("separator", grid);
+  EXPECT_EQ(sep.exit_code, 0) << sep.err;
+  EXPECT_EQ(sep.out.rfind("{\"separator\":[", 0), 0u) << sep.out;
 }
 
 }  // namespace

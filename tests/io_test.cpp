@@ -1,72 +1,16 @@
-// Tests for the I/O glue: edge-list parsing (compaction, comments,
-// malformed input), DOT export, JSON summaries.
+// Tests for the I/O glue: DOT export, JSON summaries, and an edge list
+// run end to end through ingest (whose own suite covers the parser).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/plansep.hpp"
-#include "util/check.hpp"
+#include "ingest/pipeline.hpp"
 #include "io/text.hpp"
 
 namespace plansep::io {
 namespace {
-
-TEST(Io, ReadsEdgeListWithCommentsAndCompaction) {
-  std::istringstream in(
-      "# a comment\n"
-      "10 20\n"
-      "\n"
-      "20 30\n"
-      "  # indented comment\n"
-      "10 30\n");
-  const EdgeListInput got = read_edge_list(in);
-  EXPECT_EQ(got.num_nodes, 3);
-  ASSERT_EQ(got.edges.size(), 3u);
-  EXPECT_EQ(got.original_id[got.edges[0].first], 10);
-  EXPECT_EQ(got.original_id[got.edges[0].second], 20);
-  EXPECT_EQ(got.original_id[2], 30);
-}
-
-TEST(Io, RejectsMalformedLines) {
-  std::istringstream in("1 two\n");
-  EXPECT_THROW(read_edge_list(in), plansep::CheckError);
-  std::istringstream neg("-1 2\n");
-  EXPECT_THROW(read_edge_list(neg), plansep::CheckError);
-}
-
-TEST(Io, ToleratesCrlfAndTrailingWhitespace) {
-  // Windows line endings, trailing blanks/tabs, and a final line with no
-  // newline must all parse as plain edges.
-  std::istringstream in(
-      "1 2\r\n"
-      "2 3 \t\r\n"
-      "\r\n"
-      "   \t\n"
-      "3 1");
-  const EdgeListInput got = read_edge_list(in);
-  EXPECT_EQ(got.num_nodes, 3);
-  EXPECT_EQ(got.edges.size(), 3u);
-}
-
-TEST(Io, CommentOnlyInputYieldsEmptyGraph) {
-  std::istringstream in("# nothing\n  \t\n#\r\n");
-  const EdgeListInput got = read_edge_list(in);
-  EXPECT_EQ(got.num_nodes, 0);
-  EXPECT_TRUE(got.edges.empty());
-}
-
-TEST(Io, Preserves64BitOriginalIds) {
-  // 2^53 + 1 survives only if ids are kept as integers end to end — a
-  // double round-trip would silently collapse it onto 2^53.
-  std::istringstream in(
-      "9007199254740993 9007199254740992\n"
-      "9007199254740992 5\n");
-  const EdgeListInput got = read_edge_list(in);
-  EXPECT_EQ(got.num_nodes, 3);
-  EXPECT_EQ(got.original_id[got.edges[0].first], 9007199254740993LL);
-  EXPECT_EQ(got.original_id[got.edges[0].second], 9007199254740992LL);
-}
 
 TEST(Io, DotContainsNodesEdgesAndHighlights) {
   const auto gg = planar::cycle(4);
@@ -97,18 +41,17 @@ TEST(Io, DfsJsonRoundTripShape) {
 }
 
 TEST(Io, EndToEndThroughEdgeListAndDmp) {
-  // Feed a grid through the text pipeline: serialize, parse, embed, run.
+  // Feed a grid through the text pipeline: serialize, ingest (parse and
+  // DMP embedding), run.
   const auto gg = planar::grid(5, 5);
   std::ostringstream os;
   for (planar::EdgeId e = 0; e < gg.graph.num_edges(); ++e) {
     os << 100 + gg.graph.edge_u(e) << ' ' << 100 + gg.graph.edge_v(e) << '\n';
   }
-  std::istringstream in(os.str());
-  const EdgeListInput parsed = read_edge_list(in);
-  EXPECT_EQ(parsed.num_nodes, 25);
-  const auto emb = planar::planar_embedding(parsed.num_nodes, parsed.edges);
-  ASSERT_TRUE(emb.has_value());
-  const SeparatorRun run = compute_cycle_separator(*emb, 0);
+  const ingest::IngestResult in = ingest::ingest_string(os.str(), {});
+  EXPECT_EQ(in.graph.num_nodes(), 25);
+  EXPECT_EQ(in.graph.num_edges(), gg.graph.num_edges());
+  const SeparatorRun run = compute_cycle_separator(in.graph, 0);
   EXPECT_TRUE(run.check.ok());
 }
 

@@ -11,7 +11,6 @@
 
 #include "baselines/awerbuch.hpp"
 #include "baselines/randomized_separator.hpp"
-#include "dfs/partial_tree.hpp"
 #include "subroutines/part_context.hpp"
 #include "testing/proptest.hpp"
 #include "util/rng.hpp"
@@ -30,32 +29,13 @@ bool connected(const planar::EmbeddedGraph& g) {
   return gate.ok();
 }
 
-// Loads an AwerbuchResult into a PartialDfsTree (parents before children)
-// so the centralized DFS oracle can judge it. Attachment failures surface
-// as CheckError, which run_one records as a violation.
-dfs::PartialDfsTree to_partial_tree(const planar::EmbeddedGraph& g,
-                                    const baselines::AwerbuchResult& res) {
-  dfs::PartialDfsTree tree(g, res.root);
-  std::vector<NodeId> order;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) order.push_back(v);
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return res.depth[static_cast<std::size_t>(a)] <
-           res.depth[static_cast<std::size_t>(b)];
-  });
-  for (NodeId v : order) {
-    if (v == res.root || res.depth[static_cast<std::size_t>(v)] < 0) continue;
-    tree.attach_path(res.parent[static_cast<std::size_t>(v)], {v});
-  }
-  return tree;
-}
-
 TEST(ProptestBaselines, AwerbuchSatisfiesDfsOracle) {
   const Property prop = [](const Instance& inst, InvariantReport& rep) {
     const auto& g = inst.gg.graph;
     if (!connected(g)) return;
     const baselines::AwerbuchResult res =
         baselines::awerbuch_dfs(g, inst.gg.root_hint);
-    check_dfs_tree_oracle(g, to_partial_tree(g, res), rep);
+    check_dfs_tree_oracle(g, res.root, res.parent, res.depth, rep);
     if (res.rounds < g.num_nodes()) {
       rep.fail("awerbuch/rounds: " + std::to_string(res.rounds) +
                " < n = " + std::to_string(g.num_nodes()));

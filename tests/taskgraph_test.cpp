@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -419,7 +420,7 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         baselines::LevelSeparatorResult res;
         shortcuts::RoundCost unused;
         const faults::RetryStats retry =
-            faults::retry_stage("baseline", {}, unused, [&] {
+            faults::retry_stage("baseline", unused, [&] {
               res = baselines::bfs_level_separator(g, inst.root);
               return std::string();
             });
@@ -528,6 +529,111 @@ TEST(TaskGraphParity, EditedSpanningTreeOnDiskIsAnErrorRow) {
       EXPECT_EQ(r.status, "error");
       EXPECT_NE(r.error.find("spanning tree"), std::string::npos) << r.error;
     }
+  }
+}
+
+// The verify stage stands between a tampered disk tier and a served row:
+// a stage artifact edited on disk — a BFS tree stored as the DFS tree, a
+// parent id out of range, a separator path with a repeated or
+// out-of-range node, a baseline with a duplicate node or an edited stored
+// balance — is served, fails verification, and yields verified:false
+// under status check_failed, never a crash.
+TEST(TaskGraphParity, EditedStageArtifactsOnDiskFailVerification) {
+  const planar::EmbeddedGraph g =
+      planar::make_instance(planar::Family::kGrid, 100, 1).graph;
+  const planar::NodeId n = g.num_nodes();
+  using Bytes = std::vector<std::uint8_t>;
+  const auto dfs_edit = [](std::function<void(io::DfsArtifact&)> f) {
+    return [f](Bytes& b) {
+      io::DfsArtifact d = io::decode_dfs(b);
+      f(d);
+      b = io::encode_dfs(d);
+    };
+  };
+  const auto sep_edit = [](std::function<void(io::SeparatorArtifact&)> f) {
+    return [f](Bytes& b) {
+      io::SeparatorArtifact s = io::decode_separator(b);
+      f(s);
+      b = io::encode_separator(s);
+    };
+  };
+  const auto base_edit =
+      [](std::function<void(baselines::LevelSeparatorResult&)> f) {
+        return [f](Bytes& b) {
+          io::LevelSeparatorArtifact l = io::decode_level_separator(b);
+          ASSERT_TRUE(l.result.found);
+          f(l.result);
+          b = io::encode_level_separator(l);
+        };
+      };
+  struct Case {
+    const char* name;
+    const char* algo;
+    io::SectionId section;
+    std::function<void(Bytes&)> edit;
+  };
+  const std::vector<Case> cases{
+      {"bfs tree as dfs", "dfs", io::SectionId::kDfsTree,
+       dfs_edit([&](io::DfsArtifact& d) {
+         const congest::BfsResult bfs = congest::distributed_bfs(g, d.root);
+         for (planar::NodeId v = 0; v < n; ++v) {
+           const auto i = static_cast<std::size_t>(v);
+           const planar::DartId up = bfs.parent_dart[i];
+           d.parent[i] = up == planar::kNoDart ? planar::kNoNode : g.head(up);
+         }
+         d.depth = bfs.depth;
+       })},
+      {"dfs parent out of range", "dfs", io::SectionId::kDfsTree,
+       dfs_edit([&](io::DfsArtifact& d) {
+         d.parent[static_cast<std::size_t>((d.root + 1) % n)] = n + 7;
+       })},
+      {"separator repeats a node", "separator", io::SectionId::kSeparator,
+       sep_edit([](io::SeparatorArtifact& s) {
+         s.part.path.push_back(s.part.path.front());
+       })},
+      {"separator node out of range", "separator", io::SectionId::kSeparator,
+       sep_edit([&](io::SeparatorArtifact& s) { s.part.path.back() = n; })},
+      {"baseline duplicate node", "baseline-separator",
+       io::SectionId::kLevelSeparator,
+       base_edit([](baselines::LevelSeparatorResult& r) {
+         r.separator.push_back(r.separator.front());
+       })},
+      {"baseline balance edited", "baseline-separator",
+       io::SectionId::kLevelSeparator,
+       base_edit([](baselines::LevelSeparatorResult& r) {
+         r.balance = std::nextafter(r.balance, 1.0);
+       })}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string job =
+        std::string("--family=grid --n=100 --seed=1 --algo=") + c.algo + "\n";
+    ScratchDir disk("edited_stage");
+    {
+      std::istringstream file(job);
+      serve::ResultCache cache({1 << 22, disk.path()});
+      ASSERT_EQ(
+          serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr).ok,
+          1);
+    }
+    int edited = 0;
+    for (const auto& entry : fs::directory_iterator(disk.path())) {
+      const std::string path = entry.path().string();
+      io::Artifact a = io::parse(io::read_file(path));
+      if (a.sections.size() != 1 || a.sections[0].id != c.section) continue;
+      c.edit(a.sections[0].bytes);
+      io::write_file(path, io::assemble(a));
+      ++edited;
+    }
+    ASSERT_EQ(edited, 1);
+    std::istringstream file(job);
+    serve::ResultCache cache({1 << 22, disk.path()});
+    const auto rep =
+        serve::run_batch(serve::parse_job_file(file), {}, cache, nullptr);
+    ASSERT_EQ(rep.results.size(), 1u);
+    const serve::JobResult& r = rep.results[0];
+    EXPECT_EQ(r.status, "check_failed") << r.error;
+    EXPECT_NE(r.row.find("\"verified\":false"), std::string::npos) << r.row;
+    EXPECT_EQ(rep.check_failed, 1);
   }
 }
 

@@ -36,8 +36,11 @@ Six checks over the repo's markdown:
    token whose ``<Type>`` is a class, struct or enum defined in a src/
    header must name an identifier of that header's code (of any such
    header, when several define one name); comments and string literals
-   are stripped first. Fenced blocks count. A deleted class, function or
-   member cannot stay named in the docs. Bare names are not checked.
+   are stripped first. Fenced blocks count. Every backticked bare
+   snake_case name (``name`` or ``name()``, with at least one underscore)
+   must occur as a word in the repo's C++, Python, CMake, CI or JSON
+   files. A deleted class, function, member or free function cannot stay
+   named in the docs.
 
 6. Named benches and CI jobs stay real: over the same files as check 3,
    every ``bench_*`` token inside backticks, bare or in a path such as
@@ -81,6 +84,10 @@ CPP_NOISE_RE = re.compile(
     r"|(?<!\w)'(?:\\.|[^'\\\n]){1,8}'", re.S)
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+BARE_NAME_RE = re.compile(r"^([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\(\))?$")
+# Files whose words a bare name may match: code, build and CI files.
+WORD_FILE_RE = re.compile(
+    r"\.(cpp|hpp|h|py|cmake|json|yml|yaml)$|^CMakeLists\.txt$")
 BENCH_NAME_RE = re.compile(r"\b(bench_\w+)")
 CI_JOB_NAME_RE = re.compile(r"(?<![\w-])([\w-]+-tier1)(?![\w-])")
 CI_YML = os.path.join(".github", "workflows", "ci.yml")
@@ -143,6 +150,20 @@ def src_code():
                     for m in TYPE_DEF_RE.finditer(code):
                         types.setdefault(m.group(1), set()).update(header)
     return namespaces, idents, types
+
+
+def repo_words():
+    """Every identifier-like word of the repo's C++, Python, CMake, CI and
+    JSON files (build trees and other hidden directories skipped)."""
+    words = set()
+    for root, dirs, names in os.walk(REPO):
+        dirs[:] = [d for d in dirs
+                   if d == ".github" or not d.startswith((".", "build"))]
+        for n in names:
+            if WORD_FILE_RE.search(n):
+                with open(os.path.join(root, n), errors="replace") as f:
+                    words.update(IDENT_RE.findall(f.read()))
+    return words
 
 
 def bench_names():
@@ -272,9 +293,14 @@ def check_test_refs(path, lines, tests, errors):
                           f"defined in tests/")
 
 
-def check_api_refs(path, lines, namespaces, idents, types, errors):
+def check_api_refs(path, lines, namespaces, idents, types, words, errors):
     rel = os.path.relpath(path, REPO)
     for ln, line in enumerate(lines, 1):
+        for span in CODE_SPAN_RE.findall(line):
+            m = BARE_NAME_RE.match(span.strip())
+            if m and m.group(1) not in words:
+                errors.append(f"{rel}:{ln}: named '{m.group(1)}' not found "
+                              f"in any code, build or CI file")
         for m in API_REF_RE.finditer(line):
             ns, name = m.group(1), m.group(2)
             if ns in namespaces and name not in idents:
@@ -304,6 +330,7 @@ def main():
     blob = source_blob()
     tests = test_names()
     namespaces, idents, types = src_code()
+    words = repo_words()
     benches, jobs = bench_names(), ci_jobs()
     for path in markdown_files():
         with open(path, errors="replace") as f:
@@ -315,7 +342,8 @@ def main():
         if in_docs or os.path.relpath(path, REPO) in ENV_DOCS:
             check_env_names(path, lines, blob, errors)
             check_test_refs(path, lines, tests, errors)
-            check_api_refs(path, lines, namespaces, idents, types, errors)
+            check_api_refs(path, lines, namespaces, idents, types, words,
+                           errors)
             check_named_tools(path, lines, benches, jobs, errors)
     for e in errors:
         print(e, file=sys.stderr)
