@@ -8,18 +8,11 @@ SeparatorRun compute_cycle_separator(const planar::EmbeddedGraph& g,
                                      planar::NodeId root) {
   PLANSEP_CHECK_MSG(g.num_components() == 1, "graph must be connected");
   shortcuts::PartwiseEngine engine(g, root);
-  std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
-  sub::PartSet ps = sub::build_part_set(g, part, 1, engine, {root});
-  separator::SeparatorEngine sep(engine);
-  separator::SeparatorResult res = sep.compute(ps);
-  SeparatorRun out;
-  out.separator = res.parts.at(0);
-  out.check = separator::check_separator(ps, 0, res.parts.at(0));
-  out.cost = engine.setup_cost();
-  out.cost += ps.cost;
-  out.cost += res.cost;
-  out.diameter_bound = engine.diameter_bound();
-  return out;
+  const separator::WholeGraphSeparator run =
+      separator::separate_whole_graph(g, engine, root);
+  return {run.separator(),
+          separator::check_separator(run.parts, 0, run.separator()), run.cost,
+          engine.diameter_bound()};
 }
 
 DfsRun compute_dfs_tree(const planar::EmbeddedGraph& g, planar::NodeId root) {

@@ -120,16 +120,7 @@ JoinResult join_separators(PartialDfsTree& tree, const std::vector<char>& marked
     // Re-root each part's tree at r_C (Lemma 19).
     std::vector<planar::DartId> parent = forest.parent_dart;
     for (int p = 0; p < num_parts; ++p) {
-      const NodeId want = r_c[static_cast<std::size_t>(p)];
-      NodeId v = want;
-      planar::DartId carry = planar::kNoDart;
-      while (v != planar::kNoNode) {
-        const planar::DartId old = parent[static_cast<std::size_t>(v)];
-        parent[static_cast<std::size_t>(v)] = carry;
-        if (old == planar::kNoDart) break;
-        carry = EmbeddedGraph::rev(old);
-        v = g.head(old);
-      }
+      sub::re_root_path(g, parent, r_c[static_cast<std::size_t>(p)]);
     }
     out.cost += engine.blackbox_charge();  // RE-ROOT
     PartSet ps = sub::part_set_from_forest(g, part, num_parts, parent, r_c,

@@ -70,24 +70,4 @@ long long root_sweep_weight(const RootedSpanningTree& t, NodeId x,
          (t.depth(x) - t.depth(z2));
 }
 
-FundamentalEdge virtual_edge_record(const RootedSpanningTree& t,
-                                    const FundamentalEdge& fe, NodeId z) {
-  FundamentalEdge out;
-  out.edge = planar::kNoEdge;
-  out.u = fe.u;
-  out.v = z;
-  PLANSEP_CHECK(t.pi_left(fe.u) < t.pi_left(z));
-  out.u_ancestor_of_v = t.is_ancestor(fe.u, z);
-  if (out.u_ancestor_of_v) {
-    out.z = child_towards(t, fe.u, z);
-    // The canonical insertion sits adjacent to e, so the virtual edge has
-    // the same sweep orientation as e; uses_left_order() maps left_oriented
-    // to the order, so copy e's flag.
-    out.left_oriented = fe.u_ancestor_of_v
-                            ? fe.left_oriented
-                            : false;  // case-1 e sweeps by π_ℓ
-  }
-  return out;
-}
-
 }  // namespace plansep::faces

@@ -23,12 +23,6 @@ namespace plansep::faces {
 long long augmented_weight(const RootedSpanningTree& t,
                            const FundamentalEdge& fe, NodeId z);
 
-/// Describes the virtual edge u–z as a FundamentalEdge-like record so the
-/// path-marking machinery can treat real and virtual separator edges
-/// uniformly: u' = endpoint with smaller π_ℓ (always fe.u), v' = z.
-FundamentalEdge virtual_edge_record(const RootedSpanningTree& t,
-                                    const FundamentalEdge& fe, NodeId z);
-
 /// Weight of the *root sweep face* of node x: the region bounded by the
 /// tree path root..x plus a virtual closing edge inserted at the root's
 /// stub, containing everything the sweep order (π_ℓ when left, π_r when

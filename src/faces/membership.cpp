@@ -212,9 +212,4 @@ bool is_on_border(const RootedSpanningTree& t, const FundamentalEdge& fe,
   return classify_node(face_data(t, fe), node_data(t, z)) == FaceSide::kBorder;
 }
 
-bool is_in_face(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                NodeId z) {
-  return classify_node(face_data(t, fe), node_data(t, z)) != FaceSide::kOutside;
-}
-
 }  // namespace plansep::faces

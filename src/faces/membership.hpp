@@ -70,8 +70,6 @@ bool is_inside_face(const RootedSpanningTree& t, const FundamentalEdge& fe,
                     NodeId z);
 bool is_on_border(const RootedSpanningTree& t, const FundamentalEdge& fe,
                   NodeId z);
-bool is_in_face(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                NodeId z);  // border or inside
 
 /// The inside-hanging children of endpoint x (x must be fe.u or fe.v), in
 /// rotation order — the subtrees counted by p_{F_e}(x).

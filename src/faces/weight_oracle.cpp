@@ -198,18 +198,6 @@ std::vector<FaceOracle::Region> FaceOracle::augmented_faces(
   return results;
 }
 
-bool FaceOracle::is_compatible(const FundamentalEdge& fe, NodeId z) const {
-  return !augmented_faces(fe, z).empty();
-}
-
-std::vector<NodeId> FaceOracle::face_nodes(const Region& r) const {
-  std::vector<NodeId> out = r.border;
-  for (NodeId v : t_->nodes()) {
-    if (r.inside[static_cast<std::size_t>(v)]) out.push_back(v);
-  }
-  return out;
-}
-
 long long FaceOracle::lemma_weight(NodeId a, NodeId b, const Region& r) const {
   const RootedSpanningTree& t = *t_;
   PLANSEP_CHECK(t.pi_left(a) < t.pi_left(b));

@@ -68,12 +68,6 @@ class FaceOracle {
   std::vector<Region> augmented_faces(const FundamentalEdge& fe, NodeId z,
                                       ScanStats* stats = nullptr) const;
 
-  /// True iff some planar insertion of u–z satisfies Definition 3.
-  bool is_compatible(const FundamentalEdge& fe, NodeId z) const;
-
-  /// Nodes of V(F_e): border plus inside.
-  std::vector<NodeId> face_nodes(const Region& r) const;
-
   /// What Definition 2 must evaluate to for a face with endpoints a, b
   /// (π_ℓ(a) < π_ℓ(b)): |F̃| when a is not an ancestor of b, else |F̊|.
   long long lemma_weight(NodeId a, NodeId b, const Region& r) const;

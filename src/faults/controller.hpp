@@ -13,7 +13,7 @@
 // base seed with the topology fingerprint and the run ordinal (its
 // "epoch"): plan = f(seed, topology, run index). Distinct graphs inside
 // one pipeline therefore draw independent fault streams, and a *retry* of
-// a failed stage sees fresh faults — the property the recovery driver
+// a failed stage sees fresh faults — the property the retry loop
 // (faults/recovery.hpp) relies on — while the whole execution remains a
 // deterministic, replayable function of the one base seed.
 //

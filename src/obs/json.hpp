@@ -195,8 +195,6 @@ class RowsJson {
     return rows_.back();
   }
 
-  std::size_t row_count() const { return rows_.size(); }  ///< rows so far
-
   /// Renders the whole document as a JSON string.
   std::string render() const {
     std::string out = "{\"bench\": " + json_quote(name_) + ", \"schema\": 1";

@@ -22,15 +22,6 @@ FaceStructure::FaceStructure(const EmbeddedGraph& g)
   }
 }
 
-FaceId FaceStructure::corner_face_after(const EmbeddedGraph& g,
-                                        DartId d) const {
-  // A face walk arriving at v via dart a leaves via rot_next(rev(a)); the
-  // corner it sweeps at v is the one clockwise after rev(a). Hence the
-  // corner after dart d (tail v) belongs to the face of rev(d).
-  (void)g;
-  return face_of_[EmbeddedGraph::rev(d)];
-}
-
 int FaceStructure::euler_genus(const EmbeddedGraph& g) const {
   const int c = g.num_components();
   // For each component embedded in the sphere: V - E + F = 2. Isolated

@@ -29,10 +29,6 @@ class FaceStructure {
   /// The closed dart walk of face f, in tracing order.
   const std::vector<DartId>& walk(FaceId f) const { return walks_[f]; }
 
-  /// The face incident to the *corner* at tail(d) that lies clockwise
-  /// immediately after dart d (between d and rot_next(d)).
-  FaceId corner_face_after(const EmbeddedGraph& g, DartId d) const;
-
   /// Euler genus of the rotation system: 0 iff it is a plane embedding.
   /// Computed as (2·C − V + E − F) / 2 over the whole graph.
   int euler_genus(const EmbeddedGraph& g) const;

@@ -132,22 +132,6 @@ GeneratedGraph wheel(int n) {
   return from_coords("wheel", std::move(pts), std::move(edges), 1);
 }
 
-GeneratedGraph binary_tree(int depth) {
-  PLANSEP_CHECK(depth >= 0);
-  const int n = (1 << (depth + 1)) - 1;
-  std::vector<std::vector<NodeId>> rot(static_cast<std::size_t>(n));
-  for (NodeId v = 1; v < n; ++v) {
-    const NodeId p = (v - 1) / 2;
-    rot[static_cast<std::size_t>(v)].push_back(p);
-    rot[static_cast<std::size_t>(p)].push_back(v);
-  }
-  GeneratedGraph out;
-  out.graph = EmbeddedGraph::from_rotations(rot);
-  out.root_hint = 0;
-  out.name = "binary_tree";
-  return out;
-}
-
 GeneratedGraph random_tree(int n, Rng& rng) {
   PLANSEP_CHECK(n >= 1);
   std::vector<std::vector<NodeId>> rot(static_cast<std::size_t>(n));

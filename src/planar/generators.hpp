@@ -52,9 +52,6 @@ GeneratedGraph star(int n);
 /// Wheel: hub 0 plus a cycle of n−1 rim nodes (n >= 4).
 GeneratedGraph wheel(int n);
 
-/// Complete binary tree of the given depth (depth 0 = single node).
-GeneratedGraph binary_tree(int depth);
-
 /// Random tree: node i attaches to a uniform node < i.
 GeneratedGraph random_tree(int n, Rng& rng);
 

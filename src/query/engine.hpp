@@ -81,8 +81,6 @@ class QueryEngine {
   const planar::EmbeddedGraph& graph() const { return g_; }
   const separator::SeparatorHierarchy& hierarchy() const { return h_; }
   const QueryIndex& index() const { return qi_; }
-  /// Killed-edge set (session-private fault state).
-  const EdgeSet& killed_edges() const { return killed_; }
 
  private:
   // Rebuilds piece p against the killed set (caller holds rebuild_mu_).

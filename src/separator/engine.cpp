@@ -346,4 +346,17 @@ SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
   return out;
 }
 
+WholeGraphSeparator separate_whole_graph(const planar::EmbeddedGraph& g,
+                                         shortcuts::PartwiseEngine& engine,
+                                         NodeId root) {
+  const std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
+  WholeGraphSeparator out;
+  out.parts = sub::build_part_set(g, part, 1, engine, {root});
+  out.result = SeparatorEngine(engine).compute(out.parts);
+  out.cost = engine.setup_cost();
+  out.cost += out.parts.cost;
+  out.cost += out.result.cost;
+  return out;
+}
+
 }  // namespace plansep::separator

@@ -98,4 +98,21 @@ class SeparatorEngine {
   shortcuts::PartwiseEngine* engine_;
 };
 
+/// Theorem 1 on a whole connected graph, as one part.
+struct WholeGraphSeparator {
+  PartSet parts;           ///< g as part 0, its tree rooted at the root
+  SeparatorResult result;  ///< the engine's output on `parts`
+  RoundCost cost;          ///< engine setup + part-set build + engine
+  /// The whole graph's separator.
+  const PartSeparator& separator() const { return result.parts.at(0); }
+};
+
+/// The one whole-graph recipe (the core facade, the separator job stage,
+/// its fault twin and the proptest runner all compute through it): builds
+/// the one-part set of g rooted at `root` over `engine`, a BFS tree of g,
+/// and runs the separator engine on it.
+WholeGraphSeparator separate_whole_graph(const planar::EmbeddedGraph& g,
+                                         shortcuts::PartwiseEngine& engine,
+                                         NodeId root);
+
 }  // namespace plansep::separator

@@ -217,7 +217,7 @@ JobRun execute_job(const JobSpec& spec, std::uint64_t index,
     // spanning tree included, with concurrent jobs on the same fingerprint.
     const taskgraph::JobInputs in = inst.inputs();
     taskgraph::Stages stages(in, cache);
-    // A fault job computes each stage through its recovery driver instead,
+    // A fault job computes each stage through its fault stage instead,
     // uncached, since its bytes depend on the fault plan; this takes one
     // such stage's outcome.
     const auto recovered = [&](const char* stage, taskgraph::Recovered rec) {

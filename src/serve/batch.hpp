@@ -11,7 +11,7 @@
 // field derives from the canonical artifact bytes through one bytes→row
 // path (a cold run decodes its own artifact, a warm run the cached
 // bytes, both verified through serve/verify); rows carry no wall clock
-// and no per-job cache disposition; and fault jobs run their recovery
+// and no per-job cache disposition; and fault jobs run their fault
 // stages uncached under their own FaultController.
 
 #include <cstdint>

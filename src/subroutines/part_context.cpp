@@ -69,16 +69,7 @@ PartSet build_part_set(const EmbeddedGraph& g, const std::vector<int>& part,
       }
       PLANSEP_CHECK(part[static_cast<std::size_t>(want)] == p);
       any = true;
-      // Flip parent darts along the path want -> old root.
-      NodeId v = want;
-      planar::DartId carry = planar::kNoDart;
-      while (v != planar::kNoNode) {
-        const planar::DartId old = parent[static_cast<std::size_t>(v)];
-        parent[static_cast<std::size_t>(v)] = carry;
-        if (old == planar::kNoDart) break;
-        carry = EmbeddedGraph::rev(old);
-        v = g.head(old);
-      }
+      re_root_path(g, parent, want);
       roots[static_cast<std::size_t>(p)] = want;
     }
     if (any) {
@@ -89,6 +80,19 @@ PartSet build_part_set(const EmbeddedGraph& g, const std::vector<int>& part,
   }
   return finish_part_set(g, part, num_parts, parent, roots, engine,
                          forest.cost);
+}
+
+void re_root_path(const EmbeddedGraph& g,
+                  std::vector<planar::DartId>& parent, NodeId new_root) {
+  NodeId v = new_root;
+  planar::DartId carry = planar::kNoDart;
+  while (v != planar::kNoNode) {
+    const planar::DartId old = parent[static_cast<std::size_t>(v)];
+    parent[static_cast<std::size_t>(v)] = carry;
+    if (old == planar::kNoDart) break;
+    carry = EmbeddedGraph::rev(old);
+    v = g.head(old);
+  }
 }
 
 PartSet part_set_from_forest(const EmbeddedGraph& g,

@@ -54,6 +54,15 @@ PartSet part_set_from_forest(const EmbeddedGraph& g,
                              const std::vector<NodeId>& roots,
                              PartwiseEngine& engine);
 
+/// RE-ROOT (Lemma 19), its local part: re-roots the tree that `parent`
+/// (one parent dart per node, kNoDart at the root) describes at
+/// `new_root` by flipping the parent darts along the path from `new_root`
+/// to the old root, so each ancestor of the new root adopts its path
+/// child as parent. The edges stay the same. Charges nothing: callers
+/// charge the RE-ROOT-PROBLEM's black-box aggregation.
+void re_root_path(const EmbeddedGraph& g,
+                  std::vector<planar::DartId>& parent, NodeId new_root);
+
 /// Cost of computing the LEFT/RIGHT-DFS-ORDERs by Lemma 11's fragment
 /// merging over the given trees (values themselves come from the tree
 /// objects).

@@ -262,17 +262,7 @@ PartSet re_root_problem(const PartSet& ps, PartwiseEngine& engine,
     NodeId want = new_root_of_part[static_cast<std::size_t>(p)];
     if (want == planar::kNoNode) want = t.root();
     roots[static_cast<std::size_t>(p)] = want;
-    // Flip parent darts along want -> old root (Lemma 19's update rule:
-    // ancestors of the new root adopt their path child as parent).
-    NodeId v = want;
-    planar::DartId carry = planar::kNoDart;
-    while (v != planar::kNoNode) {
-      const planar::DartId old = parent[static_cast<std::size_t>(v)];
-      parent[static_cast<std::size_t>(v)] = carry;
-      if (old == planar::kNoDart) break;
-      carry = EmbeddedGraph::rev(old);
-      v = g.head(old);
-    }
+    re_root_path(g, parent, want);
   }
   PartSet out = part_set_from_forest(g, ps.part, ps.num_parts, parent, roots,
                                      engine);

@@ -6,6 +6,7 @@
 #include "congest/bfs_tree.hpp"
 #include "core/fingerprint.hpp"
 #include "dfs/builder.hpp"
+#include "dfs/validate.hpp"
 #include "faults/recovery.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
@@ -14,8 +15,8 @@
 #include "query/service.hpp"
 #include "separator/engine.hpp"
 #include "separator/hierarchy.hpp"
+#include "separator/validate.hpp"
 #include "shortcuts/partwise.hpp"
-#include "subroutines/part_context.hpp"
 #include "util/check.hpp"
 
 namespace plansep::taskgraph {
@@ -140,18 +141,12 @@ serve::ArtifactCache::Value Stages::spanning_tree() {
 serve::ArtifactCache::Value Stages::separator() {
   return resolve(
       kSeparatorTask, {in_.fingerprint, "separator@v1", in_.config_hash}, [&] {
-        // Replays core::compute_cycle_separator over an adopted tree.
-        const planar::EmbeddedGraph& graph = *in_.graph;
+        // core::compute_cycle_separator's recipe over an adopted tree.
         shortcuts::PartwiseEngine eng =
-            engine_from(graph, *spanning_tree(), counters_);
-        std::vector<int> part(static_cast<std::size_t>(graph.num_nodes()), 0);
-        sub::PartSet ps = sub::build_part_set(graph, part, 1, eng, {in_.root});
-        separator::SeparatorEngine sep(eng);
-        separator::SeparatorResult res = sep.compute(ps);
-        shortcuts::RoundCost cost = eng.setup_cost();
-        cost += ps.cost;
-        cost += res.cost;
-        return separator_bytes(res.parts.at(0), cost);
+            engine_from(*in_.graph, *spanning_tree(), counters_);
+        const separator::WholeGraphSeparator run =
+            separator::separate_whole_graph(*in_.graph, eng, in_.root);
+        return separator_bytes(run.separator(), run.cost);
       });
 }
 
@@ -209,36 +204,63 @@ serve::ArtifactCache::Value Stages::query_index() {
 }
 
 // --------------------------------------------------------- fault stages --
+//
+// Each attempt builds a fresh engine, whose BFS wave is the only CONGEST
+// run a job makes and so the only thing a fault plan can break, runs its
+// cached twin's recipe on it and encodes the bytes once they validate.
 
 Recovered recover_separator(const JobInputs& in) {
-  faults::RecoveredSeparator rec =
-      faults::compute_separator_with_recovery(*in.graph, in.root);
-  Recovered out{{}, rec.recovery};
-  if (rec.recovery.ok) {
-    out.bytes = separator_bytes(rec.result->parts.at(0), rec.cost);
-  }
+  const planar::EmbeddedGraph& g = *in.graph;
+  Recovered out;
+  out.retry = faults::retry_stage(kSeparatorTask, out.cost, [&] {
+    shortcuts::PartwiseEngine eng(g, in.root);
+    const separator::WholeGraphSeparator run =
+        separator::separate_whole_graph(g, eng, in.root);
+    out.cost += run.cost;
+    const separator::SeparatorCheck check =
+        separator::check_separator(run.parts, 0, run.separator());
+    if (!check.ok()) {
+      std::string why = "separator invariant violated:";
+      if (!check.is_tree_path) why += " not-tree-path";
+      if (!check.simple_path) why += " not-simple";
+      if (!check.closure_ok) why += " closure";
+      if (!check.balanced) why += " unbalanced";
+      return why;
+    }
+    if (run.result.stats.phase_counts[7] != 0) {
+      return std::string("separator used the last-resort fallback");
+    }
+    out.bytes = separator_bytes(run.separator(), out.cost);
+    return std::string();
+  });
   return out;
 }
 
 Recovered recover_dfs(const JobInputs& in) {
-  faults::RecoveredDfs rec =
-      faults::build_dfs_tree_with_recovery(*in.graph, in.root);
-  Recovered out{{}, rec.recovery};
-  if (rec.recovery.ok) out.bytes = dfs_bytes(*rec.build, rec.cost);
+  const planar::EmbeddedGraph& g = *in.graph;
+  Recovered out;
+  out.retry = faults::retry_stage(kDfsTask, out.cost, [&] {
+    // build_dfs_tree folds the engine's setup cost in, as in Stages::dfs.
+    shortcuts::PartwiseEngine eng(g, in.root);
+    const dfs::DfsBuildResult build = dfs::build_dfs_tree(g, in.root, eng);
+    out.cost += build.cost;
+    const dfs::DfsCheck check = dfs::check_dfs_tree(g, build.tree);
+    if (!check.ok()) return "dfs invariant violated: " + check.summary();
+    out.bytes = dfs_bytes(build, out.cost);
+    return std::string();
+  });
   return out;
 }
 
 Recovered recover_baseline(const JobInputs& in) {
   // The level search runs over a fresh BFS wave and checks its depths, so
-  // a wave the plan broke throws, and the loop retries it under fresh
-  // faults. The artifact has no round ledger to charge the backoff to.
-  baselines::LevelSeparatorResult res;
-  shortcuts::RoundCost unused;
-  Recovered out{{}, faults::retry_stage(kBaselineTask, unused, [&] {
-                  res = baselines::bfs_level_separator(*in.graph, in.root);
-                  return std::string();
-                })};
-  if (out.retry.ok) out.bytes = level_separator_bytes(std::move(res));
+  // a wave the plan broke throws.
+  Recovered out;
+  out.retry = faults::retry_stage(kBaselineTask, out.cost, [&] {
+    out.bytes = level_separator_bytes(
+        baselines::bfs_level_separator(*in.graph, in.root));
+    return std::string();
+  });
   return out;
 }
 

@@ -2,9 +2,9 @@
 
 /// \file
 /// The stages every batch, daemon and query job computes through: one
-/// typed Stages object per job, the fault-job recovery stages, the
-/// per-job counters, and the artifact-id registry the daemon's boot
-/// warm-up preloads from.
+/// typed Stages object per job, their fault-job twins, the per-job
+/// counters, and the artifact-id registry the daemon's boot warm-up
+/// preloads from.
 
 // Why stages (ROADMAP "One execution path"):
 //
@@ -33,14 +33,16 @@
 // Fault jobs (any of --drop/--dup/--stall/--reorder/--crash/--outage) run
 // recover_separator, recover_dfs and recover_baseline instead: uncached,
 // since their bytes depend on the fault plan, under the job's
-// faults::FaultController. Side effects stay outside: the corpus store of
-// a generated instance is serve::store_instance, started beside
-// acquisition.
+// faults::FaultController. Each retries its clean twin's recipe through
+// faults::retry_stage, over a fresh BFS wave per attempt. Side effects
+// stay outside: the corpus store of a generated instance is
+// serve::store_instance, started beside acquisition.
 //
 // Determinism (DESIGN.md §10, docs/TASKGRAPH.md): every stage's bytes are
 // a pure function of the bytes of the stages below it and the job inputs.
-// Stage bodies replay the core library's call sequences verbatim (down to
-// the "pa/setup_bfs" span around the BFS wave), and consumers decode the
+// Stage bodies call the core library's recipes (separate_whole_graph,
+// build_dfs_tree, bfs_level_separator; the spanning tree replays the
+// "pa/setup_bfs" span around the BFS wave), and consumers decode the
 // spanning tree's *bytes*, never live sibling state. So a job's artifacts
 // equal the core library's (core/plansep.hpp) at any thread count and any
 // cache temperature. The spanning tree ("spantree@v1", .psg
@@ -143,19 +145,27 @@ class Stages {
   TaskGraphCounters counters_;
 };
 
-/// A fault job's stage: the payload its clean twin caches (empty when the
-/// recovery driver gave up) and the driver's retry history.
+/// A fault job's stage: the payload its clean twin caches (empty when
+/// every attempt failed), the retry history and the round ledger.
 struct Recovered {
   std::vector<std::uint8_t> bytes;  ///< the stage's artifact bytes
   faults::RetryStats retry;         ///< how recovery went
+  /// Every attempt's charges plus backoff, failed stages included; the
+  /// cost the bytes carry when the stage succeeded.
+  shortcuts::RoundCost cost;
 };
 
-/// Fault-job separator: faults::compute_separator_with_recovery.
+/// Fault-job separator (Theorem 1): separate_whole_graph over a fresh
+/// engine, retried until separator::check_separator passes and the
+/// last-resort fallback did not fire. Each attempt charges setup,
+/// part-set build and engine cost.
 Recovered recover_separator(const JobInputs& in);
-/// Fault-job DFS: faults::build_dfs_tree_with_recovery.
+/// Fault-job DFS (Theorem 2): build_dfs_tree over a fresh engine, retried
+/// until dfs::check_dfs_tree passes. Each attempt charges its build cost.
 Recovered recover_dfs(const JobInputs& in);
 /// Fault-job baseline: the level search over a fresh BFS wave, retried
-/// through faults::retry_stage while the plan breaks the wave.
+/// while the plan breaks the wave. The level search keeps no round
+/// ledger, so its cost is the backoff alone.
 Recovered recover_baseline(const JobInputs& in);
 
 /// Every artifact algorithm id worth preloading at daemon boot for a

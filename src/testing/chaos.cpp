@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "io/artifact.hpp"
+#include "taskgraph/pipeline.hpp"
 #include "testing/trace.hpp"
 
 namespace plansep::testing {
@@ -12,10 +14,20 @@ namespace {
 
 using planar::NodeId;
 
+// The payload of a fault stage's artifact bytes, read the way a row reads
+// them: io::parse verifies the container, and a missing section throws.
+std::vector<std::uint8_t> payload(const std::vector<std::uint8_t>& bytes,
+                                  io::SectionId id) {
+  const io::Artifact a = io::parse(bytes);
+  const io::Section* sec = a.find(id);
+  if (sec == nullptr) throw io::FormatError("fault stage shipped no section");
+  return sec->bytes;
+}
+
 // Centralized, network-free balance check of a recovered separator:
 // the marked path must be node-simple and every component of G − path
 // must have at most 2n/3 nodes, by the oracles' reference search.
-// Independent of the distributed state the recovery driver validated
+// Independent of the distributed state the fault stage validated
 // against, so a corrupted PartSet cannot vouch for itself.
 void cross_check_separator(const planar::EmbeddedGraph& g,
                            const separator::PartSeparator& sep,
@@ -92,28 +104,33 @@ ChaosStats run_pipeline_chaos(const Instance& inst, const ChaosOptions& opt,
     if (opt.capture_trace) cap.emplace(rec);
     faults::ScopedFaultInjection inject(ctl);
 
-    const faults::RecoveredSeparator sep =
-        faults::compute_separator_with_recovery(g, root);
-    st.separator_survived = sep.recovery.ok;
-    st.separator_attempts = sep.recovery.attempts;
-    if (sep.recovery.ok) {
-      cross_check_separator(g, sep.result->parts.at(0), rep);
-    } else if (sep.recovery.failure.empty()) {
+    // The fault stages a fault job calls, judged by the bytes they ship.
+    taskgraph::JobInputs in;
+    in.graph = &g;
+    in.root = root;
+    const taskgraph::Recovered sep = taskgraph::recover_separator(in);
+    st.separator_survived = sep.retry.ok;
+    st.separator_attempts = sep.retry.attempts;
+    if (sep.retry.ok) {
+      const io::SeparatorArtifact sa =
+          io::decode_separator(payload(sep.bytes, io::SectionId::kSeparator));
+      cross_check_separator(g, sa.part, rep);
+    } else if (sep.retry.failure.empty()) {
       rep.fail("chaos/separator: failed without a diagnosis");
     }
 
     if (opt.run_dfs) {
-      const faults::RecoveredDfs d =
-          faults::build_dfs_tree_with_recovery(g, root);
-      st.dfs_survived = d.recovery.ok;
-      st.dfs_attempts = d.recovery.attempts;
-      if (d.recovery.ok) {
-        // Independent centralized DFS oracle over the recovered tree: the
-        // driver accepted it by dfs::check_dfs_tree, the oracle re-judges
+      const taskgraph::Recovered d = taskgraph::recover_dfs(in);
+      st.dfs_survived = d.retry.ok;
+      st.dfs_attempts = d.retry.attempts;
+      if (d.retry.ok) {
+        // Independent centralized DFS oracle over the shipped tree: the
+        // stage accepted it by dfs::check_dfs_tree, the oracle re-judges
         // it by parent walks.
-        const dfs::PartialDfsTree& t = d.build->tree;
-        check_dfs_tree_oracle(g, t.root(), t.parents(), t.depths(), rep);
-      } else if (d.recovery.failure.empty()) {
+        const io::DfsArtifact t =
+            io::decode_dfs(payload(d.bytes, io::SectionId::kDfsTree));
+        check_dfs_tree_oracle(g, t.root, t.parent, t.depth, rep);
+      } else if (d.retry.failure.empty()) {
         rep.fail("chaos/dfs: failed without a diagnosis");
       }
     }

@@ -7,9 +7,10 @@
 // Chaos harness: runs the separator/DFS pipeline under a seeded fault
 // plan and checks the *survive-or-fail-loudly* property:
 //
-//   * if the recovery driver reports success, the recovered output must
-//     pass an independent centralized cross-check (a silently corrupted
-//     "success" is the one unacceptable outcome);
+//   * if a fault stage (taskgraph::recover_separator, recover_dfs — the
+//     ones fault jobs call) reports success, the bytes it ships must
+//     decode and pass an independent centralized cross-check (a silently
+//     corrupted "success" is the one unacceptable outcome);
 //   * if it reports failure, it must carry a non-empty diagnosis;
 //   * either way the captured CONGEST trace must respect the per-edge
 //     per-round bandwidth discipline (faults act on *accepted* sends, so
@@ -21,7 +22,6 @@
 // faulty execution.
 
 #include "faults/controller.hpp"
-#include "faults/recovery.hpp"
 #include "testing/proptest.hpp"
 
 namespace plansep::testing {
@@ -33,7 +33,7 @@ faults::FaultSpec fault_spec_for(FaultFamily family);
 
 /// Knobs of one chaos run.
 struct ChaosOptions {
-  /// Run the DFS recovery driver (Theorem 2) on top of the separator one.
+  /// Run the DFS fault stage (Theorem 2) on top of the separator one.
   bool run_dfs = true;
   /// Capture the CONGEST trace and check the bandwidth discipline on it.
   bool capture_trace = true;

@@ -242,23 +242,18 @@ PipelineStats run_pipeline_checked(const Instance& inst,
     st.diameter_bound = engine.diameter_bound();
 
     // Theorem 1 on the whole graph as a single part.
-    std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
-    sub::PartSet ps = sub::build_part_set(g, part, 1, engine, {root});
-    separator::SeparatorEngine se(engine);
-    const separator::SeparatorResult res = se.compute(ps);
-    check_cycle_separator(ps, 0, res.parts.at(0), rep);
-    if (res.stats.phase_counts[7] != 0) {
+    const separator::WholeGraphSeparator run =
+        separator::separate_whole_graph(g, engine, root);
+    check_cycle_separator(run.parts, 0, run.separator(), rep);
+    if (run.result.stats.phase_counts[7] != 0) {
       rep.fail("separator/last_resort: exhaustive fallback fired");
     }
-    shortcuts::RoundCost sep_cost = engine.setup_cost();
-    sep_cost += ps.cost;
-    sep_cost += res.cost;
-    st.separator_measured = sep_cost.measured;
-    st.separator_charged = sep_cost.charged;
-    st.separator_phase = res.parts.at(0).phase;
-    check_round_envelope("separator_measured", sep_cost.measured,
+    st.separator_measured = run.cost.measured;
+    st.separator_charged = run.cost.charged;
+    st.separator_phase = run.separator().phase;
+    check_round_envelope("separator_measured", run.cost.measured,
                          st.diameter_bound, st.n, opt.separator_envelope, rep);
-    check_round_envelope("separator_charged", sep_cost.charged,
+    check_round_envelope("separator_charged", run.cost.charged,
                          st.diameter_bound, st.n, opt.separator_envelope, rep);
 
     // Weighted Theorem 1 whenever the case carries a degenerate vector.
@@ -266,8 +261,10 @@ PipelineStats run_pipeline_checked(const Instance& inst,
                                      [](long long w) { return w == 1; });
     if (!uniform) {
       const separator::SeparatorResult wres =
-          se.compute_weighted(ps, inst.weight);
-      check_weighted_separator(ps, 0, wres.parts.at(0), inst.weight, rep);
+          separator::SeparatorEngine(engine).compute_weighted(run.parts,
+                                                              inst.weight);
+      check_weighted_separator(run.parts, 0, wres.parts.at(0), inst.weight,
+                               rep);
       if (wres.stats.phase_counts[7] != 0) {
         rep.fail("wseparator/last_resort: exhaustive fallback fired");
       }
@@ -302,10 +299,11 @@ PipelineStats run_pipeline_checked(const Instance& inst,
         value[static_cast<std::size_t>(v)] = (7 * v) % 23;
       }
       const shortcuts::MessageAggregateResult msg =
-          shortcuts::message_level_aggregate(g, engine.global_tree(), part,
-                                             value, shortcuts::AggOp::kSum);
+          shortcuts::message_level_aggregate(g, engine.global_tree(),
+                                             run.parts.part, value,
+                                             shortcuts::AggOp::kSum);
       const shortcuts::AggregateResult ana =
-          engine.aggregate(part, value, shortcuts::AggOp::kSum);
+          engine.aggregate(run.parts.part, value, shortcuts::AggOp::kSum);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         if (msg.value[static_cast<std::size_t>(v)] !=
             ana.value[static_cast<std::size_t>(v)]) {

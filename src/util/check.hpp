@@ -5,6 +5,9 @@
 // PLANSEP_CHECK is used for preconditions on public APIs and for internal
 // invariants whose violation indicates a bug; it throws plansep::CheckError
 // so callers (and tests) can observe failures without aborting the process.
+// The message names the condition and the source file but no line number:
+// job rows copy it, and a row's bytes must not move when code above a
+// check does.
 
 #include <stdexcept>
 #include <string>
@@ -18,22 +21,22 @@ class CheckError : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] void check_failed(const char* cond, const char* file, int line,
+[[noreturn]] void check_failed(const char* cond, const char* file,
                                const std::string& msg);
 }  // namespace detail
 
 }  // namespace plansep
 
-#define PLANSEP_CHECK(cond)                                              \
-  do {                                                                   \
-    if (!(cond)) {                                                       \
-      ::plansep::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
-    }                                                                    \
+#define PLANSEP_CHECK(cond)                                    \
+  do {                                                         \
+    if (!(cond)) {                                             \
+      ::plansep::detail::check_failed(#cond, __FILE__, "");    \
+    }                                                          \
   } while (0)
 
-#define PLANSEP_CHECK_MSG(cond, msg)                                     \
-  do {                                                                   \
-    if (!(cond)) {                                                       \
-      ::plansep::detail::check_failed(#cond, __FILE__, __LINE__, (msg)); \
-    }                                                                    \
+#define PLANSEP_CHECK_MSG(cond, msg)                           \
+  do {                                                         \
+    if (!(cond)) {                                             \
+      ::plansep::detail::check_failed(#cond, __FILE__, (msg)); \
+    }                                                          \
   } while (0)

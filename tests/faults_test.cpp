@@ -2,9 +2,9 @@
 // fault path): plan determinism and purity, per-fault delivery semantics
 // (drop/duplicate/stall/reorder, crash/restart), the empty-plan
 // byte-identity regression (metrics JSON and trace), the injector's
-// binding to the thread that installs it, the recovery drivers (clean
-// runs charge exactly the core library's cost), and `--faults=` replay
-// round-trips.
+// binding to the thread that installs it, the fault-job stages that retry
+// through faults::retry_stage (clean runs ship exactly the core library's
+// cost), and `--faults=` replay round-trips.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +23,12 @@
 #include "faults/controller.hpp"
 #include "faults/plan.hpp"
 #include "faults/recovery.hpp"
+#include "io/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "planar/generators.hpp"
 #include "shortcuts/partwise.hpp"
+#include "taskgraph/pipeline.hpp"
 #include "testing/chaos.hpp"
 #include "testing/proptest.hpp"
 #include "testing/trace.hpp"
@@ -421,41 +423,68 @@ TEST(FaultController, EpochReseedsPerRunAndCountsInjections) {
 
 // ------------------------------------------------------------ recovery --
 
-TEST(Recovery, CleanRunSucceedsFirstAttempt) {
-  const GeneratedGraph gg = planar::grid(7, 8);
-  const RecoveredDfs r = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
-  ASSERT_TRUE(r.recovery.ok) << r.recovery.failure;
-  EXPECT_EQ(r.recovery.attempts, 1);
-  EXPECT_EQ(r.recovery.backoff_rounds, 0);
-  ASSERT_TRUE(r.build.has_value());
-  EXPECT_TRUE(dfs::check_dfs_tree(gg.graph, r.build->tree).ok());
-
-  const RecoveredSeparator s =
-      compute_separator_with_recovery(gg.graph, gg.root_hint);
-  ASSERT_TRUE(s.recovery.ok) << s.recovery.failure;
-  EXPECT_EQ(s.recovery.attempts, 1);
-  ASSERT_TRUE(s.result.has_value());
+// A generated instance as the inputs of the fault stages fault jobs call.
+taskgraph::JobInputs inputs_of(const GeneratedGraph& gg) {
+  taskgraph::JobInputs in;
+  in.graph = &gg.graph;
+  in.root = gg.root_hint;
+  return in;
 }
 
-// With no injector a recovery run is one clean attempt, and it charges
-// exactly what the core library does — the separator driver included the
-// part-set build, like compute_cycle_separator.
+// The payload of a fault stage's artifact bytes.
+std::vector<std::uint8_t> payload(const taskgraph::Recovered& r,
+                                  io::SectionId id) {
+  const io::Artifact a = io::parse(r.bytes);
+  const io::Section* sec = a.find(id);
+  EXPECT_NE(sec, nullptr);
+  return sec == nullptr ? std::vector<std::uint8_t>{} : sec->bytes;
+}
+
+io::DfsArtifact dfs_of(const taskgraph::Recovered& r) {
+  return io::decode_dfs(payload(r, io::SectionId::kDfsTree));
+}
+
+io::SeparatorArtifact separator_of(const taskgraph::Recovered& r) {
+  return io::decode_separator(payload(r, io::SectionId::kSeparator));
+}
+
+TEST(Recovery, CleanRunSucceedsFirstAttempt) {
+  const GeneratedGraph gg = planar::grid(7, 8);
+  const taskgraph::Recovered r = taskgraph::recover_dfs(inputs_of(gg));
+  ASSERT_TRUE(r.retry.ok) << r.retry.failure;
+  EXPECT_EQ(r.retry.attempts, 1);
+  EXPECT_EQ(r.retry.backoff_rounds, 0);
+  ASSERT_FALSE(r.bytes.empty());
+  const io::DfsArtifact tree = dfs_of(r);
+  EXPECT_TRUE(
+      dfs::check_dfs_tree(gg.graph, tree.root, tree.parent, tree.depth).ok());
+
+  const taskgraph::Recovered s = taskgraph::recover_separator(inputs_of(gg));
+  ASSERT_TRUE(s.retry.ok) << s.retry.failure;
+  EXPECT_EQ(s.retry.attempts, 1);
+  ASSERT_FALSE(s.bytes.empty());
+}
+
+// With no injector a fault stage is one clean attempt, and the bytes it
+// ships charge exactly what the core library does — the separator's
+// included the part-set build, like compute_cycle_separator.
 TEST(Recovery, CleanRunCostMatchesLibraryReference) {
   for (const planar::Family family : planar::all_families()) {
     const GeneratedGraph gg = planar::make_instance(family, 120, 3);
     const char* name = planar::family_name(family);
-    const RecoveredSeparator s =
-        compute_separator_with_recovery(gg.graph, gg.root_hint);
-    ASSERT_TRUE(s.recovery.ok) << name << ": " << s.recovery.failure;
+    const taskgraph::Recovered s = taskgraph::recover_separator(inputs_of(gg));
+    ASSERT_TRUE(s.retry.ok) << name << ": " << s.retry.failure;
     const SeparatorRun sep = compute_cycle_separator(gg.graph, gg.root_hint);
-    EXPECT_EQ(s.cost.measured, sep.cost.measured) << name;
-    EXPECT_EQ(s.cost.charged, sep.cost.charged) << name;
+    const io::SeparatorArtifact shipped = separator_of(s);
+    EXPECT_EQ(shipped.cost.measured, sep.cost.measured) << name;
+    EXPECT_EQ(shipped.cost.charged, sep.cost.charged) << name;
 
-    const RecoveredDfs d = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
-    ASSERT_TRUE(d.recovery.ok) << name << ": " << d.recovery.failure;
+    const taskgraph::Recovered d = taskgraph::recover_dfs(inputs_of(gg));
+    ASSERT_TRUE(d.retry.ok) << name << ": " << d.retry.failure;
     const DfsRun dfs = compute_dfs_tree(gg.graph, gg.root_hint);
-    EXPECT_EQ(d.cost.measured, dfs.build.cost.measured) << name;
-    EXPECT_EQ(d.cost.charged, dfs.build.cost.charged) << name;
+    const io::DfsArtifact tree = dfs_of(d);
+    EXPECT_EQ(tree.cost.measured, dfs.build.cost.measured) << name;
+    EXPECT_EQ(tree.cost.charged, dfs.build.cost.charged) << name;
   }
 }
 
@@ -465,19 +494,22 @@ TEST(Recovery, SurvivesOrDiagnosesUnderDrops) {
   spec.drop_prob = 0.02;
   FaultController ctl(spec, /*seed=*/11);
   ScopedFaultInjection inject(ctl);
-  const RecoveredDfs r = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
-  EXPECT_GE(r.recovery.attempts, 1);
-  EXPECT_LE(r.recovery.attempts, kMaxAttempts);
-  if (r.recovery.ok) {
-    ASSERT_TRUE(r.build.has_value());
-    EXPECT_TRUE(dfs::check_dfs_tree(gg.graph, r.build->tree).ok());
+  const taskgraph::Recovered r = taskgraph::recover_dfs(inputs_of(gg));
+  EXPECT_GE(r.retry.attempts, 1);
+  EXPECT_LE(r.retry.attempts, kMaxAttempts);
+  if (r.retry.ok) {
+    ASSERT_FALSE(r.bytes.empty());
+    const io::DfsArtifact tree = dfs_of(r);
+    EXPECT_TRUE(
+        dfs::check_dfs_tree(gg.graph, tree.root, tree.parent, tree.depth)
+            .ok());
   } else {
-    EXPECT_FALSE(r.recovery.failure.empty());
+    EXPECT_FALSE(r.retry.failure.empty());
   }
-  if (r.recovery.attempts > 1) {
+  if (r.retry.attempts > 1) {
     // Failed attempts must have charged backoff to the ledger.
-    EXPECT_GT(r.recovery.backoff_rounds, 0);
-    EXPECT_GE(r.cost.measured, r.recovery.backoff_rounds);
+    EXPECT_GT(r.retry.backoff_rounds, 0);
+    EXPECT_GE(r.cost.measured, r.retry.backoff_rounds);
   }
 }
 
@@ -493,13 +525,13 @@ TEST(Recovery, BackoffIsChargedToLedgerAndObsClock) {
   long long retries = 0;
   {
     obs::ScopedMetrics metrics(reg);
-    const RecoveredDfs r = build_dfs_tree_with_recovery(gg.graph, gg.root_hint);
-    EXPECT_FALSE(r.recovery.ok);
-    EXPECT_EQ(r.recovery.attempts, 4);
-    EXPECT_FALSE(r.recovery.failure.empty());
+    const taskgraph::Recovered r = taskgraph::recover_dfs(inputs_of(gg));
+    EXPECT_FALSE(r.retry.ok);
+    EXPECT_EQ(r.retry.attempts, 4);
+    EXPECT_FALSE(r.retry.failure.empty());
     // 32 + 64 + 128: backoff after attempts 1 to 3, none after the final
     // one.
-    EXPECT_EQ(r.recovery.backoff_rounds, 224);
+    EXPECT_EQ(r.retry.backoff_rounds, 224);
     EXPECT_GE(r.cost.measured, 224);
     EXPECT_GE(r.cost.charged, 224);
     retries = reg.counter("faults/retries");

@@ -4,8 +4,9 @@
 // leaf-keyed indexes over a shared tree — and the acceptance properties
 // the serving layer rides on: cross-job spanning-tree sharing
 // (counter-asserted), rows whose artifacts equal the core library's, clean
-// and under faults, across thread counts and cache temperatures, and
-// stored bytes that do not depend on job order.
+// and under faults, across thread counts and cache temperatures, fault
+// rows pinned to golden bytes, and stored bytes that do not depend on job
+// order.
 
 #include <gtest/gtest.h>
 
@@ -18,13 +19,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/level_separator.hpp"
 #include "congest/bfs_tree.hpp"
 #include "core/plansep.hpp"
 #include "faults/controller.hpp"
-#include "faults/recovery.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
 #include "query/service.hpp"
@@ -325,7 +326,7 @@ long long row_int(const std::string& row, const std::string& section,
 // The acceptance criterion of the one execution path: the artifact behind
 // every row equals the core library's — compute_cycle_separator,
 // compute_dfs_tree and bfs_level_separator for clean jobs (peeked from the
-// cache that served the row), the recovery drivers under an identically
+// cache that served the row), the fault stages under an identically
 // seeded FaultController for fault jobs — at thread counts {1, 4, 8};
 // rows are byte-identical across those counts, and the corpus holds
 // exactly the bytes a direct store writes.
@@ -389,43 +390,51 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         }
         continue;
       }
-      // Fault jobs are never cached: replay the drivers in stage order
-      // under the job's controller and compare the row's numbers.
+      // Fault jobs are never cached: replay the fault stages in stage
+      // order under the job's controller, decode the bytes they return
+      // and compare the row's numbers.
       faults::FaultController ctl(spec.faults, spec.fault_seed);
       faults::ScopedFaultInjection inject(ctl);
+      const taskgraph::JobInputs in = inst.inputs();
+      const auto payload = [](const taskgraph::Recovered& rec,
+                              io::SectionId id) {
+        const io::Artifact a = io::parse(rec.bytes);
+        const io::Section* sec = a.find(id);
+        return sec == nullptr ? std::vector<std::uint8_t>{} : sec->bytes;
+      };
       int attempts = 1;
       if (sep) {
-        const faults::RecoveredSeparator rec =
-            faults::compute_separator_with_recovery(g, inst.root);
-        ASSERT_TRUE(rec.recovery.ok) << row;
-        attempts = std::max(attempts, rec.recovery.attempts);
-        const auto& part = rec.result->parts.at(0);
+        const taskgraph::Recovered rec = taskgraph::recover_separator(in);
+        ASSERT_TRUE(rec.retry.ok) << row;
+        attempts = std::max(attempts, rec.retry.attempts);
+        const io::SeparatorArtifact sa = io::decode_separator(
+            payload(rec, io::SectionId::kSeparator));
+        const auto& part = sa.part;
         EXPECT_EQ(row_int(row, "separator", "phase"), part.phase);
         EXPECT_EQ(row_int(row, "separator", "path"),
                   static_cast<long long>(part.path.size()));
-        EXPECT_EQ(row_int(row, "separator", "measured"), rec.cost.measured);
-        EXPECT_EQ(row_int(row, "separator", "charged"), rec.cost.charged);
+        EXPECT_EQ(row_int(row, "separator", "measured"), sa.cost.measured);
+        EXPECT_EQ(row_int(row, "separator", "charged"), sa.cost.charged);
       }
       if (dfs) {
-        const faults::RecoveredDfs rec =
-            faults::build_dfs_tree_with_recovery(g, inst.root);
-        ASSERT_TRUE(rec.recovery.ok) << row;
-        attempts = std::max(attempts, rec.recovery.attempts);
-        EXPECT_EQ(row_int(row, "dfs", "phases"), rec.build->phases);
-        EXPECT_EQ(row_int(row, "dfs", "measured"), rec.cost.measured);
-        EXPECT_EQ(row_int(row, "dfs", "charged"), rec.cost.charged);
+        const taskgraph::Recovered rec = taskgraph::recover_dfs(in);
+        ASSERT_TRUE(rec.retry.ok) << row;
+        attempts = std::max(attempts, rec.retry.attempts);
+        const io::DfsArtifact da =
+            io::decode_dfs(payload(rec, io::SectionId::kDfsTree));
+        EXPECT_EQ(row_int(row, "dfs", "phases"), da.phases);
+        EXPECT_EQ(row_int(row, "dfs", "measured"), da.cost.measured);
+        EXPECT_EQ(row_int(row, "dfs", "charged"), da.cost.charged);
       }
       if (spec.algo == serve::Algo::kBaselineSeparator) {
-        // The level search retries through the drivers' loop.
-        baselines::LevelSeparatorResult res;
-        shortcuts::RoundCost unused;
-        const faults::RetryStats retry =
-            faults::retry_stage("baseline", unused, [&] {
-              res = baselines::bfs_level_separator(g, inst.root);
-              return std::string();
-            });
-        ASSERT_TRUE(retry.ok) << row;
-        attempts = std::max(attempts, retry.attempts);
+        // The level search retries through the same loop.
+        const taskgraph::Recovered rec = taskgraph::recover_baseline(in);
+        ASSERT_TRUE(rec.retry.ok) << row;
+        attempts = std::max(attempts, rec.retry.attempts);
+        const baselines::LevelSeparatorResult res =
+            io::decode_level_separator(
+                payload(rec, io::SectionId::kLevelSeparator))
+                .result;
         EXPECT_EQ(row_int(row, "baseline", "size"),
                   static_cast<long long>(res.separator.size()));
         EXPECT_EQ(row_int(row, "baseline", "levels"), res.levels_used);
@@ -444,6 +453,121 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
       EXPECT_EQ(io::read_file(ref_entries[i].path),
                 io::read_file(entries[i].path));
     }
+  }
+}
+
+// Fault rows pinned to literal bytes, at threads 1 and 4: the fault
+// branch of RowsMatchLibraryReference replays the very stages a fault job
+// calls, so it cannot see a change in them. Per algorithm, one plan is
+// survived on the first attempt, one recovers after retries, and one
+// fails all four attempts (the pipeline's in its DFS stage, after its
+// separator recovered). Error texts name a check's source file but no
+// line.
+TEST(TaskGraphParity, FaultRowsMatchGolden) {
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"--family=grid --n=40 --seed=2 --algo=separator --drop=0.02 "
+       "--fault-seed=2",
+       R"({"job":0,"family":"grid","algo":"separator","seed":2,)"
+       R"("faults":true,"n":36,"edges":60,"fingerprint":"43e895b792ad4ed9",)"
+       R"("status":"ok","attempts":1,"separator":{"phase":33,"path":12,)"
+       R"("balance":0.666667,"components":1,"verified":true,"measured":1090,)"
+       R"("charged":626}})"},
+      {"--family=outerplanar --n=40 --seed=3 --algo=separator "
+       "--drop=0.015 --dup=0.05 --stall=0.05 --reorder=0.5 "
+       "--crash=0.025 --outage=0.025 --fault-seed=2",
+       R"({"job":1,"family":"outerplanar","algo":"separator","seed":3,)"
+       R"("faults":true,"n":40,"edges":50,"fingerprint":"b08a7a47475fe0b6",)"
+       R"("status":"ok","attempts":4,"separator":{"phase":33,"path":40,)"
+       R"("balance":0,"components":0,"verified":true,"measured":1980,)"
+       R"("charged":1279}})"},
+      {"--family=grid --n=400 --seed=3 --algo=separator --crash=0.05 "
+       "--fault-seed=1",
+       R"({"job":2,"family":"grid","algo":"separator","seed":3,)"
+       R"("faults":true,"n":400,"edges":760,)"
+       R"("fingerprint":"49fea0d544abe8b2","status":"error","attempts":4,)"
+       R"("error":"separator recovery failed: separator attempt threw: )"
+       R"(PLANSEP_CHECK failed: (!inbox.empty()) at )"
+       R"(src/congest/bfs_tree.cpp"})"},
+      {"--family=grid --n=40 --seed=1 --algo=dfs --dup=0.1 "
+       "--fault-seed=4",
+       R"({"job":3,"family":"grid","algo":"dfs","seed":1,"faults":true,)"
+       R"("n":36,"edges":60,"fingerprint":"43e895b792ad4ed9","status":"ok",)"
+       R"("attempts":1,"dfs":{"phases":3,"depth":25,"verified":true,)"
+       R"("measured":3553,"charged":2831}})"},
+      {"--family=cycle --n=40 --seed=1 --algo=dfs --crash=0.05 "
+       "--fault-seed=3",
+       R"({"job":4,"family":"cycle","algo":"dfs","seed":1,"faults":true,)"
+       R"("n":40,"edges":40,"fingerprint":"cef9ce8697466405","status":"ok",)"
+       R"("attempts":2,"dfs":{"phases":5,"depth":39,"verified":true,)"
+       R"("measured":8037,"charged":7269}})"},
+      {"--family=grid --n=40 --seed=7 --algo=dfs --drop=1 --fault-seed=5",
+       R"({"job":5,"family":"grid","algo":"dfs","seed":7,"faults":true,)"
+       R"("n":36,"edges":60,"fingerprint":"43e895b792ad4ed9",)"
+       R"("status":"error","attempts":4,"error":"dfs recovery failed: dfs )"
+       R"(attempt threw: PLANSEP_CHECK failed: (d >= 0) at )"
+       R"(src/shortcuts/partwise.cpp — graph must be connected"})"},
+      {"--family=grid --n=40 --seed=5 --algo=pipeline --drop=0.02 "
+       "--fault-seed=6",
+       R"({"job":6,"family":"grid","algo":"pipeline","seed":5,"faults":true,)"
+       R"("n":36,"edges":60,"fingerprint":"43e895b792ad4ed9","status":"ok",)"
+       R"("attempts":1,"separator":{"phase":33,"path":12,"balance":0.666667,)"
+       R"("components":1,"verified":true,"measured":1090,"charged":626},)"
+       R"("dfs":{"phases":3,"depth":25,"verified":true,"measured":3553,)"
+       R"("charged":2831}})"},
+      {"--family=random_planar --n=40 --seed=1 --algo=pipeline "
+       "--drop=0.015 --dup=0.05 --stall=0.05 --reorder=0.5 "
+       "--crash=0.025 --outage=0.025 --fault-seed=2",
+       R"({"job":7,"family":"random_planar","algo":"pipeline","seed":1,)"
+       R"("faults":true,"n":40,"edges":60,"fingerprint":"cdb86a2a70e00b29",)"
+       R"("status":"ok","attempts":3,"separator":{"phase":53,"path":3,)"
+       R"("balance":0.5,"components":5,"verified":true,"measured":609,)"
+       R"("charged":343},"dfs":{"phases":4,"depth":8,"verified":true,)"
+       R"("measured":1699,"charged":1307}})"},
+      {"--family=cycle --n=40 --seed=3 --algo=pipeline --outage=0.05 "
+       "--fault-seed=1",
+       R"({"job":8,"family":"cycle","algo":"pipeline","seed":3,)"
+       R"("faults":true,"n":40,"edges":40,"fingerprint":"cef9ce8697466405",)"
+       R"("status":"error","attempts":4,"separator":{"phase":33,"path":40,)"
+       R"("balance":0,"components":0,"verified":true,"measured":2369,)"
+       R"("charged":1883},"error":"dfs recovery failed: dfs attempt threw: )"
+       R"(PLANSEP_CHECK failed: (d >= 0) at src/shortcuts/partwise.cpp — )"
+       R"(graph must be connected"})"},
+      {"--family=grid --n=40 --seed=4 --algo=baseline-separator "
+       "--stall=0.1 --fault-seed=1",
+       R"({"job":9,"family":"grid","algo":"baseline-separator","seed":4,)"
+       R"("faults":true,"n":36,"edges":60,"fingerprint":"43e895b792ad4ed9",)"
+       R"("status":"ok","attempts":1,"baseline":{"found":true,"size":5,)"
+       R"("balance":0.583333,"levels":1,"verified":true}})"},
+      {"--family=random_planar --n=40 --seed=5 "
+       "--algo=baseline-separator --outage=0.05 --fault-seed=4",
+       R"({"job":10,"family":"random_planar","algo":"baseline-separator",)"
+       R"("seed":5,"faults":true,"n":40,"edges":60,)"
+       R"("fingerprint":"ea4a2c618a462e76","status":"ok","attempts":3,)"
+       R"("baseline":{"found":true,"size":9,"balance":0.325,"levels":1,)"
+       R"("verified":true}})"},
+      {"--family=grid --n=40 --seed=1 --algo=baseline-separator "
+       "--drop=1 --fault-seed=1",
+       R"({"job":11,"family":"grid","algo":"baseline-separator","seed":1,)"
+       R"("faults":true,"n":36,"edges":60,"fingerprint":"43e895b792ad4ed9",)"
+       R"("status":"error","attempts":4,"error":"baseline recovery failed: )"
+       R"(baseline attempt threw: PLANSEP_CHECK failed: (d >= 0 && d <= h) )"
+       R"(at src/baselines/level_separator.cpp — BFS wave did not reach )"
+       R"(every node"})"},
+  };
+  std::string file;
+  std::string expected;
+  for (const auto& [line, row] : golden) {
+    file += line + "\n";
+    expected += row + "\n";
+  }
+  for (const int threads : {1, 4}) {
+    std::istringstream in(file);
+    serve::BatchOptions opts;
+    opts.threads = threads;
+    serve::ResultCache cache({1 << 22, ""});
+    const auto rep =
+        serve::run_batch(serve::parse_job_file(in), opts, cache, nullptr);
+    EXPECT_EQ(joined_rows(rep), expected) << "threads=" << threads;
   }
 }
 
