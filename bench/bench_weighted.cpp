@@ -52,23 +52,12 @@ int main(int argc, char** argv) {
         sub::PartSet ps = sub::build_part_set(g, part, 1, engine);
         Rng rng(seed * 17);
         const auto w = weights(scheme, g.num_nodes(), rng);
-        long long total = 0;
-        for (long long x : w) total += x;
         separator::SeparatorEngine se(engine);
         const auto res = se.compute_weighted(ps, w);
         last_resorts += res.stats.phase_counts[7];
         // Weighted balance of the result.
-        std::vector<char> marked(g.num_nodes(), 0);
-        for (planar::NodeId v : res.parts[0].path) marked[v] = 1;
-        const sub::Components comps = sub::connected_components(
-            g, [&](planar::NodeId v) { return !marked[v]; });
-        std::vector<long long> sums(comps.count, 0);
-        for (planar::NodeId v = 0; v < g.num_nodes(); ++v) {
-          if (comps.label[v] >= 0) sums[comps.label[v]] += w[v];
-        }
-        long long mx = 0;
-        for (long long s : sums) mx = std::max(mx, s);
-        balances.push_back(total > 0 ? static_cast<double>(mx) / total : 0.0);
+        balances.push_back(
+            sub::balance_after_removal(g, {}, res.parts[0].path, w).fraction());
         sizes.push_back(static_cast<double>(res.parts[0].path.size()));
       }
       const Summary bal = summarize(balances);

@@ -27,6 +27,7 @@
 // SIGINT/SIGTERM; both paths finish every admitted job, write the
 // --metrics-out / --trace-out dumps, and exit 0.
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -39,11 +40,14 @@
 
 namespace {
 
-plansep::daemon::Server* g_server = nullptr;
+// Atomic, because a process-directed signal may run the handler on any
+// of the daemon's threads.
+std::atomic<plansep::daemon::Server*> g_server{nullptr};
 
 void on_signal(int) {
-  // Async-signal-safe: just flip the flag wait() polls.
-  if (g_server != nullptr) g_server->request_stop();
+  // Async-signal-safe: lock-free atomic loads and stores only; the store
+  // sets the flag Server::wait() polls.
+  if (plansep::daemon::Server* s = g_server.load()) s->request_stop();
 }
 
 bool flag_value(const std::string& arg, const char* name, std::string* out) {

@@ -28,22 +28,17 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
 
   // Cost model: per attempt, one sampling broadcast plus the estimate
   // aggregation and the verification pass — all Õ(D).
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(ps.g->num_nodes()),
-                                  0);
-  auto pa_unit = engine_->aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  auto charge_pa = [&](long long k) {
-    shortcuts::RoundCost c = pa_unit.cost;
-    c.measured *= k;
-    c.charged *= k;
-    c.pa_calls = k;
-    res.cost += c;
-  };
+  const shortcuts::RoundCost unit = separator::aggregation_price(*engine_, ps);
 
-  std::vector<char> unresolved(static_cast<std::size_t>(ps.num_parts), 1);
-  for (int attempt = 1; attempt <= max_attempts_; ++attempt) {
-    bool any_unresolved = false;
-    for (char u : unresolved) any_unresolved |= (u != 0);
-    if (!any_unresolved) break;
+  // Every part with a tree (parts without nodes have nothing to separate)
+  // stays unresolved until a candidate settles it.
+  std::vector<char> unresolved;
+  for (const auto& t : ps.trees) unresolved.push_back(t != nullptr);
+  const auto any_unresolved = [&] {
+    return std::count(unresolved.begin(), unresolved.end(), 1) > 0;
+  };
+  for (int attempt = 1; attempt <= max_attempts_ && any_unresolved();
+       ++attempt) {
     out.attempts = attempt;
 
     // Fresh public sample.
@@ -51,22 +46,21 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
     for (NodeId v = 0; v < ps.g->num_nodes(); ++v) {
       sampled[static_cast<std::size_t>(v)] = rng.next_bool(sample_rate_);
     }
-    charge_pa(3);  // sample announcement + estimate aggregation + range
+    res.cost += shortcuts::aggregations(unit, 3);  // sample, estimates, range
 
     for (int p = 0; p < ps.num_parts; ++p) {
       if (!unresolved[static_cast<std::size_t>(p)]) continue;
-      if (!ps.trees[static_cast<std::size_t>(p)]) continue;
       const RootedSpanningTree& t = ps.tree_of_part(p);
       const long long n = t.size();
-      std::vector<NodeId> path;
-      planar::EdgeId closing = planar::kNoEdge;
+      separator::Candidate cand;
+      cand.phase = 3;
 
       if (n <= 3) {
-        path = {t.root()};
+        cand.path = {t.root()};
       } else {
         const auto fund = faces::real_fundamental_edges(t);
         if (fund.empty()) {
-          path = t.path(t.root(), t.centroid());
+          cand.path = t.path(t.root(), t.centroid());
         } else {
           // Estimated weights; pick the estimate closest to n/2.
           long long best_dist = std::numeric_limits<long long>::max();
@@ -93,22 +87,15 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
             }
           }
           if (best_dist != std::numeric_limits<long long>::max()) {
-            path = t.path(best_fe.u, best_fe.v);
-            closing = best_fe.edge;
+            cand.path = t.path(best_fe.u, best_fe.v);
+            cand.closing = best_fe.edge;
           }
         }
       }
-      charge_pa(2);  // candidate broadcast + verification sizes
-      if (!path.empty() &&
-          sub::balance_after_removal(*ps.g, t.nodes(), path).balanced()) {
-        auto& sep = res.parts[static_cast<std::size_t>(p)];
-        sep.path = path;
-        sep.endpoint_a = path.front();
-        sep.endpoint_b = path.back();
-        sep.closing_edge = closing;
-        sep.phase = 3;
-        res.stats.record(3);
-        for (NodeId v : path) res.marked[static_cast<std::size_t>(v)] = 1;
+      res.cost += shortcuts::aggregations(unit, 2);  // broadcast, verify sizes
+      if (!cand.path.empty() &&
+          sub::balance_after_removal(*ps.g, t.nodes(), cand.path).balanced()) {
+        res.settle(p, std::move(cand));
         unresolved[static_cast<std::size_t>(p)] = 0;
       } else if (attempt == 1) {
         ++out.parts_needing_retry;
@@ -119,21 +106,16 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
   // Deterministic fallback for anything sampling could not resolve (e.g.
   // instances whose separator needs the augmentation machinery, which the
   // estimate-only search cannot reach).
-  bool any_unresolved = false;
-  for (char u : unresolved) any_unresolved |= (u != 0);
-  if (any_unresolved) {
-    separator::SeparatorEngine det(*engine_);
-    separator::SeparatorResult fallback = det.compute(ps);
+  if (any_unresolved()) {
+    separator::SeparatorResult fallback =
+        separator::SeparatorEngine(*engine_).compute(ps);
     res.cost += fallback.cost;
     for (int p = 0; p < ps.num_parts; ++p) {
       if (!unresolved[static_cast<std::size_t>(p)]) continue;
       ++out.deterministic_fallbacks;
-      res.parts[static_cast<std::size_t>(p)] =
+      separator::PartSeparator& sep =
           fallback.parts[static_cast<std::size_t>(p)];
-      for (NodeId v : res.parts[static_cast<std::size_t>(p)].path) {
-        res.marked[static_cast<std::size_t>(v)] = 1;
-      }
-      res.stats.record(res.parts[static_cast<std::size_t>(p)].phase);
+      res.settle(p, {std::move(sep.path), sep.closing_edge, sep.phase});
     }
   }
   return out;

@@ -8,11 +8,16 @@
 // our search skeleton but replaces every exact weight by a sampling
 // estimate: each node joins a public sample with probability p, and the
 // weight of a face is estimated as (#sampled members of F̃_e)/p via the
-// Remark 1 membership test. A candidate separator is then verified
-// (balance check, Õ(D)); failures retry with fresh randomness and the
-// attempt count is reported. With p ≈ c·log(n)/ (ε²·n)·… the estimates
-// concentrate and one attempt almost always suffices — the experiment in
-// bench_det_vs_random quantifies the tradeoff.
+// Remark 1 membership test. Each attempt proposes one candidate per
+// unresolved part, which is verified (balance check, Õ(D)); failures
+// retry with fresh randomness and the attempt count is reported. Parts
+// still unresolved after the last attempt take the deterministic
+// engine's separator. Both kinds are committed through
+// separator::SeparatorResult::settle and priced with
+// shortcuts::aggregations, as the deterministic engine's are. With
+// p ≈ c·log(n)/ (ε²·n)·… the estimates concentrate and one attempt
+// almost always suffices — the experiment in bench_det_vs_random
+// quantifies the tradeoff.
 
 #include "separator/engine.hpp"
 #include "util/rng.hpp"

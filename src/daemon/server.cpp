@@ -409,32 +409,15 @@ void Server::handle_drain(const std::shared_ptr<Session>& s,
 }
 
 void Server::wait() {
-  std::unique_lock<std::mutex> lk(state_mu_);
-  state_cv_.wait_for(lk, std::chrono::milliseconds(200),
-                     [&] { return stop_requested_ || stopped_; });
-  while (!stop_requested_ && !stopped_) {
-    state_cv_.wait_for(lk, std::chrono::milliseconds(200));
+  while (!stop_requested_.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  lk.unlock();
   stop();
 }
 
-void Server::request_stop() {
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    stop_requested_ = true;
-  }
-  state_cv_.notify_all();
-}
-
 void Server::stop() {
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (stopped_) return;
-    stopped_ = true;
-    stop_requested_ = true;
-  }
-  state_cv_.notify_all();
+  if (stopped_.exchange(true)) return;
+  stop_requested_.store(true);
 
   // Stop accepting, finish every admitted job (deliveries included — the
   // dispatcher's completion callbacks run before drain() returns), then

@@ -32,7 +32,6 @@
 // summary document, and the daemon exits its wait() loop.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,13 +77,16 @@ class Server {
   /// Binds the socket and starts the listener. Throws std::runtime_error
   /// when the socket can't be bound.
   void start();
-  /// Blocks until a drain completes or stop() is called.
+  /// Polls the stop request every 50 ms until a drain, request_stop() or
+  /// stop() sets it, then performs the teardown (stop()).
   void wait();
-  /// Requests shutdown from outside the protocol (signal handlers set a
-  /// flag; wait() performs the actual teardown). Safe to call repeatedly.
-  void request_stop();
+  /// Requests shutdown from outside the protocol: one lock-free atomic
+  /// store, so it is async-signal-safe and a signal handler may call it;
+  /// wait() performs the actual teardown. Safe to call repeatedly.
+  void request_stop() { stop_requested_.store(true); }
   /// Drains the dispatcher, writes the metrics/trace dumps, closes every
-  /// session and joins all threads. Idempotent.
+  /// session and joins all threads. Idempotent: only the first call
+  /// tears down.
   void stop();
 
   /// The daemon's metrics facade (shared with the dispatcher).
@@ -130,10 +132,10 @@ class Server {
   std::vector<std::shared_ptr<Session>> sessions_;
   std::uint64_t next_client_ = 1;
 
-  std::mutex state_mu_;
-  std::condition_variable state_cv_;
-  bool stop_requested_ = false;
-  bool stopped_ = false;
+  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> stopped_{false};
+  static_assert(std::atomic<bool>::is_always_lock_free,
+                "request_stop must be async-signal-safe");
   std::atomic<bool> accepting_{false};
 };
 

@@ -24,6 +24,22 @@ constexpr std::uint32_t kMaxSections = 1024;
   throw FormatError("malformed artifact: " + what);
 }
 
+// The enumerator name of a section id, for diagnostics.
+std::string section_name(SectionId id) {
+  switch (id) {
+    case SectionId::kMeta: return "kMeta";
+    case SectionId::kGraph: return "kGraph";
+    case SectionId::kCoords: return "kCoords";
+    case SectionId::kSeparator: return "kSeparator";
+    case SectionId::kDfsTree: return "kDfsTree";
+    case SectionId::kHierarchy: return "kHierarchy";
+    case SectionId::kQueryIndex: return "kQueryIndex";
+    case SectionId::kSpanningTree: return "kSpanningTree";
+    case SectionId::kLevelSeparator: return "kLevelSeparator";
+  }
+  return "section " + std::to_string(static_cast<std::uint32_t>(id));
+}
+
 }  // namespace
 
 const Section* Artifact::find(SectionId id) const {
@@ -33,8 +49,21 @@ const Section* Artifact::find(SectionId id) const {
   return nullptr;
 }
 
+const std::vector<std::uint8_t>& Artifact::require(SectionId id) const {
+  const Section* s = find(id);
+  if (s == nullptr) throw FormatError("artifact lacks " + section_name(id));
+  return s->bytes;
+}
+
 void Artifact::add(SectionId id, std::vector<std::uint8_t> bytes) {
   sections.push_back(Section{id, std::move(bytes)});
+}
+
+std::vector<std::uint8_t> assemble_single(SectionId id,
+                                          std::vector<std::uint8_t> payload) {
+  Artifact a;
+  a.add(id, std::move(payload));
+  return assemble(a);
 }
 
 std::vector<std::uint8_t> assemble(const Artifact& a) {
@@ -599,9 +628,7 @@ std::vector<std::uint8_t> encode_graph_artifact(const planar::EmbeddedGraph& g,
 
 LoadedGraph decode_graph_artifact(const std::vector<std::uint8_t>& bytes) {
   const Artifact a = parse(bytes);
-  const Section* gs = a.find(SectionId::kGraph);
-  if (gs == nullptr) malformed("no graph section");
-  LoadedGraph out{decode_graph(gs->bytes), {}};
+  LoadedGraph out{decode_graph(a.require(SectionId::kGraph)), {}};
   if (const Section* cs = a.find(SectionId::kCoords)) {
     std::vector<planar::Point> coords = decode_coords(cs->bytes);
     if (coords.size() != static_cast<std::size_t>(out.graph.num_nodes())) {

@@ -77,6 +77,10 @@ struct Artifact {
 
   /// First section with the given id, or nullptr.
   const Section* find(SectionId id) const;
+  /// Payload of the first section with the given id. Throws FormatError
+  /// naming the section's enumerator (e.g. "artifact lacks kGraph") when
+  /// there is none.
+  const std::vector<std::uint8_t>& require(SectionId id) const;
   /// Appends a section.
   void add(SectionId id, std::vector<std::uint8_t> bytes);
 };
@@ -84,6 +88,11 @@ struct Artifact {
 /// Assembles the container byte stream (magic, version, section table with
 /// CRCs, payloads). Deterministic: same artifact, same bytes.
 std::vector<std::uint8_t> assemble(const Artifact& a);
+
+/// Assembles a container holding one section, `payload` under `id` (the
+/// shape of every job stage's artifact).
+std::vector<std::uint8_t> assemble_single(SectionId id,
+                                          std::vector<std::uint8_t> payload);
 
 /// Parses and fully verifies a container: magic, version, table sanity
 /// (offsets in bounds, payloads non-overlapping and in order), and every

@@ -56,12 +56,9 @@ std::size_t EngineCache::entries() const {
 std::shared_ptr<QueryEngine> engine_from_artifact_bytes(
     const planar::EmbeddedGraph& g, const std::vector<std::uint8_t>& bytes) {
   const io::Artifact a = io::parse(bytes);
-  const io::Section* hs = a.find(io::SectionId::kHierarchy);
-  if (hs == nullptr) throw io::FormatError("artifact lacks kHierarchy");
-  const io::Section* qs = a.find(io::SectionId::kQueryIndex);
-  if (qs == nullptr) throw io::FormatError("artifact lacks kQueryIndex");
-  io::HierarchyArtifact ha = io::decode_hierarchy(hs->bytes);
-  QueryIndex qi = io::decode_query_index(qs->bytes);
+  io::HierarchyArtifact ha =
+      io::decode_hierarchy(a.require(io::SectionId::kHierarchy));
+  QueryIndex qi = io::decode_query_index(a.require(io::SectionId::kQueryIndex));
   if (ha.num_nodes != g.num_nodes() || qi.num_nodes != g.num_nodes()) {
     throw io::FormatError("hierarchy/index node count does not match graph");
   }

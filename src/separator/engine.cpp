@@ -20,25 +20,10 @@ using faces::FaceData;
 using faces::FaceSide;
 using tree::RootedSpanningTree;
 
-struct Candidate {
-  std::vector<NodeId> path;
-  EdgeId closing = planar::kNoEdge;
-  int phase = 0;
-};
-
 /// Path length (node count) of the tree path between a and b.
 int path_nodes(const RootedSpanningTree& t, NodeId a, NodeId b) {
   const NodeId w = t.lca(a, b);
   return t.depth(a) + t.depth(b) - 2 * t.depth(w) + 1;
-}
-
-Candidate make_path_candidate(const RootedSpanningTree& t, NodeId a, NodeId b,
-                              EdgeId closing, int phase) {
-  Candidate c;
-  c.path = t.path(a, b);
-  c.closing = closing;
-  c.phase = phase;
-  return c;
 }
 
 /// Candidates for one part, in the phase order of §5.3.
@@ -48,10 +33,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   std::vector<Candidate> out;
 
   if (n <= 3) {
-    Candidate c;
-    c.path = {t.root()};
-    c.phase = 2;
-    out.push_back(std::move(c));
+    out.push_back({{t.root()}, planar::kNoEdge, 2});
     return out;
   }
 
@@ -59,8 +41,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
 
   // Phase 2: tree part — root→centroid path.
   if (fund.empty()) {
-    out.push_back(make_path_candidate(t, t.root(), t.centroid(),
-                                      planar::kNoEdge, 2));
+    out.push_back({t.path(t.root(), t.centroid()), planar::kNoEdge, 2});
     return out;
   }
 
@@ -75,8 +56,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   // Phase 3: a face with ω ∈ [n/3, 2n/3].
   for (std::size_t i = 0; i < fes.size(); ++i) {
     if (3 * weight[i] >= n && 3 * weight[i] <= 2 * n) {
-      out.push_back(
-          make_path_candidate(t, fes[i].u, fes[i].v, fes[i].edge, 3));
+      out.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 3});
       break;
     }
   }
@@ -84,8 +64,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   // itself a (cycle) separator.
   for (std::size_t i = 0; i < fes.size(); ++i) {
     if (3LL * path_nodes(t, fes[i].u, fes[i].v) >= n) {
-      out.push_back(
-          make_path_candidate(t, fes[i].u, fes[i].v, fes[i].edge, 33));
+      out.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 33});
       break;
     }
   }
@@ -121,29 +100,25 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
       if (3 * w < n || 3 * w > 2 * n) continue;
       const auto hiding = faces::hiding_edges(t, estar, z);
       if (hiding.empty()) {
-        out.push_back(
-            make_path_candidate(t, estar.u, z, planar::kNoEdge, 41));
+        out.push_back({t.path(estar.u, z), planar::kNoEdge, 41});
       } else {
         const FundamentalEdge f = faces::pick_not_contained(t, hiding);
         const NodeId z2 = t.pi_left(f.u) < t.pi_left(f.v) ? f.v : f.u;
         const NodeId z1 = z2 == f.u ? f.v : f.u;
-        out.push_back(
-            make_path_candidate(t, estar.u, z2, planar::kNoEdge, 45));
-        out.push_back(
-            make_path_candidate(t, estar.u, z1, planar::kNoEdge, 45));
+        out.push_back({t.path(estar.u, z2), planar::kNoEdge, 45});
+        out.push_back({t.path(estar.u, z1), planar::kNoEdge, 45});
       }
       break;
     }
     // Lemma 1 case 3 inside the augmentation: a long u..z path.
     for (NodeId z : leaves) {
       if (3LL * path_nodes(t, estar.u, z) >= n) {
-        out.push_back(make_path_candidate(t, estar.u, z, planar::kNoEdge, 43));
+        out.push_back({t.path(estar.u, z), planar::kNoEdge, 43});
         break;
       }
     }
     // Sub-phase 4.2: the face's own path.
-    out.push_back(
-        make_path_candidate(t, estar.u, estar.v, estar.edge, 42));
+    out.push_back({t.path(estar.u, estar.v), estar.edge, 42});
   } else {
     // Phase 5: every face is light; maximal face e*, outside split.
     const FundamentalEdge estar = faces::pick_not_contained(t, fes);
@@ -161,8 +136,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
       }
     }
     if (3 * f_l <= n && 3 * f_r <= n) {
-      out.push_back(
-          make_path_candidate(t, estar.u, estar.v, estar.edge, 51));
+      out.push_back({t.path(estar.u, estar.v), estar.edge, 51});
     }
     // Lemma 8's heavy case: run the Phase-4 sweep from the root over the
     // root sweep faces (the virtual faces F_{r_T u'} with interior F_ℓ or
@@ -187,51 +161,46 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
         if (faces::is_inside_face(t, f, pick)) hiding.push_back(f);
       }
       if (hiding.empty()) {
-        out.push_back(
-            make_path_candidate(t, t.root(), pick, planar::kNoEdge, 52));
+        out.push_back({t.path(t.root(), pick), planar::kNoEdge, 52});
       } else {
         const FundamentalEdge f = faces::pick_not_contained(t, hiding);
-        out.push_back(
-            make_path_candidate(t, t.root(), f.v, planar::kNoEdge, 53));
-        out.push_back(
-            make_path_candidate(t, t.root(), f.u, planar::kNoEdge, 53));
+        out.push_back({t.path(t.root(), f.v), planar::kNoEdge, 53});
+        out.push_back({t.path(t.root(), f.u), planar::kNoEdge, 53});
       }
     }
     // Further fallbacks, balance-verified.
-    out.push_back(make_path_candidate(t, estar.u, estar.v, estar.edge, 54));
-    out.push_back(make_path_candidate(t, t.root(), estar.v, planar::kNoEdge,
-                                      55));
-    out.push_back(make_path_candidate(t, t.root(), estar.u, planar::kNoEdge,
-                                      55));
-    out.push_back(make_path_candidate(t, t.root(), t.centroid(),
-                                      planar::kNoEdge, 55));
-  }
-
-  // Last resort (should be unreachable; counted in stats and asserted
-  // absent by the test suite): scan all fundamental-edge paths and all
-  // root→node paths.
-  {
-    Candidate c;
-    c.phase = 99;
-    out.push_back(std::move(c));  // placeholder; resolved in compute()
+    out.push_back({t.path(estar.u, estar.v), estar.edge, 54});
+    out.push_back({t.path(t.root(), estar.v), planar::kNoEdge, 55});
+    out.push_back({t.path(t.root(), estar.u), planar::kNoEdge, 55});
+    out.push_back({t.path(t.root(), t.centroid()), planar::kNoEdge, 55});
   }
   return out;
 }
 
-Candidate last_resort(const PartSet& ps, int p) {
+/// Whether removing c's path balances part p under `weight` (unit weights
+/// when empty). The distributed check is one components pass plus a size
+/// aggregation; values are computed directly.
+bool balances(const PartSet& ps, int p, const Candidate& c,
+              const std::vector<long long>& weight) {
+  return sub::balance_after_removal(*ps.g, ps.tree_of_part(p).nodes(), c.path,
+                                    weight)
+      .balanced();
+}
+
+/// The last resort (should be unreachable; counted in stats and asserted
+/// absent by the test suite): the first balancing fundamental-edge path,
+/// else the first balancing root→node path.
+Candidate last_resort(const PartSet& ps, int p,
+                      const std::vector<long long>& weight) {
   const RootedSpanningTree& t = ps.tree_of_part(p);
   for (EdgeId e : faces::real_fundamental_edges(t)) {
     const FundamentalEdge fe = faces::analyze_fundamental_edge(t, e);
-    Candidate c = make_path_candidate(t, fe.u, fe.v, fe.edge, 99);
-    if (sub::balance_after_removal(*ps.g, t.nodes(), c.path).balanced()) {
-      return c;
-    }
+    Candidate c{t.path(fe.u, fe.v), fe.edge, 99};
+    if (balances(ps, p, c, weight)) return c;
   }
   for (NodeId v : t.nodes()) {
-    Candidate c = make_path_candidate(t, t.root(), v, planar::kNoEdge, 99);
-    if (sub::balance_after_removal(*ps.g, t.nodes(), c.path).balanced()) {
-      return c;
-    }
+    Candidate c{t.path(t.root(), v), planar::kNoEdge, 99};
+    if (balances(ps, p, c, weight)) return c;
   }
   PLANSEP_CHECK_MSG(false, "no balanced separator path exists at all");
   return {};
@@ -265,6 +234,54 @@ void SeparatorStats::record(int phase) {
   }
 }
 
+void SeparatorResult::settle(int p, Candidate c) {
+  PLANSEP_CHECK(!c.path.empty());
+  PartSeparator& sep = parts[static_cast<std::size_t>(p)];
+  for (NodeId v : c.path) marked[static_cast<std::size_t>(v)] = 1;
+  sep.endpoint_a = c.path.front();
+  sep.endpoint_b = c.path.back();
+  sep.path = std::move(c.path);
+  sep.closing_edge = c.closing;
+  sep.phase = c.phase;
+  stats.record(c.phase);
+}
+
+int SeparatorEngine::search(const PartSet& ps, const Proposer& propose,
+                            const std::vector<long long>& weight,
+                            SeparatorResult& out) {
+  int most_tried = 0;
+  for (int p = 0; p < ps.num_parts; ++p) {
+    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
+    std::vector<Candidate> cands = propose(p);
+    const auto hit =
+        std::find_if(cands.begin(), cands.end(), [&](const Candidate& c) {
+          return balances(ps, p, c, weight);
+        });
+    const int tried = static_cast<int>(hit - cands.begin()) + 1;
+    out.stats.candidates_tried += tried;
+    if (tried == 1) ++out.stats.first_candidate_hits;
+    out.settle(p, hit != cands.end() ? std::move(*hit)
+                                     : last_resort(ps, p, weight));
+    most_tried = std::max(most_tried, tried);
+  }
+  return most_tried;
+}
+
+long long SeparatorEngine::verification_aggregations(const PartSet& ps,
+                                                     int rounds) {
+  const long long log_n =
+      1 + static_cast<long long>(
+              std::ceil(std::log2(std::max(2, ps.g->num_nodes()))));
+  return rounds * (log_n + 1);
+}
+
+RoundCost aggregation_price(shortcuts::PartwiseEngine& engine,
+                            const PartSet& ps) {
+  const std::vector<std::int64_t> zeros(
+      static_cast<std::size_t>(ps.g->num_nodes()), 0);
+  return engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax).cost;
+}
+
 SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
   obs::Span span("separator/compute");
   SeparatorResult out;
@@ -273,72 +290,27 @@ SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
 
   // --- Cost model (phases shared across parts; see header). One
   // aggregation over the part partition costs the same for every logical
-  // PA of a phase, so compute it once and scale.
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(ps.g->num_nodes()),
-                                  0);
-  auto pa_unit = engine_->aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  auto charge_pa = [&](long long k) {
-    RoundCost c = pa_unit.cost;
-    c.measured *= k;
-    c.charged *= k;
-    c.pa_calls = k;
-    out.cost += c;
-    // The probe aggregation above already advanced the obs round clock by
-    // one unit; mirror the k-fold ledger charge on the timeline too.
-    obs::advance_rounds(c.measured);
-  };
+  // PA of a phase, so price it once and scale.
+  const RoundCost unit = aggregation_price(*engine_, ps);
   {
     PLANSEP_SPAN("separator/weights");
     // Weights (Lemma 12): endpoint-local exchanges after the orders exist.
     out.cost += shortcuts::local_exchange(2);
-    charge_pa(3);   // Phase 2: tree test + range + centroid broadcast
-    charge_pa(5);   // Phase 3: range over ω, endpoint broadcast, mark-path
-    charge_pa(15);  // Phase 4: not-contains, detect-face, augmentation
-                    // broadcast, range, hidden, not-contained, mark-path
-    charge_pa(8);   // Phase 5: not-contained, F_l/F_r sums, mark-path
+    // Phase 2: tree test + range + centroid broadcast (3). Phase 3: range
+    // over ω, endpoint broadcast, mark-path (5). Phase 4: not-contains,
+    // detect-face, augmentation broadcast, range, hidden, not-contained,
+    // mark-path (15). Phase 5: not-contained, F_l/F_r sums, mark-path (8).
+    out.cost += shortcuts::aggregations(unit, 3 + 5 + 15 + 8);
     out.cost += shortcuts::local_exchange(4);
   }
 
-  // --- Candidate generation and verification.
+  // --- Candidate generation and verification; each verification round
+  // is shared across parts.
   obs::Span verify_span("separator/verify");
-  int verify_rounds_used = 0;
-  for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
-    std::vector<Candidate> cands = candidates_for_part(ps, p);
-    bool settled = false;
-    int tried = 0;
-    for (Candidate& c : cands) {
-      if (c.phase == 99) c = last_resort(ps, p);
-      ++tried;
-      // The distributed check is one components pass plus a size
-      // aggregation; values are computed directly.
-      if (sub::balance_after_removal(*ps.g, ps.tree_of_part(p).nodes(), c.path)
-              .balanced()) {
-        PartSeparator& sep = out.parts[static_cast<std::size_t>(p)];
-        sep.path = c.path;
-        sep.endpoint_a = c.path.front();
-        sep.endpoint_b = c.path.back();
-        sep.closing_edge = c.closing;
-        sep.phase = c.phase;
-        out.stats.record(c.phase);
-        out.stats.candidates_tried += tried;
-        if (tried == 1) ++out.stats.first_candidate_hits;
-        for (NodeId v : c.path) {
-          out.marked[static_cast<std::size_t>(v)] = 1;
-        }
-        settled = true;
-        break;
-      }
-    }
-    PLANSEP_CHECK_MSG(settled, "separator engine failed to settle a part");
-    verify_rounds_used = std::max(verify_rounds_used, tried);
-  }
-  // Each verification round = one components pass (O(log n) aggregations)
-  // plus a size aggregation, shared across parts.
-  const long long log_n =
-      1 + static_cast<long long>(
-              std::ceil(std::log2(std::max(2, ps.g->num_nodes()))));
-  charge_pa(verify_rounds_used * (log_n + 1));
+  const int rounds = search(
+      ps, [&](int p) { return candidates_for_part(ps, p); }, {}, out);
+  out.cost +=
+      shortcuts::aggregations(unit, verification_aggregations(ps, rounds));
   verify_span.note("candidates_tried", out.stats.candidates_tried);
   span.note("parts", ps.num_parts);
   span.note("rounds_charged", out.cost.charged);

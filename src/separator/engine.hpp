@@ -27,8 +27,16 @@
 // `stats` records which phase produced each part's separator and whether
 // any part ever needed the last-resort exhaustive fallback (the test
 // suite asserts it never fires).
+//
+// One skeleton serves every engine: the unweighted and weighted engines
+// differ only in the candidates they propose (SeparatorEngine::search
+// verifies, settles and falls back for both), the randomized baseline
+// (baselines/randomized_separator.hpp) settles its sampled candidates
+// through SeparatorResult::settle, and all three price their part-wise
+// aggregations with shortcuts::aggregations.
 
 #include <array>
+#include <functional>
 
 #include "faces/fundamental.hpp"
 #include "subroutines/part_context.hpp"
@@ -65,11 +73,25 @@ struct SeparatorStats {
   void record(int phase);
 };
 
+/// A proposed separator of one part: a tree path, the real edge closing
+/// its cycle (kNoEdge when the closure is virtual or the path is a bare
+/// tree path) and the phase that proposed it (PartSeparator::phase).
+struct Candidate {
+  std::vector<NodeId> path;
+  EdgeId closing = planar::kNoEdge;
+  int phase = 0;
+};
+
 struct SeparatorResult {
   std::vector<PartSeparator> parts;  // indexed by part id
   std::vector<char> marked;          // union over parts, per node
   RoundCost cost;
   SeparatorStats stats;
+
+  /// Commits `c` as part p's separator, the one place a PartSeparator is
+  /// filled: the path's ends become its endpoints, its nodes are marked
+  /// and its phase is recorded in `stats`. `c.path` must not be empty.
+  void settle(int p, Candidate c);
 };
 
 class SeparatorEngine {
@@ -95,8 +117,31 @@ class SeparatorEngine {
                                    const std::vector<long long>& weight);
 
  private:
+  /// Part p's candidates, in the order they are verified.
+  using Proposer = std::function<std::vector<Candidate>(int p)>;
+
+  /// The search both engines run: settles in every part with a tree the
+  /// first proposed candidate whose removal balances under `weight`
+  /// (unit weights when empty) or, when none does, the last-resort scan
+  /// over every fundamental-edge path and every root path (phase 99),
+  /// which counts as one more tried candidate. Returns the most
+  /// candidates any part tried.
+  static int search(const PartSet& ps, const Proposer& propose,
+                    const std::vector<long long>& weight,
+                    SeparatorResult& out);
+  /// The part-wise aggregations of `rounds` verification rounds over ps,
+  /// each one components pass (O(log n) aggregations) plus a size
+  /// aggregation, shared across parts.
+  static long long verification_aggregations(const PartSet& ps, int rounds);
+
   shortcuts::PartwiseEngine* engine_;
 };
+
+/// The price of one part-wise aggregation over ps's partition, which
+/// every engine scales with shortcuts::aggregations: the cost of one
+/// probe aggregation (which advances the obs clock for itself).
+RoundCost aggregation_price(shortcuts::PartwiseEngine& engine,
+                            const PartSet& ps);
 
 /// Theorem 1 on a whole connected graph, as one part.
 struct WholeGraphSeparator {

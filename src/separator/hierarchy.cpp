@@ -50,8 +50,6 @@ SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
   PLANSEP_CHECK(leaf_size >= 1);
   const NodeId n = g.num_nodes();
   SeparatorHierarchy out;
-  out.in_separator.assign(static_cast<std::size_t>(n), 0);
-  out.leaf_of_.assign(static_cast<std::size_t>(n), -1);
 
   SeparatorEngine sep_engine(engine);
 
@@ -79,18 +77,13 @@ SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
   }
 
   for (int level = 0; !frontier.empty(); ++level) {
-    out.levels = level + 1;
     // Split every frontier piece larger than leaf_size; smaller pieces
     // become leaves.
     std::vector<int> to_split;
     for (int idx : frontier) {
-      auto& piece = out.pieces[static_cast<std::size_t>(idx)];
-      if (static_cast<int>(piece.nodes.size()) > leaf_size) {
+      if (static_cast<int>(out.pieces[static_cast<std::size_t>(idx)]
+                               .nodes.size()) > leaf_size) {
         to_split.push_back(idx);
-      } else {
-        for (NodeId v : piece.nodes) {
-          out.leaf_of_[static_cast<std::size_t>(v)] = idx;
-        }
       }
     }
     if (to_split.empty()) break;
@@ -111,8 +104,6 @@ SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
       auto& piece = out.pieces[static_cast<std::size_t>(to_split[p])];
       piece.separator = res.parts[p].path;
       for (NodeId v : piece.separator) {
-        out.in_separator[static_cast<std::size_t>(v)] = 1;
-        ++out.separator_nodes;
         piece_of[static_cast<std::size_t>(v)] = -1;
       }
     }
@@ -137,8 +128,6 @@ SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
         child.parent = pi;
         child_piece[static_cast<std::size_t>(c)] =
             static_cast<int>(out.pieces.size());
-        out.pieces[static_cast<std::size_t>(pi)].children.push_back(
-            child_piece[static_cast<std::size_t>(c)]);
         next_frontier.push_back(child_piece[static_cast<std::size_t>(c)]);
         out.pieces.push_back(std::move(child));
       }
@@ -156,6 +145,7 @@ SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
     }
     frontier = std::move(next_frontier);
   }
+  out.rebuild_derived(n);
   return out;
 }
 

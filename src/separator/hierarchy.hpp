@@ -38,17 +38,14 @@ struct SeparatorHierarchy {
   NodeId num_nodes() const { return static_cast<NodeId>(leaf_of_.size()); }
 
   /// Recomputes every derived table — children links, in_separator,
-  /// leaf_of, levels, separator_nodes — from `pieces` alone. This is the
-  /// decode direction of the kHierarchy artifact codec: only the pieces
-  /// are persisted, the rest is a pure function of them.
+  /// leaf_of, levels, separator_nodes — from `pieces` alone. Both
+  /// build_hierarchy and the kHierarchy artifact decoder derive them this
+  /// way: only the pieces are persisted, the rest is a pure function of
+  /// them.
   void rebuild_derived(NodeId n);
 
  private:
-  std::vector<int> leaf_of_;  // per node; filled by build_hierarchy
-
-  friend SeparatorHierarchy build_hierarchy(const planar::EmbeddedGraph& g,
-                                            shortcuts::PartwiseEngine& engine,
-                                            int leaf_size);
+  std::vector<int> leaf_of_;  // per node; filled by rebuild_derived
 };
 
 /// Builds the full hierarchy over the graph g (one root piece per

@@ -5,13 +5,13 @@
 // weighted root sweeps in both orders (the weighted analog of
 // faces/augmentation.hpp's root_sweep_weight, computed from π-order prefix
 // sums and ancestor-weight sums), and the path to the heaviest node (which
-// alone suffices when one node carries > 2/3 of the weight). Every
-// candidate is verified against the weighted balance before committing;
-// the last-resort scan also verifies weighted balance, so the result is
-// always a weighted separator (tests monitor how often candidates fail).
+// alone suffices when one node carries > 2/3 of the weight). The
+// unweighted engine's search verifies them against the weighted balance,
+// settles the first that balances and, failing all, runs its last-resort
+// scan under the weights too, so the result is always a weighted
+// separator (tests monitor how often candidates fail).
 
 #include <algorithm>
-#include <cmath>
 
 #include "faces/augmentation.hpp"
 #include "faces/containment.hpp"
@@ -20,7 +20,6 @@
 #include "faces/weights.hpp"
 #include "obs/metrics.hpp"
 #include "separator/engine.hpp"
-#include "subroutines/components.hpp"
 #include "util/check.hpp"
 
 namespace plansep::separator {
@@ -199,6 +198,122 @@ long long weighted_augmented(const RootedSpanningTree& t,
   return wz + pu + interval - border;
 }
 
+/// The weighted candidates of the part spanned by t, in verification
+/// order: the unweighted engine's winner first, then the weight-aware
+/// sweeps.
+std::vector<Candidate> weighted_candidates(const RootedSpanningTree& t,
+                                           const std::vector<long long>& weight,
+                                           const PartSeparator& unweighted) {
+  const WeightedView wv = weighted_view(t, weight);
+  const long long total = wv.total;
+  std::vector<Candidate> cands;
+  if (total == 0 || t.size() <= 1) {
+    cands.push_back({{t.root()}, planar::kNoEdge, 2});
+    return cands;
+  }
+  // The unweighted winner.
+  cands.push_back({unweighted.path, unweighted.closing_edge, unweighted.phase});
+  // Weighted centroid walk: descend into any child whose weighted
+  // subtree exceeds half the total.
+  planar::NodeId c = t.root();
+  for (;;) {
+    planar::NodeId heavy = planar::kNoNode;
+    for (planar::NodeId ch : t.children(c)) {
+      if (2 * wv.subtree[static_cast<std::size_t>(ch)] > total) {
+        heavy = ch;
+        break;
+      }
+    }
+    if (heavy == planar::kNoNode) break;
+    c = heavy;
+  }
+  cands.push_back({t.path(t.root(), c), planar::kNoEdge, 61});
+  // Weighted root sweeps, both orders: the leaf whose sweep weight
+  // lands in [W/3, 2W/3] (take the sweep-latest such leaf).
+  for (bool left : {true, false}) {
+    planar::NodeId pick = planar::kNoNode;
+    for (planar::NodeId z : t.nodes()) {
+      if (z == t.root() || !t.children(z).empty()) continue;
+      const long long w = weighted_root_sweep(t, wv, z, weight, left);
+      if (3 * w < total || 3 * w > 2 * total) continue;
+      if (pick == planar::kNoNode ||
+          (left ? t.pi_left(z) > t.pi_left(pick)
+                : t.pi_right(z) > t.pi_right(pick))) {
+        pick = z;
+      }
+    }
+    if (pick != planar::kNoNode) {
+      cands.push_back({t.path(t.root(), pick), planar::kNoEdge, 62});
+    }
+  }
+  // Weighted Phase 3/4: real fundamental faces with weighted content
+  // in range; weighted long paths; weighted augmentation sweep of a
+  // maximal heavy face (with the hidden fallback, which is
+  // weight-independent).
+  std::vector<faces::FundamentalEdge> fes;
+  std::vector<long long> fw;
+  for (planar::EdgeId e : faces::real_fundamental_edges(t)) {
+    fes.push_back(faces::analyze_fundamental_edge(t, e));
+    fw.push_back(weighted_face_weight(t, wv, fes.back(), weight));
+  }
+  for (std::size_t i = 0; i < fes.size(); ++i) {
+    if (3 * fw[i] >= total && 3 * fw[i] <= 2 * total) {
+      cands.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 64});
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < fes.size(); ++i) {
+    // A path already carrying >= W/3 is a separator by itself.
+    const long long pw =
+        wv.anc[static_cast<std::size_t>(fes[i].u)] +
+        wv.anc[static_cast<std::size_t>(fes[i].v)] -
+        2 * wv.anc[static_cast<std::size_t>(t.lca(fes[i].u, fes[i].v))] +
+        weight[static_cast<std::size_t>(t.lca(fes[i].u, fes[i].v))];
+    if (3 * pw >= total) {
+      cands.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 64});
+      break;
+    }
+  }
+  std::vector<faces::FundamentalEdge> heavy;
+  for (std::size_t i = 0; i < fes.size(); ++i) {
+    if (3 * fw[i] > 2 * total) heavy.push_back(fes[i]);
+  }
+  if (!heavy.empty()) {
+    const auto estar = faces::pick_not_contains(t, heavy);
+    const faces::FaceData fd = faces::face_data(t, estar);
+    for (planar::NodeId z : t.nodes()) {
+      if (!t.children(z).empty()) continue;
+      if (faces::classify_node(fd, faces::node_data(t, z)) !=
+          faces::FaceSide::kInside) {
+        continue;
+      }
+      const long long aw = weighted_augmented(t, wv, estar, z, weight);
+      if (3 * aw < total || 3 * aw > 2 * total) continue;
+      const auto hiding = faces::hiding_edges(t, estar, z);
+      if (hiding.empty()) {
+        cands.push_back({t.path(estar.u, z), planar::kNoEdge, 65});
+      } else {
+        const auto fh = faces::pick_not_contained(t, hiding);
+        cands.push_back({t.path(estar.u, fh.v), planar::kNoEdge, 65});
+        cands.push_back({t.path(estar.u, fh.u), planar::kNoEdge, 65});
+      }
+      break;
+    }
+    cands.push_back({t.path(estar.u, estar.v), estar.edge, 65});
+  }
+  // The heaviest node: if some node alone carries > 2W/3, any path
+  // through it is a weighted separator.
+  planar::NodeId heaviest = t.root();
+  for (planar::NodeId v : t.nodes()) {
+    if (weight[static_cast<std::size_t>(v)] >
+        weight[static_cast<std::size_t>(heaviest)]) {
+      heaviest = v;
+    }
+  }
+  cands.push_back({t.path(t.root(), heaviest), planar::kNoEdge, 63});
+  return cands;
+}
+
 }  // namespace
 
 SeparatorResult SeparatorEngine::compute_weighted(
@@ -207,8 +322,6 @@ SeparatorResult SeparatorEngine::compute_weighted(
                 ps.g->num_nodes());
   for (long long w : weight) PLANSEP_CHECK_MSG(w >= 0, "negative weight");
 
-  // Unweighted candidates first (they are verified against the weighted
-  // balance below); weight-aware candidates appended per part.
   obs::Span span("separator/weighted");
   SeparatorResult out;
   out.parts.resize(static_cast<std::size_t>(ps.num_parts));
@@ -216,208 +329,22 @@ SeparatorResult SeparatorEngine::compute_weighted(
 
   // Cost model: the unweighted phase charges plus one Proposition-5-style
   // charge for the weighted prefix/subtree sums.
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(ps.g->num_nodes()),
-                                  0);
-  auto pa_unit = engine_->aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  auto charge_pa = [&](long long k) {
-    shortcuts::RoundCost c = pa_unit.cost;
-    c.measured *= k;
-    c.charged *= k;
-    c.pa_calls = k;
-    out.cost += c;
-    obs::advance_rounds(c.measured);  // mirror the ledger on the obs clock
-  };
-  charge_pa(34);  // phases 2-5 as in compute()
-  out.cost += engine_->blackbox_charge();  // weighted sums
+  const RoundCost unit = aggregation_price(*engine_, ps);
+  out.cost += shortcuts::aggregations(unit, 34);  // phases 2-5 as in compute()
+  out.cost += engine_->blackbox_charge();         // weighted sums
   out.cost += shortcuts::local_exchange(6);
 
+  // Unweighted candidates first (verified against the weighted balance);
+  // weight-aware candidates after them.
   const SeparatorResult unweighted = compute(ps);
   out.cost += unweighted.cost;
-
-  for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
-    const RootedSpanningTree& t = ps.tree_of_part(p);
-    const WeightedView wv = weighted_view(t, weight);
-    const long long total = wv.total;
-    // Weighted-balance verification of one candidate path.
-    const auto balances = [&](const std::vector<planar::NodeId>& path) {
-      return sub::balance_after_removal(*ps.g, t.nodes(), path, weight)
-          .balanced();
-    };
-
-    struct Cand {
-      std::vector<planar::NodeId> path;
-      int phase;
-    };
-    std::vector<Cand> cands;
-    if (total == 0 || t.size() <= 1) {
-      cands.push_back({{t.root()}, 2});
-    } else {
-      // The unweighted winner.
-      cands.push_back({unweighted.parts[static_cast<std::size_t>(p)].path,
-                       unweighted.parts[static_cast<std::size_t>(p)].phase});
-      // Weighted centroid walk: descend into any child whose weighted
-      // subtree exceeds half the total.
-      planar::NodeId c = t.root();
-      for (;;) {
-        planar::NodeId heavy = planar::kNoNode;
-        for (planar::NodeId ch : t.children(c)) {
-          if (2 * wv.subtree[static_cast<std::size_t>(ch)] > total) {
-            heavy = ch;
-            break;
-          }
-        }
-        if (heavy == planar::kNoNode) break;
-        c = heavy;
-      }
-      cands.push_back({t.path(t.root(), c), 61});
-      // Weighted root sweeps, both orders: the leaf whose sweep weight
-      // lands in [W/3, 2W/3] (take the sweep-latest such leaf).
-      for (bool left : {true, false}) {
-        planar::NodeId pick = planar::kNoNode;
-        for (planar::NodeId z : t.nodes()) {
-          if (z == t.root() || !t.children(z).empty()) continue;
-          const long long w = weighted_root_sweep(t, wv, z, weight, left);
-          if (3 * w < total || 3 * w > 2 * total) continue;
-          if (pick == planar::kNoNode ||
-              (left ? t.pi_left(z) > t.pi_left(pick)
-                    : t.pi_right(z) > t.pi_right(pick))) {
-            pick = z;
-          }
-        }
-        if (pick != planar::kNoNode) {
-          cands.push_back({t.path(t.root(), pick), 62});
-        }
-      }
-      // Weighted Phase 3/4: real fundamental faces with weighted content
-      // in range; weighted long paths; weighted augmentation sweep of a
-      // maximal heavy face (with the hidden fallback, which is
-      // weight-independent).
-      {
-        std::vector<faces::FundamentalEdge> fes;
-        std::vector<long long> fw;
-        for (planar::EdgeId e : faces::real_fundamental_edges(t)) {
-          fes.push_back(faces::analyze_fundamental_edge(t, e));
-          fw.push_back(weighted_face_weight(t, wv, fes.back(), weight));
-        }
-        for (std::size_t i = 0; i < fes.size(); ++i) {
-          if (3 * fw[i] >= total && 3 * fw[i] <= 2 * total) {
-            cands.push_back({t.path(fes[i].u, fes[i].v), 64});
-            break;
-          }
-        }
-        for (std::size_t i = 0; i < fes.size(); ++i) {
-          // A path already carrying >= W/3 is a separator by itself.
-          const long long pw =
-              wv.anc[static_cast<std::size_t>(fes[i].u)] +
-              wv.anc[static_cast<std::size_t>(fes[i].v)] -
-              2 * wv.anc[static_cast<std::size_t>(t.lca(fes[i].u, fes[i].v))] +
-              weight[static_cast<std::size_t>(t.lca(fes[i].u, fes[i].v))];
-          if (3 * pw >= total) {
-            cands.push_back({t.path(fes[i].u, fes[i].v), 64});
-            break;
-          }
-        }
-        std::vector<faces::FundamentalEdge> heavy;
-        for (std::size_t i = 0; i < fes.size(); ++i) {
-          if (3 * fw[i] > 2 * total) heavy.push_back(fes[i]);
-        }
-        if (!heavy.empty()) {
-          const auto estar = faces::pick_not_contains(t, heavy);
-          const faces::FaceData fd = faces::face_data(t, estar);
-          for (planar::NodeId z : t.nodes()) {
-            if (!t.children(z).empty()) continue;
-            if (faces::classify_node(fd, faces::node_data(t, z)) !=
-                faces::FaceSide::kInside) {
-              continue;
-            }
-            const long long aw = weighted_augmented(t, wv, estar, z, weight);
-            if (3 * aw < total || 3 * aw > 2 * total) continue;
-            const auto hiding = faces::hiding_edges(t, estar, z);
-            if (hiding.empty()) {
-              cands.push_back({t.path(estar.u, z), 65});
-            } else {
-              const auto fh = faces::pick_not_contained(t, hiding);
-              cands.push_back({t.path(estar.u, fh.v), 65});
-              cands.push_back({t.path(estar.u, fh.u), 65});
-            }
-            break;
-          }
-          cands.push_back({t.path(estar.u, estar.v), 65});
-        }
-      }
-      // The heaviest node: if some node alone carries > 2W/3, any path
-      // through it is a weighted separator.
-      planar::NodeId heaviest = t.root();
-      for (planar::NodeId v : t.nodes()) {
-        if (weight[static_cast<std::size_t>(v)] >
-            weight[static_cast<std::size_t>(heaviest)]) {
-          heaviest = v;
-        }
-      }
-      cands.push_back({t.path(t.root(), heaviest), 63});
-    }
-
-    bool settled = false;
-    int tried = 0;
-    for (const Cand& cand : cands) {
-      ++tried;
-      if (balances(cand.path)) {
-        auto& sep = out.parts[static_cast<std::size_t>(p)];
-        sep.path = cand.path;
-        sep.endpoint_a = cand.path.front();
-        sep.endpoint_b = cand.path.back();
-        sep.phase = cand.phase;
-        out.stats.record(cand.phase);
-        out.stats.candidates_tried += tried;
-        if (tried == 1) ++out.stats.first_candidate_hits;
-        settled = true;
-        break;
-      }
-    }
-    if (!settled) {
-      // Last resort with weighted verification (counted in stats).
-      for (planar::EdgeId e : faces::real_fundamental_edges(t)) {
-        const auto fe = faces::analyze_fundamental_edge(t, e);
-        const auto path = t.path(fe.u, fe.v);
-        if (balances(path)) {
-          auto& sep = out.parts[static_cast<std::size_t>(p)];
-          sep.path = path;
-          sep.endpoint_a = fe.u;
-          sep.endpoint_b = fe.v;
-          sep.closing_edge = fe.edge;
-          sep.phase = 99;
-          out.stats.record(99);
-          settled = true;
-          break;
-        }
-      }
-    }
-    if (!settled) {
-      for (planar::NodeId v : t.nodes()) {
-        const auto path = t.path(t.root(), v);
-        if (balances(path)) {
-          auto& sep = out.parts[static_cast<std::size_t>(p)];
-          sep.path = path;
-          sep.endpoint_a = t.root();
-          sep.endpoint_b = v;
-          sep.phase = 99;
-          out.stats.record(99);
-          settled = true;
-          break;
-        }
-      }
-    }
-    PLANSEP_CHECK_MSG(settled, "no weighted separator path found");
-    for (planar::NodeId v : out.parts[static_cast<std::size_t>(p)].path) {
-      out.marked[static_cast<std::size_t>(v)] = 1;
-    }
-    // Weighted-balance verification pass (shared per candidate round).
-  }
-  const long long log_n =
-      1 + static_cast<long long>(
-              std::ceil(std::log2(std::max(2, ps.g->num_nodes()))));
-  charge_pa(5 * (log_n + 1));
+  const auto propose = [&](int p) {
+    return weighted_candidates(ps.tree_of_part(p), weight,
+                               unweighted.parts[static_cast<std::size_t>(p)]);
+  };
+  search(ps, propose, weight, out);
+  // Weighted-balance verification: five rounds, shared across parts.
+  out.cost += shortcuts::aggregations(unit, verification_aggregations(ps, 5));
   return out;
 }
 

@@ -138,10 +138,8 @@ std::string render_row(const JobRun& r) {
 // bytes→row path shared by cold and warm runs.
 SepRow sep_row_from_bytes(const planar::EmbeddedGraph& g,
                           const std::vector<std::uint8_t>& bytes) {
-  const io::Artifact a = io::parse(bytes);
-  const io::Section* sec = a.find(io::SectionId::kSeparator);
-  if (sec == nullptr) throw io::FormatError("artifact lacks kSeparator");
-  const io::SeparatorArtifact sa = io::decode_separator(sec->bytes);
+  const io::SeparatorArtifact sa = io::decode_separator(
+      io::parse(bytes).require(io::SectionId::kSeparator));
   const SeparatorVerify v = verify_separator_artifact(g, sa);
   SepRow row;
   row.phase = sa.part.phase;
@@ -156,10 +154,8 @@ SepRow sep_row_from_bytes(const planar::EmbeddedGraph& g,
 
 DfsRow dfs_row_from_bytes(const planar::EmbeddedGraph& g,
                           const std::vector<std::uint8_t>& bytes) {
-  const io::Artifact a = io::parse(bytes);
-  const io::Section* sec = a.find(io::SectionId::kDfsTree);
-  if (sec == nullptr) throw io::FormatError("artifact lacks kDfsTree");
-  const io::DfsArtifact da = io::decode_dfs(sec->bytes);
+  const io::DfsArtifact da =
+      io::decode_dfs(io::parse(bytes).require(io::SectionId::kDfsTree));
   DfsRow row;
   row.phases = da.phases;
   for (const int d : da.depth) row.depth = std::max(row.depth, d);
@@ -171,10 +167,8 @@ DfsRow dfs_row_from_bytes(const planar::EmbeddedGraph& g,
 
 BaselineRow baseline_row_from_bytes(const planar::EmbeddedGraph& g,
                                     const std::vector<std::uint8_t>& bytes) {
-  const io::Artifact a = io::parse(bytes);
-  const io::Section* sec = a.find(io::SectionId::kLevelSeparator);
-  if (sec == nullptr) throw io::FormatError("artifact lacks kLevelSeparator");
-  const io::LevelSeparatorArtifact la = io::decode_level_separator(sec->bytes);
+  const io::LevelSeparatorArtifact la = io::decode_level_separator(
+      io::parse(bytes).require(io::SectionId::kLevelSeparator));
   BaselineRow row;
   row.found = la.result.found;
   row.size = static_cast<long long>(la.result.separator.size());

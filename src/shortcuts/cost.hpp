@@ -46,4 +46,17 @@ inline RoundCost local_exchange(int rounds = 1) {
   return c;
 }
 
+/// Cost of k part-wise aggregations over one part partition, priced at
+/// `unit`, the cost of one probe aggregation over it: every aggregation
+/// over the same partition costs the same. Advances the obs round clock
+/// like local_exchange (the probe advanced it for itself).
+inline RoundCost aggregations(const RoundCost& unit, long long k) {
+  RoundCost c = unit;
+  c.measured *= k;
+  c.charged *= k;
+  c.pa_calls = k;
+  obs::advance_rounds(c.measured);
+  return c;
+}
+
 }  // namespace plansep::shortcuts

@@ -23,28 +23,11 @@ namespace plansep::taskgraph {
 
 namespace {
 
-std::vector<std::uint8_t> single_section(io::SectionId id,
-                                         std::vector<std::uint8_t> payload) {
-  io::Artifact a;
-  a.add(id, std::move(payload));
-  return io::assemble(a);
-}
-
-const io::Section& require_section(const io::Artifact& a, io::SectionId id,
-                                   const char* what) {
-  const io::Section* sec = a.find(id);
-  if (sec == nullptr) {
-    throw io::FormatError(std::string("artifact lacks ") + what);
-  }
-  return *sec;
-}
-
 congest::BfsResult decode_spanning_tree_bytes(
     const std::vector<std::uint8_t>& bytes) {
-  const io::Artifact a = io::parse(bytes);
-  const io::Section& sec =
-      require_section(a, io::SectionId::kSpanningTree, "kSpanningTree");
-  return io::decode_spanning_tree(sec.bytes).bfs;
+  return io::decode_spanning_tree(
+             io::parse(bytes).require(io::SectionId::kSpanningTree))
+      .bfs;
 }
 
 // One artifact compute's engine, built from the spanning tree's *bytes*
@@ -61,8 +44,8 @@ shortcuts::PartwiseEngine engine_from(const planar::EmbeddedGraph& g,
 
 std::vector<std::uint8_t> separator_bytes(const separator::PartSeparator& part,
                                           const shortcuts::RoundCost& cost) {
-  return single_section(io::SectionId::kSeparator,
-                        io::encode_separator({part, cost}));
+  return io::assemble_single(io::SectionId::kSeparator,
+                             io::encode_separator({part, cost}));
 }
 
 std::vector<std::uint8_t> dfs_bytes(const dfs::DfsBuildResult& build,
@@ -70,13 +53,13 @@ std::vector<std::uint8_t> dfs_bytes(const dfs::DfsBuildResult& build,
   io::DfsArtifact da = io::dfs_artifact_from_tree(build.tree);
   da.phases = build.phases;
   da.cost = cost;
-  return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
+  return io::assemble_single(io::SectionId::kDfsTree, io::encode_dfs(da));
 }
 
 std::vector<std::uint8_t> level_separator_bytes(
     baselines::LevelSeparatorResult res) {
-  return single_section(io::SectionId::kLevelSeparator,
-                        io::encode_level_separator({std::move(res)}));
+  return io::assemble_single(io::SectionId::kLevelSeparator,
+                             io::encode_level_separator({std::move(res)}));
 }
 
 }  // namespace
@@ -133,8 +116,8 @@ serve::ArtifactCache::Value Stages::spanning_tree() {
           PLANSEP_SPAN("pa/setup_bfs");
           bfs = congest::distributed_bfs(graph, in_.root);
         }
-        return single_section(io::SectionId::kSpanningTree,
-                              io::encode_spanning_tree({std::move(bfs)}));
+        return io::assemble_single(io::SectionId::kSpanningTree,
+                                   io::encode_spanning_tree({std::move(bfs)}));
       });
 }
 

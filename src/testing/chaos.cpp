@@ -14,16 +14,6 @@ namespace {
 
 using planar::NodeId;
 
-// The payload of a fault stage's artifact bytes, read the way a row reads
-// them: io::parse verifies the container, and a missing section throws.
-std::vector<std::uint8_t> payload(const std::vector<std::uint8_t>& bytes,
-                                  io::SectionId id) {
-  const io::Artifact a = io::parse(bytes);
-  const io::Section* sec = a.find(id);
-  if (sec == nullptr) throw io::FormatError("fault stage shipped no section");
-  return sec->bytes;
-}
-
 // Centralized, network-free balance check of a recovered separator:
 // the marked path must be node-simple and every component of G − path
 // must have at most 2n/3 nodes, by the oracles' reference search.
@@ -112,8 +102,10 @@ ChaosStats run_pipeline_chaos(const Instance& inst, const ChaosOptions& opt,
     st.separator_survived = sep.retry.ok;
     st.separator_attempts = sep.retry.attempts;
     if (sep.retry.ok) {
-      const io::SeparatorArtifact sa =
-          io::decode_separator(payload(sep.bytes, io::SectionId::kSeparator));
+      // Read the way a row reads them: io::parse verifies the container,
+      // and a missing section throws.
+      const io::SeparatorArtifact sa = io::decode_separator(
+          io::parse(sep.bytes).require(io::SectionId::kSeparator));
       cross_check_separator(g, sa.part, rep);
     } else if (sep.retry.failure.empty()) {
       rep.fail("chaos/separator: failed without a diagnosis");
@@ -127,8 +119,8 @@ ChaosStats run_pipeline_chaos(const Instance& inst, const ChaosOptions& opt,
         // Independent centralized DFS oracle over the shipped tree: the
         // stage accepted it by dfs::check_dfs_tree, the oracle re-judges
         // it by parent walks.
-        const io::DfsArtifact t =
-            io::decode_dfs(payload(d.bytes, io::SectionId::kDfsTree));
+        const io::DfsArtifact t = io::decode_dfs(
+            io::parse(d.bytes).require(io::SectionId::kDfsTree));
         check_dfs_tree_oracle(g, t.root, t.parent, t.depth, rep);
       } else if (d.retry.failure.empty()) {
         rep.fail("chaos/dfs: failed without a diagnosis");

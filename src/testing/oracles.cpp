@@ -118,19 +118,33 @@ ReferenceBalance reference_balance(const planar::EmbeddedGraph& g,
   return out;
 }
 
+namespace {
+
+// Theorem 1's structural half, shared by the unweighted and the weighted
+// oracle (`tag` prefixes their failures): a marked path that is the tree
+// path between its endpoints, node-simple and joined by its closing edge.
+// The properties come from the library check; the balance, which the
+// callers judge, from the reference search. False when nothing is marked.
+bool check_separator_structure(const sub::PartSet& ps, int p,
+                               const separator::PartSeparator& sep,
+                               const std::string& tag, InvariantReport& rep) {
+  if (sep.path.empty()) {
+    rep.fail(tag + "/empty: no path marked");
+    return false;
+  }
+  const separator::SeparatorCheck chk = separator::check_separator(ps, p, sep);
+  if (!chk.is_tree_path) rep.fail(tag + "/tree_path: marked set is not the tree path between its endpoints");
+  if (!chk.simple_path) rep.fail(tag + "/simple: a node repeats on the marked path");
+  if (!chk.closure_ok) rep.fail(tag + "/closure: closing edge does not join the endpoints");
+  return true;
+}
+
+}  // namespace
+
 void check_cycle_separator(const sub::PartSet& ps, int p,
                            const separator::PartSeparator& sep,
                            InvariantReport& rep) {
-  if (sep.path.empty()) {
-    rep.fail("separator/empty: no path marked");
-    return;
-  }
-  // The structural properties come from the library check; the balance
-  // from the reference search.
-  const separator::SeparatorCheck chk = separator::check_separator(ps, p, sep);
-  if (!chk.is_tree_path) rep.fail("separator/tree_path: marked set is not the tree path between its endpoints");
-  if (!chk.simple_path) rep.fail("separator/simple: a node repeats on the marked path");
-  if (!chk.closure_ok) rep.fail("separator/closure: closing edge does not join the endpoints");
+  if (!check_separator_structure(ps, p, sep, "separator", rep)) return;
   const ReferenceBalance bal = reference_balance(*ps.g, ps.part, p, sep.path);
   if (!bal.ok()) {
     std::ostringstream os;
@@ -145,10 +159,7 @@ void check_weighted_separator(const sub::PartSet& ps, int p,
                               const separator::PartSeparator& sep,
                               const std::vector<long long>& weight,
                               InvariantReport& rep) {
-  if (sep.path.empty()) {
-    rep.fail("wseparator/empty: no path marked");
-    return;
-  }
+  if (!check_separator_structure(ps, p, sep, "wseparator", rep)) return;
   const ReferenceBalance bal =
       reference_balance(*ps.g, ps.part, p, sep.path, weight);
   if (!bal.ok()) {

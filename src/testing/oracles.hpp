@@ -90,7 +90,9 @@ void check_cycle_separator(const sub::PartSet& ps, int p,
                            const separator::PartSeparator& sep,
                            InvariantReport& rep);
 
-/// Weighted Theorem 1: components of G[P]−S weigh ≤ 2/3 of the part total.
+/// Weighted Theorem 1: the structural checks of check_cycle_separator
+/// (tree path, simple path, closing edge), and components of G[P]−S weigh
+/// ≤ 2/3 of the part total.
 void check_weighted_separator(const sub::PartSet& ps, int p,
                               const separator::PartSeparator& sep,
                               const std::vector<long long>& weight,

@@ -149,8 +149,8 @@ TEST(DaemonCliTest, MalformedCacheBytesExitsTwoBeforeBinding) {
 }
 
 // A plansepd child process. The destructor SIGTERMs a daemon that is
-// still running and reaps it, so a failed assertion never leaves one
-// behind.
+// still running and reaps it (ignoring its exit code), so a failed
+// assertion never leaves one behind.
 class DaemonProcess {
  public:
   explicit DaemonProcess(const std::vector<std::string>& flags) {
@@ -174,6 +174,9 @@ class DaemonProcess {
   DaemonProcess& operator=(const DaemonProcess&) = delete;
 
   bool spawned() const { return pid_ > 0; }
+
+  // Sends `sig` to the running daemon.
+  void send(int sig) const { ::kill(pid_, sig); }
 
   // Reaps the daemon and returns its exit code; -1 if it did not exit
   // normally. A daemon still running after 60 s is killed first.
@@ -301,6 +304,26 @@ TEST(DaemonCliTest, ServesOverItsSocketAndServesWarmAfterARestart) {
   EXPECT_TRUE(warm.trace_written);
   EXPECT_EQ(counter(warm.metrics, "daemon/cache_misses"), 0);
   EXPECT_GT(counter(warm.metrics, "daemon/cache_disk_hits"), 0);
+}
+
+// SIGTERM takes the drain path through the daemon's signal handler: the
+// daemon writes its --metrics-out dump, counting the connection that
+// pinged it, and exits 0.
+TEST(DaemonCliTest, SigtermStopsTheDaemonCleanly) {
+  ScratchDir dir("sigterm");
+  const std::string socket = dir.path() + "/d.sock";
+  const std::string metrics = dir.path() + "/metrics.json";
+  DaemonProcess d({"--socket=" + socket, "--metrics-out=" + metrics});
+  ASSERT_TRUE(d.spawned()) << "posix_spawn " << PLANSEP_DAEMON_BIN;
+  daemon::Client c;
+  ASSERT_TRUE(c.connect(socket, 30000)) << "plansepd never bound " << socket;
+  ASSERT_TRUE(c.ping(1));
+  d.send(SIGTERM);
+  EXPECT_EQ(d.wait_exit(), 0);
+  std::ifstream in(metrics);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(counter(json, "daemon/connections"), 1) << json;
 }
 
 }  // namespace

@@ -431,21 +431,14 @@ taskgraph::JobInputs inputs_of(const GeneratedGraph& gg) {
   return in;
 }
 
-// The payload of a fault stage's artifact bytes.
-std::vector<std::uint8_t> payload(const taskgraph::Recovered& r,
-                                  io::SectionId id) {
-  const io::Artifact a = io::parse(r.bytes);
-  const io::Section* sec = a.find(id);
-  EXPECT_NE(sec, nullptr);
-  return sec == nullptr ? std::vector<std::uint8_t>{} : sec->bytes;
-}
-
+// The payloads of a fault stage's artifact bytes.
 io::DfsArtifact dfs_of(const taskgraph::Recovered& r) {
-  return io::decode_dfs(payload(r, io::SectionId::kDfsTree));
+  return io::decode_dfs(io::parse(r.bytes).require(io::SectionId::kDfsTree));
 }
 
 io::SeparatorArtifact separator_of(const taskgraph::Recovered& r) {
-  return io::decode_separator(payload(r, io::SectionId::kSeparator));
+  return io::decode_separator(
+      io::parse(r.bytes).require(io::SectionId::kSeparator));
 }
 
 TEST(Recovery, CleanRunSucceedsFirstAttempt) {

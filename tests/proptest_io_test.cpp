@@ -316,6 +316,29 @@ TEST(ProptestIo, UnknownSectionsSurviveReassembly) {
   EXPECT_EQ(io::assemble(b), bytes);
 }
 
+// Every reader that needs a section fails the same way when it is absent
+// (io::Artifact::require), the graph loader included.
+TEST(ProptestIo, MissingSectionIsNamedInTheError) {
+  const auto bytes = io::assemble_single(io::SectionId::kMeta,
+                                         io::encode_meta({"x", 5, 0}));
+  const auto message = [&](const std::function<void()>& read) {
+    try {
+      read();
+    } catch (const io::FormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { io::decode_graph_artifact(bytes); }),
+            "artifact lacks kGraph");
+  EXPECT_EQ(message([&] {
+              io::parse(bytes).require(static_cast<io::SectionId>(900));
+            }),
+            "artifact lacks section 900");
+  EXPECT_EQ(io::parse(bytes).require(io::SectionId::kMeta),
+            io::encode_meta({"x", 5, 0}));
+}
+
 TEST(ProptestIo, FingerprintMismatchIsRejectedOnLoad) {
   // encode_graph_artifact stamps the true fingerprint itself, so a lying
   // meta section has to be assembled by hand.

@@ -304,13 +304,6 @@ std::vector<serve::JobSpec> parity_jobs() {
   return serve::parse_job_file(file);
 }
 
-std::vector<std::uint8_t> single_section(io::SectionId id,
-                                         std::vector<std::uint8_t> payload) {
-  io::Artifact a;
-  a.add(id, std::move(payload));
-  return io::assemble(a);
-}
-
 // The integer after "key": in a row — inside the `section` object when
 // one is named.
 long long row_int(const std::string& row, const std::string& section,
@@ -365,9 +358,9 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         if (sep) {
           const SeparatorRun run = compute_cycle_separator(g, inst.root);
           EXPECT_EQ(peek("separator@v1"),
-                    single_section(io::SectionId::kSeparator,
-                                   io::encode_separator(
-                                       {run.separator, run.cost})))
+                    io::assemble_single(io::SectionId::kSeparator,
+                                        io::encode_separator(
+                                            {run.separator, run.cost})))
               << row;
         }
         if (dfs) {
@@ -376,16 +369,16 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
           da.phases = run.build.phases;
           da.cost = run.build.cost;
           EXPECT_EQ(peek("dfs@v1"),
-                    single_section(io::SectionId::kDfsTree,
-                                   io::encode_dfs(da)))
+                    io::assemble_single(io::SectionId::kDfsTree,
+                                        io::encode_dfs(da)))
               << row;
         }
         if (spec.algo == serve::Algo::kBaselineSeparator) {
           EXPECT_EQ(peek(taskgraph::kLevelSeparatorArtifactId),
-                    single_section(io::SectionId::kLevelSeparator,
-                                   io::encode_level_separator(
-                                       {baselines::bfs_level_separator(
-                                           g, inst.root)})))
+                    io::assemble_single(io::SectionId::kLevelSeparator,
+                                        io::encode_level_separator(
+                                            {baselines::bfs_level_separator(
+                                                g, inst.root)})))
               << row;
         }
         continue;
@@ -396,19 +389,13 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
       faults::FaultController ctl(spec.faults, spec.fault_seed);
       faults::ScopedFaultInjection inject(ctl);
       const taskgraph::JobInputs in = inst.inputs();
-      const auto payload = [](const taskgraph::Recovered& rec,
-                              io::SectionId id) {
-        const io::Artifact a = io::parse(rec.bytes);
-        const io::Section* sec = a.find(id);
-        return sec == nullptr ? std::vector<std::uint8_t>{} : sec->bytes;
-      };
       int attempts = 1;
       if (sep) {
         const taskgraph::Recovered rec = taskgraph::recover_separator(in);
         ASSERT_TRUE(rec.retry.ok) << row;
         attempts = std::max(attempts, rec.retry.attempts);
         const io::SeparatorArtifact sa = io::decode_separator(
-            payload(rec, io::SectionId::kSeparator));
+            io::parse(rec.bytes).require(io::SectionId::kSeparator));
         const auto& part = sa.part;
         EXPECT_EQ(row_int(row, "separator", "phase"), part.phase);
         EXPECT_EQ(row_int(row, "separator", "path"),
@@ -420,8 +407,8 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         const taskgraph::Recovered rec = taskgraph::recover_dfs(in);
         ASSERT_TRUE(rec.retry.ok) << row;
         attempts = std::max(attempts, rec.retry.attempts);
-        const io::DfsArtifact da =
-            io::decode_dfs(payload(rec, io::SectionId::kDfsTree));
+        const io::DfsArtifact da = io::decode_dfs(
+            io::parse(rec.bytes).require(io::SectionId::kDfsTree));
         EXPECT_EQ(row_int(row, "dfs", "phases"), da.phases);
         EXPECT_EQ(row_int(row, "dfs", "measured"), da.cost.measured);
         EXPECT_EQ(row_int(row, "dfs", "charged"), da.cost.charged);
@@ -433,7 +420,7 @@ TEST(TaskGraphParity, RowsMatchLibraryReference) {
         attempts = std::max(attempts, rec.retry.attempts);
         const baselines::LevelSeparatorResult res =
             io::decode_level_separator(
-                payload(rec, io::SectionId::kLevelSeparator))
+                io::parse(rec.bytes).require(io::SectionId::kLevelSeparator))
                 .result;
         EXPECT_EQ(row_int(row, "baseline", "size"),
                   static_cast<long long>(res.separator.size()));

@@ -111,17 +111,38 @@ TEST(WeightedSeparator, BalancedForAllSchemes) {
   EXPECT_EQ(last_resorts, 0) << last_resorts << "/" << parts_total;
 }
 
+// Under constant weights the weighted balance is the unweighted one, so
+// the weighted engine settles its first candidate, the unweighted winner,
+// and returns it field by field, closing edge included.
 TEST(WeightedSeparator, UniformWeightsMatchUnweightedGuarantee) {
-  const auto gg = planar::make_instance(Family::kTriangulation, 200, 5);
-  shortcuts::PartwiseEngine engine(gg.graph, gg.root_hint);
-  std::vector<int> part(gg.graph.num_nodes(), 0);
-  sub::PartSet ps = sub::build_part_set(gg.graph, part, 1, engine);
-  std::vector<long long> w(gg.graph.num_nodes(), 7);  // constant
-  SeparatorEngine se(engine);
-  const SeparatorResult res = se.compute_weighted(ps, w);
-  const long long mx =
-      max_component_weight(gg.graph, ps, 0, res.parts[0].path, w);
-  EXPECT_LE(3 * mx, 2 * 7LL * gg.graph.num_nodes());
+  for (Family f : planar::all_families()) {
+    for (int n : {30, 150, 600}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto gg = planar::make_instance(f, n, seed);
+        const auto& g = gg.graph;
+        shortcuts::PartwiseEngine engine(g, gg.root_hint);
+        std::vector<int> part(g.num_nodes(), 0);
+        sub::PartSet ps = sub::build_part_set(g, part, 1, engine);
+        const std::vector<long long> w(g.num_nodes(), 7);  // constant
+        SeparatorEngine se(engine);
+        const SeparatorResult plain = se.compute(ps);
+        const SeparatorResult res = se.compute_weighted(ps, w);
+        const PartSeparator& want = plain.parts[0];
+        const PartSeparator& got = res.parts[0];
+        const std::string where = std::string(planar::family_name(f)) +
+                                  " n=" + std::to_string(n) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(got.path, want.path) << where;
+        EXPECT_EQ(got.endpoint_a, want.endpoint_a) << where;
+        EXPECT_EQ(got.endpoint_b, want.endpoint_b) << where;
+        EXPECT_EQ(got.closing_edge, want.closing_edge) << where;
+        EXPECT_EQ(got.phase, want.phase) << where;
+        EXPECT_LE(3 * max_component_weight(g, ps, 0, got.path, w),
+                  2 * 7LL * g.num_nodes())
+            << where;
+      }
+    }
+  }
 }
 
 TEST(WeightedSeparator, AllZeroWeightsDegenerate) {
