@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
     std::vector<faces::FundamentalEdge> fes;
     for (auto e : fund) fes.push_back(faces::analyze_fundamental_edge(t, e));
 
+    const tree::NodeWeights unit(t);
     auto t0 = Clock::now();
     long long sum_formula = 0;
-    for (const auto& fe : fes) sum_formula += faces::face_weight(t, fe);
+    for (const auto& fe : fes) sum_formula += faces::face_weight(unit, fe);
     const double us_formula =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count() /
         std::max<std::size_t>(1, fes.size());
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
       const auto region = oracle.real_face(fe);
       const long long w = oracle.lemma_weight(fe.u, fe.v, region);
       sum_oracle += w;
-      agree = agree && (w == faces::face_weight(t, fe));
+      agree = agree && (w == faces::face_weight(unit, fe));
     }
     const double us_oracle =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count() /

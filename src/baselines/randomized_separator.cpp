@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "faces/membership.hpp"
-#include "faces/weights.hpp"
 #include "subroutines/components.hpp"
 #include "util/check.hpp"
 
@@ -28,7 +27,7 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
 
   // Cost model: per attempt, one sampling broadcast plus the estimate
   // aggregation and the verification pass — all Õ(D).
-  const shortcuts::RoundCost unit = separator::aggregation_price(*engine_, ps);
+  const shortcuts::RoundCost unit = sub::aggregation_price(*engine_, ps);
 
   // Every part with a tree (parts without nodes have nothing to separate)
   // stays unresolved until a candidate settles it.
@@ -60,7 +59,7 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
       } else {
         const auto fund = faces::real_fundamental_edges(t);
         if (fund.empty()) {
-          cand.path = t.path(t.root(), t.centroid());
+          cand.path = t.path(t.root(), tree::NodeWeights(t).centroid());
         } else {
           // Estimated weights; pick the estimate closest to n/2.
           long long best_dist = std::numeric_limits<long long>::max();

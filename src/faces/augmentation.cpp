@@ -1,7 +1,8 @@
 #include "faces/augmentation.hpp"
 
+#include <span>
+
 #include "faces/membership.hpp"
-#include "faces/weights.hpp"
 #include "util/check.hpp"
 
 namespace plansep::faces {
@@ -12,62 +13,55 @@ int child_offset(const RootedSpanningTree& t, NodeId c) {
   return t.t_offset(EmbeddedGraph::rev(t.parent_dart(c)));
 }
 
+/// The subtree weight of the children `cs` (of z2's parent) that the sweep
+/// has passed before the path child z2: the clockwise-later ones for π_ℓ,
+/// the clockwise-earlier ones for π_r.
+long long swept_children(const NodeWeights& w, std::span<const NodeId> cs,
+                         NodeId z2, bool left) {
+  const int off_z2 = child_offset(w.tree(), z2);
+  long long p = 0;
+  for (NodeId c : cs) {
+    const int off = child_offset(w.tree(), c);
+    if (left ? off > off_z2 : off < off_z2) p += w.subtree(c);
+  }
+  return p;
+}
+
 }  // namespace
 
-long long augmented_weight(const RootedSpanningTree& t,
-                           const FundamentalEdge& fe, NodeId z) {
+long long augmented_weight(const NodeWeights& w, const FundamentalEdge& fe,
+                           NodeId z) {
+  const RootedSpanningTree& t = w.tree();
   PLANSEP_CHECK_MSG(is_inside_face(t, fe, z), "z must be inside F_e");
   const NodeId u = fe.u;
-  const bool use_left = !fe.u_ancestor_of_v || uses_left_order(fe);
+  const long long pz = w.subtree(z) - w.of(z);
 
   if (!t.is_ancestor(u, z)) {
     // Definition 2 case 1 applied to the virtual edge u–z: all inside
     // children of u stay inside; T_z is entirely inside.
     PLANSEP_CHECK_MSG(!fe.u_ancestor_of_v,
                       "ancestor-type faces lie within T_u");
-    const long long pu = p_value_at_u(t, fe);
-    const long long pz = t.subtree_size(z) - 1;
-    return pu + pz + t.pi_left(z) - (t.pi_left(u) + t.subtree_size(u)) + 1;
+    return p_value_at_u(w, fe) + pz +
+           w.interval(t.pi_left(u) + t.subtree_size(u), t.pi_left(z),
+                      /*left=*/true);
   }
 
   // u is an ancestor of z: Definition 2 case 2 for the virtual edge, with
   // the order matching the sweep orientation of e. The sweep has already
-  // passed the sibling subtrees of the path child z2 that come earlier in
-  // the sweep order (clockwise-later for π_ℓ, clockwise-earlier for π_r).
+  // passed the inside children of u before the path child z2.
+  const bool use_left = !fe.u_ancestor_of_v || uses_left_order(fe);
   const NodeId z2 = child_towards(t, u, z);
-  const int off_z2 = child_offset(t, z2);
-  long long pu = 0;
-  for (NodeId c : inside_children(t, fe, u)) {
-    const int off = child_offset(t, c);
-    if (use_left ? off > off_z2 : off < off_z2) pu += t.subtree_size(c);
-  }
-  const long long pz = t.subtree_size(z) - 1;
-  if (use_left) {
-    return pz + pu + (t.pi_left(z) - t.pi_left(z2)) -
-           (t.depth(z) - t.depth(z2));
-  }
-  return pz + pu + (t.pi_right(z) - t.pi_right(z2)) -
-         (t.depth(z) - t.depth(z2));
+  return pz + swept_children(w, inside_children(t, fe, u), z2, use_left) +
+         ancestor_sweep(w, z2, z, use_left);
 }
 
-long long root_sweep_weight(const RootedSpanningTree& t, NodeId x,
-                            bool left) {
-  const NodeId r = t.root();
-  PLANSEP_CHECK(x != r);
-  const NodeId z2 = child_towards(t, r, x);
-  const int off_z2 = child_offset(t, z2);
-  long long p = 0;
-  for (NodeId c : t.children(r)) {
-    const int off = child_offset(t, c);
-    if (left ? off > off_z2 : off < off_z2) p += t.subtree_size(c);
-  }
-  const long long pz = t.subtree_size(x) - 1;
-  if (left) {
-    return pz + p + (t.pi_left(x) - t.pi_left(z2)) -
-           (t.depth(x) - t.depth(z2));
-  }
-  return pz + p + (t.pi_right(x) - t.pi_right(z2)) -
-         (t.depth(x) - t.depth(z2));
+long long root_sweep_weight(const NodeWeights& w, NodeId x, bool left) {
+  const RootedSpanningTree& t = w.tree();
+  PLANSEP_CHECK(x != t.root());
+  const NodeId z2 = child_towards(t, t.root(), x);
+  return (w.subtree(x) - w.of(x)) +
+         swept_children(w, t.children(t.root()), z2, left) +
+         ancestor_sweep(w, z2, x, left);
 }
 
 }  // namespace plansep::faces

@@ -67,10 +67,11 @@ FundamentalEdge pick_not_contained(const RootedSpanningTree& t,
   PLANSEP_CHECK(!edges.empty());
   // Seed with the maximum-weight face: a face contained in another never
   // weighs more, so the max-ω face can only be contained in (rare) peers.
+  const NodeWeights unit(t);
   std::size_t seed = 0;
   long long best = std::numeric_limits<long long>::min();
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    const long long w = face_weight(t, edges[i]);
+    const long long w = face_weight(unit, edges[i]);
     if (w > best) {
       best = w;
       seed = i;
@@ -82,10 +83,11 @@ FundamentalEdge pick_not_contained(const RootedSpanningTree& t,
 FundamentalEdge pick_not_contains(const RootedSpanningTree& t,
                                   const std::vector<FundamentalEdge>& edges) {
   PLANSEP_CHECK(!edges.empty());
+  const NodeWeights unit(t);
   std::size_t seed = 0;
   long long best = std::numeric_limits<long long>::max();
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    const long long w = face_weight(t, edges[i]);
+    const long long w = face_weight(unit, edges[i]);
     if (w < best) {
       best = w;
       seed = i;

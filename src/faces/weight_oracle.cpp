@@ -198,18 +198,25 @@ std::vector<FaceOracle::Region> FaceOracle::augmented_faces(
   return results;
 }
 
-long long FaceOracle::lemma_weight(NodeId a, NodeId b, const Region& r) const {
+long long FaceOracle::lemma_weight(NodeId a, NodeId b, const Region& r,
+                                   const std::vector<long long>& weight) const {
   const RootedSpanningTree& t = *t_;
   PLANSEP_CHECK(t.pi_left(a) < t.pi_left(b));
-  if (t.is_ancestor(a, b)) {
-    return r.inside_count;  // Lemma 4: |F̊_e|
+  const auto weight_of = [&](NodeId x) {
+    return weight.empty() ? 1 : weight[static_cast<std::size_t>(x)];
+  };
+  long long sum = 0;
+  for (NodeId x : t.nodes()) {
+    if (r.inside[static_cast<std::size_t>(x)]) sum += weight_of(x);
   }
-  const NodeId w = t.lca(a, b);
+  if (t.is_ancestor(a, b)) return sum;  // Lemma 4: F̊_e
   // Lemma 3, with the off-by-one of the paper resolved towards Definition
   // 2's closed form: the formula counts F̊_e plus the T-path from w to b
   // EXCLUDING the LCA w (the paper's prose includes w but its arithmetic
   // does not; verified by hand on small cycles).
-  return r.inside_count + (t.depth(b) - t.depth(w));
+  const NodeId w = t.lca(a, b);
+  for (NodeId x = b; x != w; x = t.parent(x)) sum += weight_of(x);
+  return sum;
 }
 
 }  // namespace plansep::faces

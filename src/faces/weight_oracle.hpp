@@ -20,8 +20,9 @@
 // Lemmas 3 and 4 state what Definition 2's ω(F_e) counts:
 //   * u not an ancestor of v:  |F̃_e| = |inside| + |T-path(LCA..v)|
 //   * u an ancestor of v:      |F̊_e| = |inside|
-// `lemma_weight` returns that quantity; property tests assert the
-// closed-form ω equals it on every fundamental edge of every instance.
+// `lemma_weight` returns that quantity, or the same sets' node-weight sum;
+// property tests assert the closed-form ω equals it on every fundamental
+// edge of every instance.
 
 #include <optional>
 #include <vector>
@@ -69,8 +70,10 @@ class FaceOracle {
                                       ScanStats* stats = nullptr) const;
 
   /// What Definition 2 must evaluate to for a face with endpoints a, b
-  /// (π_ℓ(a) < π_ℓ(b)): |F̃| when a is not an ancestor of b, else |F̊|.
-  long long lemma_weight(NodeId a, NodeId b, const Region& r) const;
+  /// (π_ℓ(a) < π_ℓ(b)): |F̃| when a is not an ancestor of b, else |F̊|,
+  /// with each node counted at weight[v] (at 1 when `weight` is empty).
+  long long lemma_weight(NodeId a, NodeId b, const Region& r,
+                         const std::vector<long long>& weight = {}) const;
 
   const RootedSpanningTree& tree() const { return *t_; }
 

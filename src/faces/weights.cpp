@@ -5,6 +5,16 @@
 
 namespace plansep::faces {
 
+namespace {
+
+long long p_value(const NodeWeights& w, const FundamentalEdge& fe, NodeId x) {
+  long long p = 0;
+  for (NodeId c : inside_children(w.tree(), fe, x)) p += w.subtree(c);
+  return p;
+}
+
+}  // namespace
+
 bool uses_left_order(const FundamentalEdge& fe) {
   // See the convention note in the header: the π_ℓ formula applies exactly
   // when the edge leaves u clockwise-after the path child z (Lemma 4's
@@ -13,35 +23,33 @@ bool uses_left_order(const FundamentalEdge& fe) {
   return !fe.left_oriented;
 }
 
-long long p_value_at_u(const RootedSpanningTree& t, const FundamentalEdge& fe) {
-  long long p = 0;
-  for (NodeId c : inside_children(t, fe, fe.u)) p += t.subtree_size(c);
-  return p;
+long long p_value_at_u(const NodeWeights& w, const FundamentalEdge& fe) {
+  return p_value(w, fe, fe.u);
 }
 
-long long p_value_at_v(const RootedSpanningTree& t, const FundamentalEdge& fe) {
-  long long p = 0;
-  for (NodeId c : inside_children(t, fe, fe.v)) p += t.subtree_size(c);
-  return p;
+long long p_value_at_v(const NodeWeights& w, const FundamentalEdge& fe) {
+  return p_value(w, fe, fe.v);
 }
 
-long long face_weight(const RootedSpanningTree& t, const FundamentalEdge& fe) {
-  const long long pu = p_value_at_u(t, fe);
-  const long long pv = p_value_at_v(t, fe);
+long long ancestor_sweep(const NodeWeights& w, NodeId z, NodeId x,
+                         bool left) {
+  const RootedSpanningTree& t = w.tree();
+  const int pi_z = left ? t.pi_left(z) : t.pi_right(z);
+  const int pi_x = left ? t.pi_left(x) : t.pi_right(x);
+  return w.interval(pi_z, pi_x - 1, left) -
+         ((w.root_path(x) - w.of(x)) - (w.root_path(z) - w.of(z)));
+}
+
+long long face_weight(const NodeWeights& w, const FundamentalEdge& fe) {
+  const RootedSpanningTree& t = w.tree();
+  const long long p = p_value_at_u(w, fe) + p_value_at_v(w, fe);
   if (!fe.u_ancestor_of_v) {
-    // Definition 2 case 1.
-    return pu + pv + t.pi_left(fe.v) -
-           (t.pi_left(fe.u) + t.subtree_size(fe.u)) + 1;
+    // Definition 2 case 1: the π_ℓ positions from just after T_u up to v.
+    return p + w.interval(t.pi_left(fe.u) + t.subtree_size(fe.u),
+                          t.pi_left(fe.v), /*left=*/true);
   }
-  const NodeId z = fe.z;
-  if (uses_left_order(fe)) {
-    // Definition 2 case 2.1 (π_ℓ).
-    return pu + pv + (t.pi_left(fe.v) - t.pi_left(z)) -
-           (t.depth(fe.v) - t.depth(z));
-  }
-  // Definition 2 case 2.2 (π_r).
-  return pu + pv + (t.pi_right(fe.v) - t.pi_right(z)) -
-         (t.depth(fe.v) - t.depth(z));
+  // Definition 2 case 2.1 (π_ℓ) or 2.2 (π_r).
+  return p + ancestor_sweep(w, fe.z, fe.v, uses_left_order(fe));
 }
 
 }  // namespace plansep::faces

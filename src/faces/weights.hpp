@@ -8,6 +8,13 @@
 // first key technical contribution — a deterministic replacement for the
 // randomized face-weight estimation of Ghaffari–Parter.
 //
+// Every formula here reads its sums through tree::NodeWeights, so it
+// counts nodes under unit weights and sums node weights otherwise (the
+// weighted separator's extension): each count of Definition 2 is a sum of
+// subtree, π-interval or root-path weights. One implementation serves both
+// separator engines, property-tested against the region oracle under unit,
+// all-ones and random weights.
+//
 // Convention note. Definition 1 labels an ancestor edge E-left when
 // t_u(v) < t_u(z), and Definition 2 pairs "left" with π_ℓ; however, the
 // proof of Lemma 4 derives the π_ℓ formula under t_u(v) > t_u(z). The two
@@ -20,21 +27,28 @@
 
 namespace plansep::faces {
 
-/// p_{F_e}(u): number of proper descendants of u lying inside F_e. These
-/// are the subtrees of children of u whose darts fall on the inside arcs of
-/// u's rotation (Claims 1 and 4). Locally computable by u given its
-/// children's subtree sizes.
-long long p_value_at_u(const RootedSpanningTree& t, const FundamentalEdge& fe);
+using tree::NodeWeights;
+
+/// p_{F_e}(u): the weight of the proper descendants of u lying inside F_e.
+/// These are the subtrees of children of u whose darts fall on the inside
+/// arcs of u's rotation (Claims 1 and 4). Locally computable by u given its
+/// children's subtree weights.
+long long p_value_at_u(const NodeWeights& w, const FundamentalEdge& fe);
 
 /// p_{F_e}(v): same at the deeper endpoint v.
-long long p_value_at_v(const RootedSpanningTree& t, const FundamentalEdge& fe);
+long long p_value_at_v(const NodeWeights& w, const FundamentalEdge& fe);
 
 /// Whether Definition 2 case 2 uses the LEFT order π_ℓ for this
 /// ancestor-type edge (see convention note above).
 bool uses_left_order(const FundamentalEdge& fe);
 
-/// ω(F_e) per Definition 2. For u not an ancestor of v this equals |F̃_e|
-/// (Lemma 3); for an ancestor edge it equals |F̊_e| (Lemma 4).
-long long face_weight(const RootedSpanningTree& t, const FundamentalEdge& fe);
+/// Definition 2 case 2's sweep term for an ancestor z of x: the weight at
+/// positions π(z)..π(x) − 1 of π_ℓ (left) or π_r, less the tree path
+/// z..parent(x) — (π(x) − π(z)) − (depth(x) − depth(z)) under unit weights.
+long long ancestor_sweep(const NodeWeights& w, NodeId z, NodeId x, bool left);
+
+/// ω(F_e) per Definition 2. For u not an ancestor of v this equals the
+/// weight of F̃_e (Lemma 3); for an ancestor edge that of F̊_e (Lemma 4).
+long long face_weight(const NodeWeights& w, const FundamentalEdge& fe);
 
 }  // namespace plansep::faces

@@ -7,7 +7,6 @@
 #include "faces/containment.hpp"
 #include "faces/hidden.hpp"
 #include "faces/membership.hpp"
-#include "faces/weights.hpp"
 #include "obs/metrics.hpp"
 #include "subroutines/components.hpp"
 #include "util/check.hpp"
@@ -20,15 +19,10 @@ using faces::FaceData;
 using faces::FaceSide;
 using tree::RootedSpanningTree;
 
-/// Path length (node count) of the tree path between a and b.
-int path_nodes(const RootedSpanningTree& t, NodeId a, NodeId b) {
-  const NodeId w = t.lca(a, b);
-  return t.depth(a) + t.depth(b) - 2 * t.depth(w) + 1;
-}
-
 /// Candidates for one part, in the phase order of §5.3.
 std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   const RootedSpanningTree& t = ps.tree_of_part(p);
+  const tree::NodeWeights unit(t);
   const long long n = t.size();
   std::vector<Candidate> out;
 
@@ -41,7 +35,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
 
   // Phase 2: tree part — root→centroid path.
   if (fund.empty()) {
-    out.push_back({t.path(t.root(), t.centroid()), planar::kNoEdge, 2});
+    out.push_back({t.path(t.root(), unit.centroid()), planar::kNoEdge, 2});
     return out;
   }
 
@@ -50,7 +44,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   fes.reserve(fund.size());
   for (EdgeId e : fund) {
     fes.push_back(faces::analyze_fundamental_edge(t, e));
-    weight.push_back(faces::face_weight(t, fes.back()));
+    weight.push_back(faces::face_weight(unit, fes.back()));
   }
 
   // Phase 3: a face with ω ∈ [n/3, 2n/3].
@@ -63,7 +57,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   // Lemma 1 case 3: a fundamental edge whose tree path has ≥ n/3 nodes is
   // itself a (cycle) separator.
   for (std::size_t i = 0; i < fes.size(); ++i) {
-    if (3LL * path_nodes(t, fes[i].u, fes[i].v) >= n) {
+    if (3 * unit.path(fes[i].u, fes[i].v) >= n) {
       out.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 33});
       break;
     }
@@ -96,7 +90,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
              (use_left ? t.pi_left(b) : t.pi_right(b));
     });
     for (NodeId z : leaves) {
-      const long long w = faces::augmented_weight(t, estar, z);
+      const long long w = faces::augmented_weight(unit, estar, z);
       if (3 * w < n || 3 * w > 2 * n) continue;
       const auto hiding = faces::hiding_edges(t, estar, z);
       if (hiding.empty()) {
@@ -112,7 +106,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
     }
     // Lemma 1 case 3 inside the augmentation: a long u..z path.
     for (NodeId z : leaves) {
-      if (3LL * path_nodes(t, estar.u, z) >= n) {
+      if (3 * unit.path(estar.u, z) >= n) {
         out.push_back({t.path(estar.u, z), planar::kNoEdge, 43});
         break;
       }
@@ -145,7 +139,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
       NodeId pick = planar::kNoNode;
       for (NodeId z : t.nodes()) {
         if (z == t.root() || !t.children(z).empty()) continue;
-        const long long w = faces::root_sweep_weight(t, z, left);
+        const long long w = faces::root_sweep_weight(unit, z, left);
         if (3 * w < n || 3 * w > 2 * n) continue;
         if (pick == planar::kNoNode ||
             (left ? t.pi_left(z) > t.pi_left(pick)
@@ -172,7 +166,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
     out.push_back({t.path(estar.u, estar.v), estar.edge, 54});
     out.push_back({t.path(t.root(), estar.v), planar::kNoEdge, 55});
     out.push_back({t.path(t.root(), estar.u), planar::kNoEdge, 55});
-    out.push_back({t.path(t.root(), t.centroid()), planar::kNoEdge, 55});
+    out.push_back({t.path(t.root(), unit.centroid()), planar::kNoEdge, 55});
   }
   return out;
 }
@@ -275,13 +269,6 @@ long long SeparatorEngine::verification_aggregations(const PartSet& ps,
   return rounds * (log_n + 1);
 }
 
-RoundCost aggregation_price(shortcuts::PartwiseEngine& engine,
-                            const PartSet& ps) {
-  const std::vector<std::int64_t> zeros(
-      static_cast<std::size_t>(ps.g->num_nodes()), 0);
-  return engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax).cost;
-}
-
 SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
   obs::Span span("separator/compute");
   SeparatorResult out;
@@ -291,7 +278,7 @@ SeparatorResult SeparatorEngine::compute(const PartSet& ps) {
   // --- Cost model (phases shared across parts; see header). One
   // aggregation over the part partition costs the same for every logical
   // PA of a phase, so price it once and scale.
-  const RoundCost unit = aggregation_price(*engine_, ps);
+  const RoundCost unit = sub::aggregation_price(*engine_, ps);
   {
     PLANSEP_SPAN("separator/weights");
     // Weights (Lemma 12): endpoint-local exchanges after the orders exist.

@@ -137,12 +137,6 @@ class SeparatorEngine {
   shortcuts::PartwiseEngine* engine_;
 };
 
-/// The price of one part-wise aggregation over ps's partition, which
-/// every engine scales with shortcuts::aggregations: the cost of one
-/// probe aggregation (which advances the obs clock for itself).
-RoundCost aggregation_price(shortcuts::PartwiseEngine& engine,
-                            const PartSet& ps);
-
 /// Theorem 1 on a whole connected graph, as one part.
 struct WholeGraphSeparator {
   PartSet parts;           ///< g as part 0, its tree rooted at the root

@@ -188,4 +188,10 @@ RoundCost charge_dfs_orders(PartwiseEngine& engine, const PartSet& ps) {
   return total;
 }
 
+RoundCost aggregation_price(PartwiseEngine& engine, const PartSet& ps) {
+  const std::vector<std::int64_t> zeros(
+      static_cast<std::size_t>(ps.g->num_nodes()), 0);
+  return engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax).cost;
+}
+
 }  // namespace plansep::sub

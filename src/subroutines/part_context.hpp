@@ -68,4 +68,10 @@ void re_root_path(const EmbeddedGraph& g,
 /// objects).
 RoundCost charge_dfs_orders(PartwiseEngine& engine, const PartSet& ps);
 
+/// The price of one part-wise aggregation over ps's partition, which the
+/// separator engines and the named problems scale with
+/// shortcuts::aggregations: the cost of one probe aggregation (which
+/// advances the obs clock for itself).
+RoundCost aggregation_price(PartwiseEngine& engine, const PartSet& ps);
+
 }  // namespace plansep::sub

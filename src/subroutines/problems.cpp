@@ -105,14 +105,9 @@ PerNode relation_problem(const PartSet& ps, PartwiseEngine& engine,
   const NodeId n = ps.g->num_nodes();
   PerNode out;
   out.flag.assign(static_cast<std::size_t>(n), 0);
-  // Broadcast π_ℓ(target) per part: one aggregation (two words: position
-  // and subtree size).
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(n), 0);
-  auto agg = engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  agg.cost.measured *= 2;
-  agg.cost.charged *= 2;
-  agg.cost.pa_calls = 2;
-  out.cost = agg.cost;
+  // Broadcast π_ℓ(target) per part: two words (position and subtree
+  // size), two aggregations.
+  out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 2);
   for (NodeId v = 0; v < n; ++v) {
     const int p = ps.part_of(v);
     if (p < 0) continue;
@@ -147,12 +142,7 @@ PerNode mark_path_problem(const PartSet& ps, PartwiseEngine& engine,
   // locally: v is on path(u,w) iff (anc(v,u) XOR anc(v,w)) or v = LCA(u,w),
   // the latter detected as "ancestor of both with maximal depth" via one
   // more MAX aggregation.
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(n), 0);
-  auto agg = engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  agg.cost.measured *= 3;
-  agg.cost.charged *= 3;
-  agg.cost.pa_calls = 3;
-  out.cost = agg.cost;
+  out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 3);
   for (NodeId v = 0; v < n; ++v) {
     const int p = ps.part_of(v);
     if (p < 0) continue;
@@ -198,12 +188,7 @@ PerNode detect_face_problem(const PartSet& ps, PartwiseEngine& engine,
   out.flag.assign(static_cast<std::size_t>(n), 0);
   // The FaceData payload is a constant number of words (Lemma 15's
   // intervals I(u), I(v) plus endpoint positions): charge 6 aggregations.
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(n), 0);
-  auto agg = engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  agg.cost.measured *= 6;
-  agg.cost.charged *= 6;
-  agg.cost.pa_calls = 6;
-  out.cost = agg.cost;
+  out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 6);
   for (int p = 0; p < ps.num_parts; ++p) {
     if (!ps.trees[static_cast<std::size_t>(p)]) continue;
     const auto& fe = edge_of_part[static_cast<std::size_t>(p)];
@@ -226,13 +211,7 @@ PerPart<bool> hidden_problem(const PartSet& ps, PartwiseEngine& engine,
   out.value.assign(static_cast<std::size_t>(ps.num_parts), false);
   // Broadcast z's data, evaluate `hides` at every fundamental edge in
   // parallel (local after the broadcast), aggregate the OR: 3 calls.
-  std::vector<std::int64_t> zeros(static_cast<std::size_t>(ps.g->num_nodes()),
-                                  0);
-  auto agg = engine.aggregate(ps.part, zeros, shortcuts::AggOp::kMax);
-  agg.cost.measured *= 3;
-  agg.cost.charged *= 3;
-  agg.cost.pa_calls = 3;
-  out.cost = agg.cost;
+  out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 3);
   out.cost += shortcuts::local_exchange(1);
   for (int p = 0; p < ps.num_parts; ++p) {
     if (!ps.trees[static_cast<std::size_t>(p)]) continue;

@@ -207,20 +207,70 @@ std::vector<NodeId> RootedSpanningTree::path(NodeId u, NodeId v) const {
   return up;
 }
 
-NodeId RootedSpanningTree::centroid() const {
-  // Walk from the root towards the child with the heaviest subtree while
-  // that subtree exceeds n/2. At the stop node every hanging component
-  // (child subtrees and the part above) has at most n/2 nodes, so the tree
-  // path root→centroid is a separator whose removal leaves components of
-  // size <= n/2 (used by Phase 2 of the separator algorithm; the paper's
-  // claim that some subtree size lies in [n/3, 2n/3] fails on stars, but
-  // the root→centroid path is always a valid cycle separator).
-  const int n = size();
-  NodeId v = root_;
+NodeWeights::NodeWeights(const RootedSpanningTree& t,
+                         const std::vector<long long>& weight)
+    : t_(&t), total_(t.size()) {
+  if (weight.empty()) return;
+  const std::size_t nodes = static_cast<std::size_t>(t.graph().num_nodes());
+  PLANSEP_CHECK(weight.size() == nodes);
+  weight_ = &weight;
+  const std::size_t n = static_cast<std::size_t>(t.size());
+  subtree_.assign(nodes, 0);
+  root_path_.assign(nodes, 0);
+  prefix_l_.assign(n + 1, 0);
+  prefix_r_.assign(n + 1, 0);
+  // The members in π_ℓ order, a preorder: parents precede children.
+  std::vector<NodeId> preorder(n);
+  for (NodeId v : t.nodes()) {
+    preorder[static_cast<std::size_t>(t.pi_left(v) - 1)] = v;
+    prefix_l_[static_cast<std::size_t>(t.pi_left(v))] = of(v);
+    prefix_r_[static_cast<std::size_t>(t.pi_right(v))] = of(v);
+  }
+  for (std::size_t k = 1; k <= n; ++k) {
+    prefix_l_[k] += prefix_l_[k - 1];
+    prefix_r_[k] += prefix_r_[k - 1];
+  }
+  total_ = prefix_l_[n];
+  for (NodeId v : preorder) {
+    const NodeId p = t.parent(v);
+    root_path_[static_cast<std::size_t>(v)] =
+        (p == kNoNode ? 0 : root_path_[static_cast<std::size_t>(p)]) + of(v);
+  }
+  for (auto it = preorder.rbegin(); it != preorder.rend(); ++it) {
+    subtree_[static_cast<std::size_t>(*it)] += of(*it);
+    const NodeId p = t.parent(*it);
+    if (p != kNoNode) {
+      subtree_[static_cast<std::size_t>(p)] +=
+          subtree_[static_cast<std::size_t>(*it)];
+    }
+  }
+}
+
+long long NodeWeights::interval(int lo, int hi, bool left) const {
+  if (!weight_) return hi - lo + 1;
+  const std::vector<long long>& prefix = left ? prefix_l_ : prefix_r_;
+  return prefix[static_cast<std::size_t>(hi)] -
+         prefix[static_cast<std::size_t>(lo - 1)];
+}
+
+long long NodeWeights::path(NodeId a, NodeId b) const {
+  const NodeId w = t_->lca(a, b);
+  return root_path(a) + root_path(b) - 2 * root_path(w) + of(w);
+}
+
+NodeId NodeWeights::centroid() const {
+  // Walk from the root towards a child whose subtree weighs more than half
+  // the total. At the stop node every hanging component (child subtrees
+  // and the part above) weighs at most half, so the tree path
+  // root→centroid is a separator whose removal leaves components of at
+  // most half the weight (used by Phase 2 of the separator algorithm; the
+  // paper's claim that some subtree size lies in [n/3, 2n/3] fails on
+  // stars, but the root→centroid path is always a valid cycle separator).
+  NodeId v = t_->root();
   for (;;) {
     NodeId heavy = kNoNode;
-    for (NodeId c : children(v)) {
-      if (2 * subtree_size_[static_cast<std::size_t>(c)] > n) {
+    for (NodeId c : t_->children(v)) {
+      if (2 * subtree(c) > total_) {
         heavy = c;
         break;
       }

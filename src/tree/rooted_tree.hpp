@@ -87,10 +87,6 @@ class RootedSpanningTree {
   /// Node sequence of the tree path from u to v (inclusive).
   std::vector<NodeId> path(NodeId u, NodeId v) const;
 
-  /// The tree centroid: every component of T − v has at most n/2 nodes.
-  /// The path root→centroid is the Phase-2 separator for tree components.
-  NodeId centroid() const;
-
  private:
   void build();
 
@@ -108,6 +104,50 @@ class RootedSpanningTree {
   std::vector<char> tree_edge_;
   std::vector<int> pi_left_;
   std::vector<int> pi_right_;
+};
+
+/// Node weights over a RootedSpanningTree: the sums that Definition 2 and
+/// the augmentation and sweep weights (faces/weights.hpp,
+/// faces/augmentation.hpp) read, with counts generalized to weights.
+/// Unit weights are read straight off the tree (n_T(v), π positions,
+/// depth + 1), so they build no arrays; other weights build the subtree,
+/// π-prefix and root-path sums once, in O(n).
+class NodeWeights {
+ public:
+  /// `weight[v]` per node of t's graph, empty for unit weights. Both t and
+  /// a non-empty `weight` must outlive this object.
+  explicit NodeWeights(const RootedSpanningTree& t,
+                       const std::vector<long long>& weight = {});
+
+  const RootedSpanningTree& tree() const { return *t_; }
+  /// Σ w over the members (the member count under unit weights).
+  long long total() const { return total_; }
+  long long of(NodeId v) const { return weight_ ? (*weight_)[v] : 1; }
+  /// Σ w over the subtree T_v (n_T(v) under unit weights).
+  long long subtree(NodeId v) const {
+    return weight_ ? subtree_[v] : t_->subtree_size(v);
+  }
+  /// Σ w over the members at positions lo..hi of π_ℓ (left) or π_r
+  /// (hi − lo + 1 under unit weights).
+  long long interval(int lo, int hi, bool left) const;
+  /// Σ w over the tree path root..v (depth + 1 under unit weights).
+  long long root_path(NodeId v) const {
+    return weight_ ? root_path_[v] : t_->depth(v) + 1;
+  }
+  /// Σ w over the tree path a..b, both ends included.
+  long long path(NodeId a, NodeId b) const;
+  /// The weighted centroid: every component of T − c weighs at most half
+  /// the total, so the path root→c is a balanced separator of a tree.
+  NodeId centroid() const;
+
+ private:
+  const RootedSpanningTree* t_;
+  const std::vector<long long>* weight_ = nullptr;  // null: unit weights
+  long long total_ = 0;
+  std::vector<long long> subtree_;    // per node id
+  std::vector<long long> root_path_;  // per node id
+  std::vector<long long> prefix_l_;   // Σ w at π_ℓ positions 1..k
+  std::vector<long long> prefix_r_;
 };
 
 }  // namespace plansep::tree

@@ -28,6 +28,7 @@
 
 #include "daemon/client.hpp"
 #include "daemon/protocol.hpp"
+#include "scratch_dir.hpp"
 
 extern char** environ;
 
@@ -36,25 +37,6 @@ namespace {
 namespace daemon = plansep::daemon;
 
 namespace fs = std::filesystem;
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_batch_cli_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct RunResult {
   int exit_code = -1;

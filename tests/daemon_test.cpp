@@ -29,30 +29,12 @@
 #include "obs/metrics.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
+#include "scratch_dir.hpp"
 
 namespace plansep {
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_daemon_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // Extracts a counter value from a metrics JSON document ("name":value).
 long long counter_in_json(const std::string& json, const std::string& name) {

@@ -87,7 +87,8 @@ TEST_P(DeepTreeProperty, WeightsAndMembership) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
       const auto region = oracle.real_face(fe);
       // Definition 2 == Lemmas 3/4 on deep trees.
-      ASSERT_EQ(face_weight(t, fe), oracle.lemma_weight(fe.u, fe.v, region))
+      ASSERT_EQ(face_weight(NodeWeights(t), fe),
+                oracle.lemma_weight(fe.u, fe.v, region))
           << planar::family_name(c.family) << " seed=" << seed << " e={"
           << fe.u << "," << fe.v << "}";
       // Remark 1 membership on deep trees.
@@ -131,7 +132,7 @@ TEST_P(DeepTreeProperty, NotHiddenLeafWeightRealizable) {
         if (gg.graph.has_edge(fe.u, z)) continue;
         if (!hiding_edges(t, fe, z).empty()) continue;
         const auto regions = oracle.augmented_faces(fe, z);
-        const long long got = augmented_weight(t, fe, z);
+        const long long got = augmented_weight(NodeWeights(t), fe, z);
         bool matched = false;
         for (const auto& r : regions) {
           matched |= (oracle.lemma_weight(fe.u, z, r) == got);

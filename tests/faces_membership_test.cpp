@@ -1,7 +1,8 @@
 // Property tests for the local face machinery: Remark 1 membership,
-// dart_points_inside, augmentation weights (Remark 2 / full augmentation),
-// hidden detection (Definition 4 / Lemma 6) and containment — all checked
-// against the region oracle on family × seed sweeps.
+// dart_points_inside, augmentation weights (Remark 2 / full augmentation,
+// under unit, all-ones and random node weights), hidden detection
+// (Definition 4 / Lemma 6) and containment — all checked against the
+// region oracle on family × seed sweeps.
 
 #include <gtest/gtest.h>
 
@@ -114,12 +115,19 @@ TEST_P(MembershipMatchesOracle, NotHiddenLeafWeightIsRealizable) {
   // augmented-weight arithmetic ω(F^ℓ_{uz}) must equal the region count of
   // some *planar* insertion of the virtual edge u–z — then the T-path u..z
   // plus that insertion is a Jordan curve and Lemma 5's balance argument
-  // applies verbatim.
+  // applies verbatim. Under all-ones and random node weights the
+  // augmented weight must likewise be that insertion's weight sum.
   const Case& c = GetParam();
   int realized = 0;
   for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
     const GeneratedGraph gg = planar::make_instance(c.family, c.n, seed);
     const auto t = make_tree(gg, seed);
+    std::vector<long long> unit;
+    std::vector<long long> ones(static_cast<std::size_t>(gg.graph.num_nodes()),
+                                1);
+    std::vector<long long> random(ones.size());
+    Rng rng(seed * 2654435761ULL + 11);
+    for (long long& x : random) x = rng.next_in(0, 100);
     const FaceOracle oracle(t);
     for (planar::EdgeId e : real_fundamental_edges(t)) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
@@ -130,20 +138,23 @@ TEST_P(MembershipMatchesOracle, NotHiddenLeafWeightIsRealizable) {
         if (gg.graph.has_edge(fe.u, z)) continue;
         if (!hiding_edges(t, fe, z).empty()) continue;  // hidden: fallback
         const auto regions = oracle.augmented_faces(fe, z);
-        const long long got = augmented_weight(t, fe, z);
-        bool matched = false;
-        std::string valid_values;
-        for (const auto& r : regions) {
-          const long long w = oracle.lemma_weight(fe.u, z, r);
-          valid_values += std::to_string(w) + " ";
-          if (w == got) matched = true;
+        for (const std::vector<long long>* w : {&unit, &ones, &random}) {
+          const long long got = augmented_weight(NodeWeights(t, *w), fe, z);
+          bool matched = false;
+          std::string valid_values;
+          for (const auto& r : regions) {
+            const long long want = oracle.lemma_weight(fe.u, z, r, *w);
+            valid_values += std::to_string(want) + " ";
+            if (want == got) matched = true;
+          }
+          ASSERT_TRUE(matched)
+              << planar::family_name(c.family) << " n=" << c.n
+              << " seed=" << seed << " e={" << fe.u << "," << fe.v
+              << "} z=" << z << " got=" << got << " valid={" << valid_values
+              << "} anc_e=" << fe.u_ancestor_of_v
+              << " anc_z=" << t.is_ancestor(fe.u, z) << " weights="
+              << (w == &unit ? "unit" : w == &ones ? "all-ones" : "random");
         }
-        ASSERT_TRUE(matched)
-            << planar::family_name(c.family) << " n=" << c.n
-            << " seed=" << seed << " e={" << fe.u << "," << fe.v
-            << "} z=" << z << " got=" << got << " valid={" << valid_values
-            << "} anc_e=" << fe.u_ancestor_of_v
-            << " anc_z=" << t.is_ancestor(fe.u, z);
         ++realized;
       }
     }
@@ -162,6 +173,7 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
   for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
     const GeneratedGraph gg = planar::make_instance(c.family, c.n, seed);
     const auto t = make_tree(gg, seed);
+    const NodeWeights unit(t);
     const FaceOracle oracle(t);
     for (planar::EdgeId e : real_fundamental_edges(t)) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
@@ -180,7 +192,8 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
         for (planar::NodeId b : inside) {
           if (a == b || t.is_ancestor(a, b) || t.is_ancestor(b, a)) continue;
           if (pi(a) < pi(b)) {
-            ASSERT_LE(augmented_weight(t, fe, a), augmented_weight(t, fe, b))
+            ASSERT_LE(augmented_weight(unit, fe, a),
+                      augmented_weight(unit, fe, b))
                 << planar::family_name(c.family) << " seed=" << seed << " e={"
                 << fe.u << "," << fe.v << "} a=" << a << " b=" << b;
           }
@@ -202,8 +215,8 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
           // the border — the weight drops by exactly that segment's length.
           const long long correction =
               t.is_ancestor(fe.u, a) ? (t.depth(leaf) - t.depth(a)) : 0;
-          ASSERT_EQ(augmented_weight(t, fe, a),
-                    augmented_weight(t, fe, leaf) + correction)
+          ASSERT_EQ(augmented_weight(unit, fe, a),
+                    augmented_weight(unit, fe, leaf) + correction)
               << planar::family_name(c.family) << " seed=" << seed << " e={"
               << fe.u << "," << fe.v << "} z=" << a << " leaf=" << leaf;
         }

@@ -1,7 +1,8 @@
 // Property tests for the core of the paper's first contribution: the
 // deterministic face-weight formula (Definition 2) must equal the region
 // count established by Lemmas 3 and 4 on EVERY real fundamental edge of
-// EVERY instance, for arbitrary spanning trees and virtual-root stubs.
+// EVERY instance, for arbitrary spanning trees and virtual-root stubs —
+// and, under all-ones and random node weights, the region's weight sum.
 
 #include <gtest/gtest.h>
 
@@ -41,20 +42,30 @@ TEST_P(WeightsMatchOracle, AllFundamentalEdges) {
     const int gap = static_cast<int>(rng.next_below(g.degree(root) + 1));
     const tree::RootedSpanningTree t =
         tree::RootedSpanningTree::bfs(g, root, gap);
+    // Unit weights (the counts), then all-ones and random node weights:
+    // the weighted sums must reproduce the counts and generalize them.
+    std::vector<long long> unit;
+    std::vector<long long> ones(static_cast<std::size_t>(g.num_nodes()), 1);
+    std::vector<long long> random(ones.size());
+    for (long long& x : random) x = rng.next_in(0, 100);
     const FaceOracle oracle(t);
     for (planar::EdgeId e : real_fundamental_edges(t)) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
       const FaceOracle::Region region = oracle.real_face(fe);
-      const long long expected = oracle.lemma_weight(fe.u, fe.v, region);
-      const long long got = face_weight(t, fe);
-      ASSERT_EQ(got, expected)
-          << planar::family_name(c.family) << " n=" << c.n << " seed=" << seed
-          << " edge {" << fe.u << "," << fe.v << "}"
-          << " anc=" << fe.u_ancestor_of_v
-          << (fe.u_ancestor_of_v
-                  ? (uses_left_order(fe) ? " [pi_l]" : " [pi_r]")
-                  : "")
-          << " root=" << root << " gap=" << gap;
+      for (const std::vector<long long>* w : {&unit, &ones, &random}) {
+        const long long expected =
+            oracle.lemma_weight(fe.u, fe.v, region, *w);
+        const long long got = face_weight(NodeWeights(t, *w), fe);
+        ASSERT_EQ(got, expected)
+            << planar::family_name(c.family) << " n=" << c.n
+            << " seed=" << seed << " edge {" << fe.u << "," << fe.v << "}"
+            << " anc=" << fe.u_ancestor_of_v
+            << (fe.u_ancestor_of_v
+                    ? (uses_left_order(fe) ? " [pi_l]" : " [pi_r]")
+                    : "")
+            << " root=" << root << " gap=" << gap << " weights="
+            << (w == &unit ? "unit" : w == &ones ? "all-ones" : "random");
+      }
       ++checked_edges;
     }
   }
@@ -100,7 +111,8 @@ TEST(WeightsOracle, WheelByHand) {
   for (planar::EdgeId e : fund) {
     const FundamentalEdge fe = analyze_fundamental_edge(t, e);
     const auto region = oracle.real_face(fe);
-    EXPECT_EQ(face_weight(t, fe), oracle.lemma_weight(fe.u, fe.v, region));
+    EXPECT_EQ(face_weight(NodeWeights(t), fe),
+              oracle.lemma_weight(fe.u, fe.v, region));
     // A face of the wheel holds at most all non-border nodes.
     EXPECT_LE(region.inside_count, t.size() - 2);
     EXPECT_GE(region.inside_count, 0);
@@ -123,7 +135,8 @@ TEST(WeightsOracle, SubsetInstance) {
   for (planar::EdgeId e : real_fundamental_edges(t)) {
     const FundamentalEdge fe = analyze_fundamental_edge(t, e);
     const auto region = oracle.real_face(fe);
-    EXPECT_EQ(face_weight(t, fe), oracle.lemma_weight(fe.u, fe.v, region));
+    EXPECT_EQ(face_weight(NodeWeights(t), fe),
+              oracle.lemma_weight(fe.u, fe.v, region));
     ++count;
   }
   EXPECT_GT(count, 0);

@@ -16,28 +16,11 @@
 #include <string>
 #include <utility>
 
+#include "scratch_dir.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_ingest_cli_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct RunResult {
   int exit_code = -1;

@@ -15,30 +15,12 @@
 #include "io/corpus.hpp"
 #include "planar/dmp_embedder.hpp"
 #include "planar/planarity.hpp"
+#include "scratch_dir.hpp"
 
 namespace plansep {
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_ing_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 ingest::IngestResult run(const std::string& text,
                          ingest::IngestOptions opts = {}) {

@@ -1,9 +1,9 @@
 // Tests for the observability subsystem (src/obs/): histogram bucketing,
 // registry determinism (byte-identical to_json for identical executions),
 // span nesting/notes/caps, the MetricsSink bridge against a real CONGEST
-// run, sink chaining on top of the proptest trace recorder, slots bound to
-// the installing thread, the disabled path, and the structural shape of
-// both exporters.
+// run, sink chaining on top of the proptest trace recorder, the named
+// problems' clock against their ledger, slots bound to the installing
+// thread, the disabled path, and the structural shape of both exporters.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,10 @@
 #include "obs/sink.hpp"
 #include "obs/trace_export.hpp"
 #include "planar/generators.hpp"
+#include "separator/engine.hpp"
 #include "shortcuts/cost.hpp"
 #include "shortcuts/partwise.hpp"
+#include "subroutines/problems.hpp"
 #include "testing/trace.hpp"
 
 namespace plansep::obs {
@@ -228,6 +230,45 @@ TEST(Sink, AnalyticChargesFlowThroughCostModel) {
   }
   EXPECT_TRUE(saw_setup);
   EXPECT_TRUE(saw_agg);
+}
+
+// A named problem that prices k aggregations at one probe's cost moves the
+// obs clock by its ledger plus that probe, as the separator engine does, so
+// the timeline keeps pace with the ledger.
+TEST(Sink, NamedProblemsAdvanceTheClockByLedgerPlusProbe) {
+  const GeneratedGraph gg = planar::grid(10, 10);
+  const planar::EmbeddedGraph& g = gg.graph;
+  shortcuts::PartwiseEngine engine(g, gg.root_hint);
+  const std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
+  const sub::PartSet ps = sub::build_part_set(g, part, 1, engine);
+  const tree::RootedSpanningTree& t = ps.tree_of_part(0);
+  const faces::FundamentalEdge fe = faces::analyze_fundamental_edge(
+      t, faces::real_fundamental_edges(t).front());
+  const std::vector<NodeId> u{fe.u}, v{fe.v};
+  MetricsRegistry reg;
+  ScopedMetrics scope(reg);
+  const long long probe = sub::aggregation_price(engine, ps).measured;
+  ASSERT_GT(probe, 0);
+  const auto beyond_ledger = [&](const auto& run) {
+    const long long before = reg.rounds();
+    const long long ledger = run().measured;
+    return reg.rounds() - before - ledger;
+  };
+  EXPECT_EQ(beyond_ledger([&] {
+              return sub::ancestor_problem(ps, engine, u).cost;
+            }), probe);
+  EXPECT_EQ(beyond_ledger([&] {
+              return sub::mark_path_problem(ps, engine, u, v).cost;
+            }), probe);
+  EXPECT_EQ(beyond_ledger([&] {
+              return sub::detect_face_problem(ps, engine, {fe}).cost;
+            }), probe);
+  EXPECT_EQ(beyond_ledger([&] {
+              return sub::hidden_problem(ps, engine, {fe}, v).cost;
+            }), probe);
+  EXPECT_EQ(beyond_ledger([&] {
+              return separator::SeparatorEngine(engine).compute(ps).cost;
+            }), probe);
 }
 
 // The registry and trace-sink slots belong to the thread that installs

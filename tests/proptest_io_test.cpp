@@ -21,32 +21,12 @@
 #include "query/index.hpp"
 #include "separator/hierarchy.hpp"
 #include "shortcuts/partwise.hpp"
+#include "scratch_dir.hpp"
 
 namespace plansep {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Fresh scratch directory per test, removed on scope exit.
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_io_") + tag + "_" +
-              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-              "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> graph_bytes(const planar::GeneratedGraph& gg,
                                       std::uint64_t seed) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <queue>
 #include <string>
 #include <utility>
@@ -23,11 +22,10 @@
 #include "serve/cache.hpp"
 #include "shortcuts/partwise.hpp"
 #include "util/check.hpp"
+#include "scratch_dir.hpp"
 
 namespace plansep {
 namespace {
-
-namespace fs = std::filesystem;
 
 // BFS distances from s, skipping edges in `killed` (nullable).
 std::vector<std::int64_t> bfs_oracle(const planar::EmbeddedGraph& g,
@@ -278,25 +276,6 @@ TEST(QueryInvalidationTest, KillingTreeEdgeDisconnects) {
 }
 
 // ------------------------------------------------------------- service ----
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_query_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(QueryServiceTest, RunQueryJobColdThenWarmIsByteIdentical) {
   serve::ResultCache cache({1u << 22, ""});

@@ -21,30 +21,12 @@
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/verify.hpp"
+#include "scratch_dir.hpp"
 
 namespace plansep {
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* tag) {
-    path_ = (fs::temp_directory_path() /
-             (std::string("plansep_serve_") + tag + "_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // A tiny well-formed artifact whose payload is `fill` repeated — cache
 // values must parse (the disk tier verifies containers).

@@ -114,7 +114,7 @@ TEST(RootedTree, SubsetTree) {
 TEST(RootedTree, CentroidBalancesStars) {
   const GeneratedGraph gg = planar::star(20);
   const RootedSpanningTree t = RootedSpanningTree::bfs(gg.graph, 1);
-  const planar::NodeId c = t.centroid();
+  const planar::NodeId c = NodeWeights(t).centroid();
   EXPECT_EQ(c, 0);  // the hub
 }
 
@@ -123,7 +123,7 @@ TEST(RootedTree, CentroidProperty) {
     Rng rng(seed);
     const GeneratedGraph gg = planar::random_tree(50, rng);
     const RootedSpanningTree t = RootedSpanningTree::bfs(gg.graph, 0);
-    const planar::NodeId c = t.centroid();
+    const planar::NodeId c = NodeWeights(t).centroid();
     // Every component of T - c has at most n/2 nodes.
     const int above = t.size() - t.subtree_size(c);
     EXPECT_LE(2 * above, t.size());
