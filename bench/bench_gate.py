@@ -5,13 +5,14 @@ Two tiers, run in this order:
 
 1. Exact. Every baseline row of a kind listed in EXACT_FIELDS (the
    dfs_rounds bench's `dfs_analytic` and `engine` rows, E9's `partwise`
-   rows and E11's `hierarchy` rows) must reappear in the run, matched on
-   its kind's EXACT_KEYS entry (by default the key without host_cores),
-   with each exact field (validity, phase, round and message counts,
-   piece counts, index bytes) equal to the baseline. These are
+   rows, E10's `phase_coverage` rows and E11's `hierarchy` rows) must
+   reappear in the run, matched on its kind's EXACT_KEYS entry (by
+   default the key without host_cores), with each exact field (validity,
+   phase, round and message counts, piece counts, index bytes, the
+   Lemma 1 case that settled each part) equal to the baseline. These are
    deterministic outputs, so this tier holds on any host. Kinds whose
-   KIND_FIELDS entry is empty (`partwise`, `hierarchy`) are gated by this
-   tier alone:
+   KIND_FIELDS entry is empty (`partwise`, `phase_coverage`,
+   `hierarchy`) are gated by this tier alone:
 
   bench_gate.py --kind partwise \
       --current partwise.bench.json --baseline bench/baselines/partwise.bench.json
@@ -63,6 +64,7 @@ KIND_FIELDS = {
     "taskgraph": ("dag_wall_ms",),
     # Exact tier only: their wall clocks carry no host shape.
     "partwise": (),
+    "phase_coverage": (),
     "hierarchy": (),
 }
 # Per-kind fields that must equal the baseline exactly, on any host.
@@ -72,6 +74,8 @@ EXACT_FIELDS = {
     "engine": ("rounds", "messages"),
     "partwise": ("rounds_measured", "rounds_msg_level", "rounds_charged",
                  "diameter_bound"),
+    "phase_coverage": ("parts", "tree", "range", "longpath", "aug_leaf",
+                       "hidden", "facepath", "phase5", "lastresort"),
     "hierarchy": ("levels", "pieces", "pieces_total", "rounds_charged",
                   "rounds_measured", "index_bytes"),
 }
@@ -79,6 +83,7 @@ EXACT_FIELDS = {
 # host_cores.
 EXACT_KEYS = {
     "partwise": ("kind", "family", "n", "bands"),
+    "phase_coverage": ("kind", "family", "n"),
     "hierarchy": ("kind", "family", "n", "leaf_size"),
 }
 

@@ -64,7 +64,9 @@ void BM_FaceWeights(benchmark::State& state) {
   }
   for (auto _ : state) {
     long long acc = 0;
-    for (const auto& fe : fes) acc += faces::face_weight(unit, fe);
+    for (const auto& fe : fes) {
+      acc += faces::face_weight(unit, faces::face_data(t, fe));
+    }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() * fes.size());

@@ -35,7 +35,9 @@ int main(int argc, char** argv) {
     const tree::NodeWeights unit(t);
     auto t0 = Clock::now();
     long long sum_formula = 0;
-    for (const auto& fe : fes) sum_formula += faces::face_weight(unit, fe);
+    for (const auto& fe : fes) {
+      sum_formula += faces::face_weight(unit, faces::face_data(t, fe));
+    }
     const double us_formula =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count() /
         std::max<std::size_t>(1, fes.size());
@@ -47,7 +49,8 @@ int main(int argc, char** argv) {
       const auto region = oracle.real_face(fe);
       const long long w = oracle.lemma_weight(fe.u, fe.v, region);
       sum_oracle += w;
-      agree = agree && (w == faces::face_weight(unit, fe));
+      agree = agree &&
+              (w == faces::face_weight(unit, faces::face_data(t, fe)));
     }
     const double us_oracle =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count() /

@@ -32,7 +32,7 @@ RandomizedSeparatorResult RandomizedSeparatorEngine::compute(
   // Every part with a tree (parts without nodes have nothing to separate)
   // stays unresolved until a candidate settles it.
   std::vector<char> unresolved;
-  for (const auto& t : ps.trees) unresolved.push_back(t != nullptr);
+  for (int p = 0; p < ps.num_parts; ++p) unresolved.push_back(ps.has_tree(p));
   const auto any_unresolved = [&] {
     return std::count(unresolved.begin(), unresolved.end(), 1) > 0;
   };

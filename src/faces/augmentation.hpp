@@ -22,10 +22,10 @@
 
 namespace plansep::faces {
 
-/// ω(F^ℓ_{uz}) of the full augmentation from fe.u to a node z strictly
-/// inside F_e. For compatible z this equals the region weight of the
-/// canonical insertion (property-tested against FaceOracle).
-long long augmented_weight(const NodeWeights& w, const FundamentalEdge& fe,
+/// ω(F^ℓ_{uz}) of the full augmentation from fd.fe.u to a node z strictly
+/// inside F_e (fd's face). For compatible z this equals the region weight
+/// of the canonical insertion (property-tested against FaceOracle).
+long long augmented_weight(const NodeWeights& w, const FaceData& fd,
                            NodeId z);
 
 /// Weight of the *root sweep face* of node x: the region bounded by the

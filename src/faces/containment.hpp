@@ -11,23 +11,28 @@
 // contains no other such edge; Phase 5 needs an edge not contained in any
 // other.
 
-#include "faces/fundamental.hpp"
+#include <span>
+
+#include "faces/face_table.hpp"
 
 namespace plansep::faces {
 
-/// True iff the face of `inner` lies within the face of `outer`
-/// (V(F_inner) ⊆ V(F_outer)). Both must be real fundamental edges of t;
-/// an edge is not considered contained in itself.
-bool face_contains(const RootedSpanningTree& t, const FundamentalEdge& outer,
+/// True iff the face of `inner` lies within the face of `outer` (the
+/// payload of a real fundamental face of t), V(F_inner) ⊆ V(F_outer).
+/// `inner` must be a real fundamental edge of t; an edge is not
+/// considered contained in itself.
+bool face_contains(const RootedSpanningTree& t, const FaceData& outer,
                    const FundamentalEdge& inner);
 
-/// An element of `edges` whose face is not contained in any other
-/// element's face. `edges` must be non-empty.
-FundamentalEdge pick_not_contained(const RootedSpanningTree& t,
-                                   const std::vector<FundamentalEdge>& edges);
+/// NOT-CONTAINED (Lemma 17): the index of an entry of `among` (indices
+/// into `table`) whose face is not contained in any other listed face.
+/// `among` must be non-empty.
+std::size_t pick_not_contained(const FaceTable& table,
+                               std::span<const std::size_t> among);
 
-/// An element of `edges` whose face contains no other element's face.
-FundamentalEdge pick_not_contains(const RootedSpanningTree& t,
-                                  const std::vector<FundamentalEdge>& edges);
+/// NOT-CONTAINS (Lemma 18): the index of an entry of `among` whose face
+/// contains no other listed face.
+std::size_t pick_not_contains(const FaceTable& table,
+                              std::span<const std::size_t> among);
 
 }  // namespace plansep::faces

@@ -4,17 +4,6 @@
 
 namespace plansep::faces {
 
-std::vector<EdgeId> real_fundamental_edges(const RootedSpanningTree& t) {
-  const auto& g = t.graph();
-  std::vector<EdgeId> out;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (t.is_tree_edge(e)) continue;
-    if (!t.contains(g.edge_u(e)) || !t.contains(g.edge_v(e))) continue;
-    out.push_back(e);
-  }
-  return out;
-}
-
 NodeId child_towards(const RootedSpanningTree& t, NodeId a, NodeId d) {
   PLANSEP_CHECK(t.is_ancestor(a, d) && a != d);
   for (NodeId c : t.children(a)) {
@@ -46,6 +35,9 @@ FundamentalEdge analyze_fundamental_edge(const RootedSpanningTree& t,
                             : EmbeddedGraph::rev(t.parent_dart(fe.z));
     PLANSEP_CHECK(du_z != planar::kNoDart);
     fe.left_oriented = t.t_offset(du_v) < t.t_offset(du_z);
+    fe.lca = a;
+  } else {
+    fe.lca = t.lca(a, b);
   }
   return fe;
 }

@@ -9,7 +9,7 @@
 // the virtual root (§4). This header provides enumeration and per-edge
 // analysis: ancestor relation and E-left/E-right orientation (Definition 1).
 
-#include <vector>
+#include <span>
 
 #include "tree/rooted_tree.hpp"
 
@@ -31,13 +31,21 @@ struct FundamentalEdge {
   /// oriented iff t_u(v) < t_u(z).
   bool left_oriented = false;
   NodeId z = planar::kNoNode;  // child of u towards v when u_ancestor_of_v
+  /// The LCA of u and v (u itself when u_ancestor_of_v), found once here
+  /// so that no later reader walks the tree for it.
+  NodeId lca = planar::kNoNode;
 };
 
 /// All real fundamental edges of T (edges of G between two members of T
-/// that are not tree edges), in edge-id order.
-std::vector<EdgeId> real_fundamental_edges(const RootedSpanningTree& t);
+/// that are not tree edges), in edge-id order. Found with the tree, in
+/// the one pass over the edges that builds its forest.
+inline std::span<const EdgeId> real_fundamental_edges(
+    const RootedSpanningTree& t) {
+  return t.non_tree_edges();
+}
 
-/// Analyzes one real fundamental edge (normalization + Definition 1).
+/// Analyzes one real fundamental edge (normalization + Definition 1 + the
+/// LCA).
 FundamentalEdge analyze_fundamental_edge(const RootedSpanningTree& t, EdgeId e);
 
 /// The child of ancestor `a` on the tree path towards its strict

@@ -1,47 +1,53 @@
 #include "faces/hidden.hpp"
 
 #include "faces/containment.hpp"
-#include "faces/membership.hpp"
 #include "util/check.hpp"
 
 namespace plansep::faces {
 
-bool hides(const RootedSpanningTree& t, const FundamentalEdge& fe,
-           const FundamentalEdge& f, NodeId z) {
-  if (f.edge == fe.edge) return false;
-  if (!face_contains(t, fe, f)) return false;
-  if (!is_inside_face(t, f, z)) return false;
-  if (f.u != fe.u && f.v != fe.u) return true;  // Definition 4, condition 1
-  // Definition 4, condition 2: u is an endpoint of f and F_f cuts off part
-  // of T_u ∩ F_e.
-  const FaceData fd_f = face_data(t, f);
-  for (NodeId c : inside_children(t, fe, fe.u)) {
-    // T_c lies inside F_e; F_f must keep all of it. Evaluate every node of
-    // T_c via its π_ℓ interval (the distributed rule lets u do the same
-    // check from its local intervals, see Lemma 16).
-    const int lo = t.pi_left(c);
-    const int hi = lo + t.subtree_size(c) - 1;
-    bool all_in = true;
-    for (NodeId x : t.nodes()) {
-      if (t.pi_left(x) < lo || t.pi_left(x) > hi) continue;
-      if (classify_node(fd_f, node_data(t, x)) == FaceSide::kOutside) {
-        all_in = false;
-        break;
+namespace {
+
+/// Definition 4, condition 2: whether F_f cuts off part of T_u ∩ F_e,
+/// i.e. some node of the subtrees hanging inside F_e at u = e.fe.u lies
+/// outside F_f. The distributed rule lets u decide this from its local
+/// intervals (Lemma 16); here the subtrees are walked.
+bool cuts_off(const RootedSpanningTree& t, const FaceData& e,
+              const FaceData& f) {
+  const NodeId u = e.fe.u;
+  const OffsetRange inside = inside_offsets(t, e.fe, u);
+  std::vector<NodeId> stack;
+  for (NodeId c : t.children(u)) {
+    if (!inside.contains(child_offset(t, c))) continue;
+    stack.assign(1, c);
+    while (!stack.empty()) {
+      const NodeId x = stack.back();
+      stack.pop_back();
+      if (classify_node(f, node_data(t, x)) == FaceSide::kOutside) {
+        return true;
       }
+      for (NodeId y : t.children(x)) stack.push_back(y);
     }
-    if (!all_in) return true;
   }
   return false;
 }
 
-std::vector<FundamentalEdge> hiding_edges(const RootedSpanningTree& t,
-                                          const FundamentalEdge& fe,
-                                          NodeId z) {
-  std::vector<FundamentalEdge> out;
-  for (planar::EdgeId e : real_fundamental_edges(t)) {
-    if (e == fe.edge) continue;
-    const FundamentalEdge f = analyze_fundamental_edge(t, e);
-    if (hides(t, fe, f, z)) out.push_back(f);
+}  // namespace
+
+bool hides(const RootedSpanningTree& t, const FaceData& e, const FaceData& f,
+           NodeId z) {
+  if (f.fe.edge == e.fe.edge) return false;
+  if (!face_contains(t, e, f.fe)) return false;
+  if (classify_node(f, node_data(t, z)) != FaceSide::kInside) return false;
+  // Definition 4, condition 1: u is not an endpoint of f.
+  if (f.fe.u != e.fe.u && f.fe.v != e.fe.u) return true;
+  return cuts_off(t, e, f);
+}
+
+std::vector<std::size_t> hiding_edges(const FaceTable& table,
+                                      const FaceData& e, NodeId z) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (hides(table.tree(), e, table.face(i), z)) out.push_back(i);
   }
   return out;
 }

@@ -13,17 +13,19 @@
 // endpoints of f decide it from their own data plus the broadcast data of
 // e and z.
 
-#include "faces/fundamental.hpp"
+#include "faces/face_table.hpp"
 
 namespace plansep::faces {
 
-/// True iff the real fundamental edge f hides z in F_e (Definition 4).
-bool hides(const RootedSpanningTree& t, const FundamentalEdge& fe,
-           const FundamentalEdge& f, NodeId z);
+/// True iff the real fundamental face f hides z in the face e
+/// (Definition 4); both are payloads of real fundamental faces of t.
+bool hides(const RootedSpanningTree& t, const FaceData& e, const FaceData& f,
+           NodeId z);
 
-/// All real fundamental edges hiding z in F_e (brute scan; the distributed
-/// algorithm evaluates `hides` at each edge in parallel).
-std::vector<FundamentalEdge> hiding_edges(const RootedSpanningTree& t,
-                                          const FundamentalEdge& fe, NodeId z);
+/// The entries of `table` (indices, in table order) hiding z in the face
+/// e, a real fundamental face of the table's tree (a scan over the table;
+/// the distributed algorithm evaluates `hides` at each edge in parallel).
+std::vector<std::size_t> hiding_edges(const FaceTable& table,
+                                      const FaceData& e, NodeId z);
 
 }  // namespace plansep::faces

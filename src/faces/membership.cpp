@@ -1,23 +1,41 @@
 #include "faces/membership.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
 namespace plansep::faces {
 
-namespace {
-
 int child_offset(const RootedSpanningTree& t, NodeId c) {
   return t.t_offset(EmbeddedGraph::rev(t.parent_dart(c)));
 }
 
-PiInterval interval_of_children(const RootedSpanningTree& t,
-                                const std::vector<NodeId>& children,
-                                bool left) {
+OffsetRange inside_offsets(const RootedSpanningTree& t,
+                           const FundamentalEdge& fe, NodeId x) {
+  PLANSEP_CHECK(x == fe.u || x == fe.v);
+  constexpr int kAll = std::numeric_limits<int>::max();
+  const int off_e = t.t_offset(t.graph().dart_from(fe.edge, x));
+  if (x == fe.u) {
+    if (!fe.u_ancestor_of_v) return {-1, off_e};
+    const int off_z = child_offset(t, fe.z);
+    return {std::min(off_z, off_e), std::max(off_z, off_e)};
+  }
+  const bool inside_above = !fe.u_ancestor_of_v || !fe.left_oriented;
+  return inside_above ? OffsetRange{off_e, kAll} : OffsetRange{-1, off_e};
+}
+
+namespace {
+
+/// The π_ℓ (left) or π_r interval covered by the subtrees of x's children
+/// hanging inside F_e.
+PiInterval inside_interval(const RootedSpanningTree& t,
+                           const FundamentalEdge& fe, NodeId x, bool left) {
+  const OffsetRange inside = inside_offsets(t, fe, x);
   PiInterval out;  // empty
   int total = 0;
-  for (NodeId c : children) {
+  for (NodeId c : t.children(x)) {
+    if (!inside.contains(child_offset(t, c))) continue;
     const int lo = left ? t.pi_left(c) : t.pi_right(c);
     const int hi = lo + t.subtree_size(c) - 1;
     if (out.empty()) {
@@ -37,35 +55,6 @@ PiInterval interval_of_children(const RootedSpanningTree& t,
 
 }  // namespace
 
-std::vector<NodeId> inside_children(const RootedSpanningTree& t,
-                                    const FundamentalEdge& fe, NodeId x) {
-  PLANSEP_CHECK(x == fe.u || x == fe.v);
-  const int off_e = t.t_offset(t.graph().dart_from(fe.edge, x));
-  std::vector<NodeId> out;
-  if (x == fe.u) {
-    if (!fe.u_ancestor_of_v) {
-      for (NodeId c : t.children(fe.u)) {
-        if (child_offset(t, c) < off_e) out.push_back(c);
-      }
-    } else {
-      const int off_z = child_offset(t, fe.z);
-      const int lo = std::min(off_z, off_e);
-      const int hi = std::max(off_z, off_e);
-      for (NodeId c : t.children(fe.u)) {
-        const int off = child_offset(t, c);
-        if (off > lo && off < hi) out.push_back(c);
-      }
-    }
-  } else {
-    const bool inside_above = !fe.u_ancestor_of_v || !fe.left_oriented;
-    for (NodeId c : t.children(fe.v)) {
-      const int off = child_offset(t, c);
-      if (inside_above ? off > off_e : off < off_e) out.push_back(c);
-    }
-  }
-  return out;
-}
-
 FaceData face_data(const RootedSpanningTree& t, const FundamentalEdge& fe) {
   FaceData fd;
   fd.fe = fe;
@@ -77,22 +66,18 @@ FaceData face_data(const RootedSpanningTree& t, const FundamentalEdge& fe) {
   fd.pi_r_v = t.pi_right(fe.v);
   fd.n_v = t.subtree_size(fe.v);
   fd.depth_v = t.depth(fe.v);
-  const auto cu = inside_children(t, fe, fe.u);
-  const auto cv = inside_children(t, fe, fe.v);
-  fd.inside_u_l = interval_of_children(t, cu, /*left=*/true);
-  fd.inside_u_r = interval_of_children(t, cu, /*left=*/false);
-  fd.inside_v_l = interval_of_children(t, cv, /*left=*/true);
-  fd.inside_v_r = interval_of_children(t, cv, /*left=*/false);
+  fd.inside_u_l = inside_interval(t, fe, fe.u, /*left=*/true);
+  fd.inside_u_r = inside_interval(t, fe, fe.u, /*left=*/false);
+  fd.inside_v_l = inside_interval(t, fe, fe.v, /*left=*/true);
+  fd.inside_v_r = inside_interval(t, fe, fe.v, /*left=*/false);
   fd.use_left = !fe.u_ancestor_of_v || !fe.left_oriented;
   // Data about the LCA and the path child (needed by the local rule).
+  PLANSEP_CHECK_MSG(fe.lca != planar::kNoNode,
+                    "fundamental edge was not analyzed");
+  fd.depth_w = t.depth(fe.lca);
   if (fe.u_ancestor_of_v) {
-    fd.depth_w = fd.depth_u;
     fd.pi_l_z1 = t.pi_left(fe.z);
     fd.n_z1 = t.subtree_size(fe.z);
-  } else {
-    fd.depth_w = t.depth(t.lca(fe.u, fe.v));
-    fd.pi_l_z1 = 0;
-    fd.n_z1 = 0;
   }
   return fd;
 }
@@ -148,49 +133,31 @@ FaceSide classify_node(const FaceData& fd, const NodeData& z) {
   return in ? FaceSide::kInside : FaceSide::kOutside;
 }
 
-bool dart_points_inside(const RootedSpanningTree& t, const FundamentalEdge& fe,
+bool dart_points_inside(const RootedSpanningTree& t, const FaceData& fd,
                         DartId d) {
   const EmbeddedGraph& g = t.graph();
+  const FundamentalEdge& fe = fd.fe;
   const NodeId x = g.tail(d);
   const int off = t.t_offset(d);
-  const bool use_left = !fe.u_ancestor_of_v || !fe.left_oriented;
-  PLANSEP_CHECK_MSG(is_on_border(t, fe, x), "tail must be on the border");
+  PLANSEP_CHECK_MSG(classify_node(fd, node_data(t, x)) == FaceSide::kBorder,
+                    "tail must be on the border");
 
   auto offset_towards = [&](NodeId target) {
     // Offset of the tree dart from x to its child on the path towards
     // `target` (x must be a strict ancestor of target).
-    const NodeId c = child_towards(t, x, target);
-    return child_offset(t, c);
+    return child_offset(t, child_towards(t, x, target));
   };
 
+  if (x == fe.u || x == fe.v) {
+    return inside_offsets(t, fe, x).contains(off);  // Claims 1 (ii), (iii), 4
+  }
   if (fe.u_ancestor_of_v) {
-    const int off_e_u = t.t_offset(g.dart_from(fe.edge, fe.u));
-    if (x == fe.u) {
-      const int off_z = child_offset(t, fe.z);
-      const int lo = std::min(off_z, off_e_u);
-      const int hi = std::max(off_z, off_e_u);
-      return off > lo && off < hi;
-    }
-    if (x == fe.v) {
-      const int off_e_v = t.t_offset(g.dart_from(fe.edge, fe.v));
-      return use_left ? off > off_e_v : off < off_e_v;
-    }
     // Internal path node: Claim 4 (iii) relative to the next node towards v.
     const int off_next = offset_towards(fe.v);
-    return use_left ? off > off_next : off < off_next;
+    return fd.use_left ? off > off_next : off < off_next;
   }
-
   // u and v unrelated; w = LCA.
-  const NodeId w = t.lca(fe.u, fe.v);
-  if (x == fe.u) {
-    const int off_e_u = t.t_offset(g.dart_from(fe.edge, fe.u));
-    return off < off_e_u;  // Claim 1 (ii)
-  }
-  if (x == fe.v) {
-    const int off_e_v = t.t_offset(g.dart_from(fe.edge, fe.v));
-    return off > off_e_v;  // Claim 1 (iii)
-  }
-  if (x == w) {
+  if (x == fe.lca) {
     // Claim 1 (i): between the path children towards v and towards u.
     const int off_u1 = offset_towards(fe.u);
     const int off_v1 = offset_towards(fe.v);
@@ -200,16 +167,6 @@ bool dart_points_inside(const RootedSpanningTree& t, const FundamentalEdge& fe,
     return off < offset_towards(fe.u);  // Claim 1 (iv)
   }
   return off > offset_towards(fe.v);  // Claim 1 (v)
-}
-
-bool is_inside_face(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                    NodeId z) {
-  return classify_node(face_data(t, fe), node_data(t, z)) == FaceSide::kInside;
-}
-
-bool is_on_border(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                  NodeId z) {
-  return classify_node(face_data(t, fe), node_data(t, z)) == FaceSide::kBorder;
 }
 
 }  // namespace plansep::faces

@@ -13,8 +13,6 @@
 // A node z combines the payload with its own (π_ℓ(z), π_r(z), n_T(z),
 // depth) to evaluate the Remark 1 characterization.
 
-#include <optional>
-
 #include "faces/fundamental.hpp"
 
 namespace plansep::faces {
@@ -39,8 +37,8 @@ struct FaceData {
   /// Whether the Remark 1 interval test uses π_ℓ (cases 1, 2) or π_r
   /// (case 3).
   bool use_left = true;
-  /// Depth of the LCA of u and v (== depth_u when u is an ancestor of v);
-  /// distributively obtained via the LCA-PROBLEM (Lemma 14).
+  /// Depth of the LCA fe.lca of u and v (== depth_u when u is an ancestor
+  /// of v); distributively obtained via the LCA-PROBLEM (Lemma 14).
   int depth_w = 0;
   /// π_ℓ position and subtree size of the path child z1 of u towards v
   /// (meaningful only when u is an ancestor of v).
@@ -48,7 +46,7 @@ struct FaceData {
   int n_z1 = 0;
 };
 
-/// Computes the payload for a real fundamental edge.
+/// Computes the payload for a real fundamental edge, in O(deg u + deg v).
 FaceData face_data(const RootedSpanningTree& t, const FundamentalEdge& fe);
 
 /// Local position data a node contributes (its own knowledge).
@@ -65,24 +63,28 @@ enum class FaceSide { kBorder, kInside, kOutside };
 
 FaceSide classify_node(const FaceData& fd, const NodeData& z);
 
-/// Convenience wrappers.
-bool is_inside_face(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                    NodeId z);
-bool is_on_border(const RootedSpanningTree& t, const FundamentalEdge& fe,
-                  NodeId z);
+/// The rotation offsets t_x(c) (t_offset of the tree dart x→c) of the
+/// children c of endpoint x (fe.u or fe.v) whose subtrees hang inside F_e,
+/// counted by p_{F_e}(x): the open range (lo, hi), an arc of x's rotation
+/// (Claims 1 and 4).
+struct OffsetRange {
+  int lo = 0;
+  int hi = 0;
+  bool contains(int off) const { return off > lo && off < hi; }
+};
+OffsetRange inside_offsets(const RootedSpanningTree& t,
+                           const FundamentalEdge& fe, NodeId x);
 
-/// The inside-hanging children of endpoint x (x must be fe.u or fe.v), in
-/// rotation order — the subtrees counted by p_{F_e}(x).
-std::vector<NodeId> inside_children(const RootedSpanningTree& t,
-                                    const FundamentalEdge& fe, NodeId x);
+/// t_x(c) of a non-root member c, x its parent.
+int child_offset(const RootedSpanningTree& t, NodeId c);
 
-/// For a dart d whose tail lies on the border of F_e and which is not one
-/// of the cycle darts, whether d points into the inside region of F_e —
-/// the arc conditions of Claims 1 and 4, evaluated at any border node
-/// (endpoints, the LCA, or internal path nodes). This is the local rule by
-/// which a border node decides which of its incident edges open into the
-/// face.
-bool dart_points_inside(const RootedSpanningTree& t, const FundamentalEdge& fe,
+/// For a dart d whose tail lies on the border of F_e (fd's face) and which
+/// is not one of the cycle darts, whether d points into the inside region
+/// of F_e — the arc conditions of Claims 1 and 4, evaluated at any border
+/// node (endpoints, the LCA, or internal path nodes). This is the local
+/// rule by which a border node decides which of its incident edges open
+/// into the face.
+bool dart_points_inside(const RootedSpanningTree& t, const FaceData& fd,
                         DartId d);
 
 }  // namespace plansep::faces

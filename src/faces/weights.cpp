@@ -1,19 +1,8 @@
 #include "faces/weights.hpp"
 
-#include "faces/membership.hpp"
 #include "util/check.hpp"
 
 namespace plansep::faces {
-
-namespace {
-
-long long p_value(const NodeWeights& w, const FundamentalEdge& fe, NodeId x) {
-  long long p = 0;
-  for (NodeId c : inside_children(w.tree(), fe, x)) p += w.subtree(c);
-  return p;
-}
-
-}  // namespace
 
 bool uses_left_order(const FundamentalEdge& fe) {
   // See the convention note in the header: the π_ℓ formula applies exactly
@@ -21,14 +10,6 @@ bool uses_left_order(const FundamentalEdge& fe) {
   // t_u(v) > t_u(z) case).
   PLANSEP_CHECK(fe.u_ancestor_of_v);
   return !fe.left_oriented;
-}
-
-long long p_value_at_u(const NodeWeights& w, const FundamentalEdge& fe) {
-  return p_value(w, fe, fe.u);
-}
-
-long long p_value_at_v(const NodeWeights& w, const FundamentalEdge& fe) {
-  return p_value(w, fe, fe.v);
 }
 
 long long ancestor_sweep(const NodeWeights& w, NodeId z, NodeId x,
@@ -40,9 +21,12 @@ long long ancestor_sweep(const NodeWeights& w, NodeId z, NodeId x,
          ((w.root_path(x) - w.of(x)) - (w.root_path(z) - w.of(z)));
 }
 
-long long face_weight(const NodeWeights& w, const FundamentalEdge& fe) {
+long long face_weight(const NodeWeights& w, const FaceData& fd) {
   const RootedSpanningTree& t = w.tree();
-  const long long p = p_value_at_u(w, fe) + p_value_at_v(w, fe);
+  const FundamentalEdge& fe = fd.fe;
+  const long long p =
+      w.interval(fd.inside_u_l.lo, fd.inside_u_l.hi, /*left=*/true) +
+      w.interval(fd.inside_v_l.lo, fd.inside_v_l.hi, /*left=*/true);
   if (!fe.u_ancestor_of_v) {
     // Definition 2 case 1: the π_ℓ positions from just after T_u up to v.
     return p + w.interval(t.pi_left(fe.u) + t.subtree_size(fe.u),

@@ -23,20 +23,11 @@
 // ω(F_e) equals the region count of Lemmas 3/4 on every fundamental edge of
 // every test instance (see tests/faces_weights_test.cpp).
 
-#include "faces/fundamental.hpp"
+#include "faces/membership.hpp"
 
 namespace plansep::faces {
 
 using tree::NodeWeights;
-
-/// p_{F_e}(u): the weight of the proper descendants of u lying inside F_e.
-/// These are the subtrees of children of u whose darts fall on the inside
-/// arcs of u's rotation (Claims 1 and 4). Locally computable by u given its
-/// children's subtree weights.
-long long p_value_at_u(const NodeWeights& w, const FundamentalEdge& fe);
-
-/// p_{F_e}(v): same at the deeper endpoint v.
-long long p_value_at_v(const NodeWeights& w, const FundamentalEdge& fe);
 
 /// Whether Definition 2 case 2 uses the LEFT order π_ℓ for this
 /// ancestor-type edge (see convention note above).
@@ -47,8 +38,12 @@ bool uses_left_order(const FundamentalEdge& fe);
 /// z..parent(x) — (π(x) − π(z)) − (depth(x) − depth(z)) under unit weights.
 long long ancestor_sweep(const NodeWeights& w, NodeId z, NodeId x, bool left);
 
-/// ω(F_e) per Definition 2. For u not an ancestor of v this equals the
+/// ω(F_e) per Definition 2, from the face's payload (faces/membership.hpp).
+/// The p-values p_{F_e}(u) and p_{F_e}(v) — the weight of the proper
+/// descendants of u and v lying inside F_e, locally computable by each
+/// endpoint from its children's subtree weights — are the weights of the
+/// payload's inside intervals. For u not an ancestor of v this equals the
 /// weight of F̃_e (Lemma 3); for an ancestor edge that of F̊_e (Lemma 4).
-long long face_weight(const NodeWeights& w, const FundamentalEdge& fe);
+long long face_weight(const NodeWeights& w, const FaceData& fd);
 
 }  // namespace plansep::faces

@@ -123,15 +123,18 @@ EmbeddedGraph EmbeddedGraph::from_coordinates(
     g.add_edge_back(u, v);
   }
   // Sort each rotation clockwise by angle: standard orientation (y up),
-  // clockwise means decreasing atan2.
+  // clockwise means decreasing atan2. Each dart's angle is computed once.
+  std::vector<double> angle(static_cast<std::size_t>(g.num_darts()));
+  for (DartId d = 0; d < g.num_darts(); ++d) {
+    const Point& p = coords[static_cast<std::size_t>(g.tail(d))];
+    const Point& q = coords[static_cast<std::size_t>(g.head(d))];
+    angle[static_cast<std::size_t>(d)] = std::atan2(q.y - p.y, q.x - p.x);
+  }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto& r = g.rot_[v];
     std::sort(r.begin(), r.end(), [&](DartId a, DartId b) {
-      const Point& p = coords[static_cast<std::size_t>(v)];
-      const Point& pa = coords[static_cast<std::size_t>(g.head(a))];
-      const Point& pb = coords[static_cast<std::size_t>(g.head(b))];
-      const double ta = std::atan2(pa.y - p.y, pa.x - p.x);
-      const double tb = std::atan2(pb.y - p.y, pb.x - p.x);
+      const double ta = angle[static_cast<std::size_t>(a)];
+      const double tb = angle[static_cast<std::size_t>(b)];
       if (ta != tb) return ta > tb;
       return a < b;  // deterministic tiebreak (collinear points)
     });

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "faces/augmentation.hpp"
 #include "faces/containment.hpp"
 #include "faces/hidden.hpp"
-#include "faces/membership.hpp"
 #include "obs/metrics.hpp"
 #include "subroutines/components.hpp"
 #include "util/check.hpp"
@@ -19,7 +19,8 @@ using faces::FaceData;
 using faces::FaceSide;
 using tree::RootedSpanningTree;
 
-/// Candidates for one part, in the phase order of §5.3.
+/// Candidates for one part, in the phase order of §5.3. The part's face
+/// table is built once here and freed on return.
 std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
   const RootedSpanningTree& t = ps.tree_of_part(p);
   const tree::NodeWeights unit(t);
@@ -31,47 +32,41 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
     return out;
   }
 
-  const std::vector<EdgeId> fund = faces::real_fundamental_edges(t);
-
   // Phase 2: tree part — root→centroid path.
-  if (fund.empty()) {
+  if (faces::real_fundamental_edges(t).empty()) {
     out.push_back({t.path(t.root(), unit.centroid()), planar::kNoEdge, 2});
     return out;
   }
 
-  std::vector<FundamentalEdge> fes;
-  std::vector<long long> weight;
-  fes.reserve(fund.size());
-  for (EdgeId e : fund) {
-    fes.push_back(faces::analyze_fundamental_edge(t, e));
-    weight.push_back(faces::face_weight(unit, fes.back()));
-  }
+  const faces::FaceTable table(t);
 
   // Phase 3: a face with ω ∈ [n/3, 2n/3].
-  for (std::size_t i = 0; i < fes.size(); ++i) {
-    if (3 * weight[i] >= n && 3 * weight[i] <= 2 * n) {
-      out.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 3});
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const FundamentalEdge& fe = table.edge(i);
+    if (3 * table.weight(i) >= n && 3 * table.weight(i) <= 2 * n) {
+      out.push_back({t.path(fe.u, fe.v), fe.edge, 3});
       break;
     }
   }
   // Lemma 1 case 3: a fundamental edge whose tree path has ≥ n/3 nodes is
   // itself a (cycle) separator.
-  for (std::size_t i = 0; i < fes.size(); ++i) {
-    if (3 * unit.path(fes[i].u, fes[i].v) >= n) {
-      out.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 33});
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const FundamentalEdge& fe = table.edge(i);
+    if (3 * unit.path(fe.u, fe.v, fe.lca) >= n) {
+      out.push_back({t.path(fe.u, fe.v), fe.edge, 33});
       break;
     }
   }
 
-  std::vector<FundamentalEdge> heavy;
-  for (std::size_t i = 0; i < fes.size(); ++i) {
-    if (3 * weight[i] > 2 * n) heavy.push_back(fes[i]);
+  std::vector<std::size_t> heavy;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (3 * table.weight(i) > 2 * n) heavy.push_back(i);
   }
 
   if (!heavy.empty()) {
     // Phase 4: minimal heavy face, full augmentation from u.
-    const FundamentalEdge estar = faces::pick_not_contains(t, heavy);
-    const FaceData fd = faces::face_data(t, estar);
+    const FaceData& fd = table.face(faces::pick_not_contains(table, heavy));
+    const FundamentalEdge& estar = fd.fe;
     std::vector<NodeId> leaves;
     for (NodeId z : t.nodes()) {
       if (!t.children(z).empty()) continue;
@@ -90,13 +85,14 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
              (use_left ? t.pi_left(b) : t.pi_right(b));
     });
     for (NodeId z : leaves) {
-      const long long w = faces::augmented_weight(unit, estar, z);
+      const long long w = faces::augmented_weight(unit, fd, z);
       if (3 * w < n || 3 * w > 2 * n) continue;
-      const auto hiding = faces::hiding_edges(t, estar, z);
+      const auto hiding = faces::hiding_edges(table, fd, z);
       if (hiding.empty()) {
         out.push_back({t.path(estar.u, z), planar::kNoEdge, 41});
       } else {
-        const FundamentalEdge f = faces::pick_not_contained(t, hiding);
+        const FundamentalEdge& f =
+            table.edge(faces::pick_not_contained(table, hiding));
         const NodeId z2 = t.pi_left(f.u) < t.pi_left(f.v) ? f.v : f.u;
         const NodeId z1 = z2 == f.u ? f.v : f.u;
         out.push_back({t.path(estar.u, z2), planar::kNoEdge, 45});
@@ -106,7 +102,7 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
     }
     // Lemma 1 case 3 inside the augmentation: a long u..z path.
     for (NodeId z : leaves) {
-      if (3 * unit.path(estar.u, z) >= n) {
+      if (3 * unit.path(estar.u, z, t.lca(estar.u, z)) >= n) {
         out.push_back({t.path(estar.u, z), planar::kNoEdge, 43});
         break;
       }
@@ -115,8 +111,10 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
     out.push_back({t.path(estar.u, estar.v), estar.edge, 42});
   } else {
     // Phase 5: every face is light; maximal face e*, outside split.
-    const FundamentalEdge estar = faces::pick_not_contained(t, fes);
-    const FaceData fd = faces::face_data(t, estar);
+    std::vector<std::size_t> all(table.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const FaceData& fd = table.face(faces::pick_not_contained(table, all));
+    const FundamentalEdge& estar = fd.fe;
     long long f_r = 0, f_l = 0;
     for (NodeId z : t.nodes()) {
       if (faces::classify_node(fd, faces::node_data(t, z)) !=
@@ -150,14 +148,15 @@ std::vector<Candidate> candidates_for_part(const PartSet& ps, int p) {
       if (pick == planar::kNoNode) continue;
       // Hidden check for the root sweep: any real fundamental face whose
       // interior strictly contains `pick` blocks the virtual closing edge.
-      std::vector<FundamentalEdge> hiding;
-      for (const FundamentalEdge& f : fes) {
-        if (faces::is_inside_face(t, f, pick)) hiding.push_back(f);
+      std::vector<std::size_t> hiding;
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        if (table.classify(i, pick) == FaceSide::kInside) hiding.push_back(i);
       }
       if (hiding.empty()) {
         out.push_back({t.path(t.root(), pick), planar::kNoEdge, 52});
       } else {
-        const FundamentalEdge f = faces::pick_not_contained(t, hiding);
+        const FundamentalEdge& f =
+            table.edge(faces::pick_not_contained(table, hiding));
         out.push_back({t.path(t.root(), f.v), planar::kNoEdge, 53});
         out.push_back({t.path(t.root(), f.u), planar::kNoEdge, 53});
       }
@@ -245,7 +244,7 @@ int SeparatorEngine::search(const PartSet& ps, const Proposer& propose,
                             SeparatorResult& out) {
   int most_tried = 0;
   for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
+    if (!ps.has_tree(p)) continue;
     std::vector<Candidate> cands = propose(p);
     const auto hit =
         std::find_if(cands.begin(), cands.end(), [&](const Candidate& c) {

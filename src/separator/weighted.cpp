@@ -17,8 +17,6 @@
 #include "faces/augmentation.hpp"
 #include "faces/containment.hpp"
 #include "faces/hidden.hpp"
-#include "faces/membership.hpp"
-#include "faces/weights.hpp"
 #include "obs/metrics.hpp"
 #include "separator/engine.hpp"
 #include "util/check.hpp"
@@ -67,46 +65,50 @@ std::vector<Candidate> weighted_candidates(const RootedSpanningTree& t,
   // Weighted Phase 3/4: real fundamental faces with weighted content
   // in range; weighted long paths; weighted augmentation sweep of a
   // maximal heavy face (with the hidden fallback, which is
-  // weight-independent).
-  std::vector<faces::FundamentalEdge> fes;
+  // weight-independent). The part's face table supplies every face once.
+  const faces::FaceTable table(t);
   std::vector<long long> fw;
-  for (planar::EdgeId e : faces::real_fundamental_edges(t)) {
-    fes.push_back(faces::analyze_fundamental_edge(t, e));
-    fw.push_back(faces::face_weight(w, fes.back()));
+  fw.reserve(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    fw.push_back(faces::face_weight(w, table.face(i)));
   }
-  for (std::size_t i = 0; i < fes.size(); ++i) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const faces::FundamentalEdge& fe = table.edge(i);
     if (3 * fw[i] >= total && 3 * fw[i] <= 2 * total) {
-      cands.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 64});
+      cands.push_back({t.path(fe.u, fe.v), fe.edge, 64});
       break;
     }
   }
-  for (std::size_t i = 0; i < fes.size(); ++i) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
     // A path already carrying >= W/3 is a separator by itself.
-    if (3 * w.path(fes[i].u, fes[i].v) >= total) {
-      cands.push_back({t.path(fes[i].u, fes[i].v), fes[i].edge, 64});
+    const faces::FundamentalEdge& fe = table.edge(i);
+    if (3 * w.path(fe.u, fe.v, fe.lca) >= total) {
+      cands.push_back({t.path(fe.u, fe.v), fe.edge, 64});
       break;
     }
   }
-  std::vector<faces::FundamentalEdge> heavy;
-  for (std::size_t i = 0; i < fes.size(); ++i) {
-    if (3 * fw[i] > 2 * total) heavy.push_back(fes[i]);
+  std::vector<std::size_t> heavy;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (3 * fw[i] > 2 * total) heavy.push_back(i);
   }
   if (!heavy.empty()) {
-    const auto estar = faces::pick_not_contains(t, heavy);
-    const faces::FaceData fd = faces::face_data(t, estar);
+    const faces::FaceData& fd =
+        table.face(faces::pick_not_contains(table, heavy));
+    const faces::FundamentalEdge& estar = fd.fe;
     for (planar::NodeId z : t.nodes()) {
       if (!t.children(z).empty()) continue;
       if (faces::classify_node(fd, faces::node_data(t, z)) !=
           faces::FaceSide::kInside) {
         continue;
       }
-      const long long aw = faces::augmented_weight(w, estar, z);
+      const long long aw = faces::augmented_weight(w, fd, z);
       if (3 * aw < total || 3 * aw > 2 * total) continue;
-      const auto hiding = faces::hiding_edges(t, estar, z);
+      const auto hiding = faces::hiding_edges(table, fd, z);
       if (hiding.empty()) {
         cands.push_back({t.path(estar.u, z), planar::kNoEdge, 65});
       } else {
-        const auto fh = faces::pick_not_contained(t, hiding);
+        const faces::FundamentalEdge& fh =
+            table.edge(faces::pick_not_contained(table, hiding));
         cands.push_back({t.path(estar.u, fh.v), planar::kNoEdge, 65});
         cands.push_back({t.path(estar.u, fh.u), planar::kNoEdge, 65});
       }

@@ -36,9 +36,14 @@ Balance balance_after_removal(const planar::EmbeddedGraph& g,
                               std::span<const long long> weight) {
   const bool every = nodes.empty();
   // 0: not participating; 1: participating and not yet reached; 2: removed
-  // or reached.
-  std::vector<char> state(static_cast<std::size_t>(g.num_nodes()),
-                          every ? 1 : 0);
+  // or reached. The buffer is the thread's, kept between calls and zero
+  // outside them, so a call over a part touches only that part's nodes
+  // and the removed ones.
+  thread_local std::vector<char> state;
+  if (state.size() < static_cast<std::size_t>(g.num_nodes())) {
+    state.resize(static_cast<std::size_t>(g.num_nodes()), 0);
+  }
+  if (every) std::fill_n(state.begin(), g.num_nodes(), 1);
   for (const planar::NodeId v : nodes) state[static_cast<std::size_t>(v)] = 1;
   for (const planar::NodeId v : removed) state[static_cast<std::size_t>(v)] = 2;
   const auto w = [&](planar::NodeId v) {
@@ -69,9 +74,12 @@ Balance balance_after_removal(const planar::EmbeddedGraph& g,
   };
   if (every) {
     for (planar::NodeId s = 0; s < g.num_nodes(); ++s) sweep(s);
+    std::fill_n(state.begin(), g.num_nodes(), 0);
   } else {
     for (const planar::NodeId s : nodes) sweep(s);
+    for (const planar::NodeId v : nodes) state[static_cast<std::size_t>(v)] = 0;
   }
+  for (const planar::NodeId v : removed) state[static_cast<std::size_t>(v)] = 0;
   return out;
 }
 

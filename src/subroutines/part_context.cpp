@@ -21,22 +21,7 @@ PartSet finish_part_set(const EmbeddedGraph& g, const std::vector<int>& part,
   ps.roots = roots;
   ps.cost = base_cost;
 
-  // Split the parent darts per part and construct the trees.
-  ps.trees.resize(static_cast<std::size_t>(num_parts));
-  for (int p = 0; p < num_parts; ++p) {
-    const NodeId r = roots[static_cast<std::size_t>(p)];
-    if (r == planar::kNoNode) continue;
-    std::vector<planar::DartId> pd(static_cast<std::size_t>(g.num_nodes()),
-                                   planar::kNoDart);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (part[static_cast<std::size_t>(v)] == p && v != r) {
-        pd[static_cast<std::size_t>(v)] =
-            parent_dart[static_cast<std::size_t>(v)];
-      }
-    }
-    ps.trees[static_cast<std::size_t>(p)] =
-        std::make_unique<RootedSpanningTree>(g, r, std::move(pd));
-  }
+  ps.trees = RootedSpanningTree::forest(g, part, roots, parent_dart);
 
   // Distributed representation: depths and subtree sizes via Proposition 5
   // (ancestor/descendant sums over arbitrary-depth trees, black box), then

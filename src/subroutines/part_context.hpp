@@ -2,7 +2,10 @@
 
 // PartSet: the shared state of one parallel invocation over a node
 // partition — per-part rooted spanning trees with their distributed
-// representation (depth, parent, subtree size, π_ℓ/π_r).
+// representation (depth, parent, subtree size, π_ℓ/π_r). The trees are
+// views of one forest built in a single O(n + m) pass
+// (RootedSpanningTree::forest), so a phase costs O(n + m) however many
+// parts it has.
 //
 // Establishing the representation costs:
 //  * spanning forest: Borůvka phases (Lemma 9) — paid in boruvka_forest;
@@ -15,7 +18,6 @@
 //    parent fragment; depths halve), which charge_dfs_orders simulates to
 //    account rounds; the resulting orders equal RootedSpanningTree's.
 
-#include <memory>
 #include <vector>
 
 #include "shortcuts/partwise.hpp"
@@ -30,13 +32,18 @@ struct PartSet {
   const EmbeddedGraph* g = nullptr;
   std::vector<int> part;  // part id per node; -1 = not participating
   int num_parts = 0;
-  std::vector<NodeId> roots;                                // per part
-  std::vector<std::unique_ptr<RootedSpanningTree>> trees;   // per part
+  std::vector<NodeId> roots;               // per part
+  std::vector<RootedSpanningTree> trees;   // per part; views of one forest
   RoundCost cost;  // cost of building this representation
 
   int part_of(NodeId v) const { return part[static_cast<std::size_t>(v)]; }
-  const RootedSpanningTree& tree_of_part(int p) const { return *trees[static_cast<std::size_t>(p)]; }
-  int part_size(int p) const { return trees[static_cast<std::size_t>(p)]->size(); }
+  /// Whether part p has a tree (a root); parts without one have no nodes
+  /// to work on and an empty tree.
+  bool has_tree(int p) const {
+    return roots[static_cast<std::size_t>(p)] != planar::kNoNode;
+  }
+  const RootedSpanningTree& tree_of_part(int p) const { return trees[static_cast<std::size_t>(p)]; }
+  int part_size(int p) const { return tree_of_part(p).size(); }
 };
 
 /// Builds per-part spanning trees (Borůvka, unit weights) and their full

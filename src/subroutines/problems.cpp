@@ -190,7 +190,7 @@ PerNode detect_face_problem(const PartSet& ps, PartwiseEngine& engine,
   // intervals I(u), I(v) plus endpoint positions): charge 6 aggregations.
   out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 6);
   for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
+    if (!ps.has_tree(p)) continue;
     const auto& fe = edge_of_part[static_cast<std::size_t>(p)];
     if (fe.edge == planar::kNoEdge) continue;
     const auto& t = ps.tree_of_part(p);
@@ -214,13 +214,14 @@ PerPart<bool> hidden_problem(const PartSet& ps, PartwiseEngine& engine,
   out.cost = shortcuts::aggregations(aggregation_price(engine, ps), 3);
   out.cost += shortcuts::local_exchange(1);
   for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
+    if (!ps.has_tree(p)) continue;
     const auto& fe = edge_of_part[static_cast<std::size_t>(p)];
     const NodeId z = z_of_part[static_cast<std::size_t>(p)];
     if (fe.edge == planar::kNoEdge || z == planar::kNoNode) continue;
     const auto& t = ps.tree_of_part(p);
+    const faces::FaceTable table(t);
     out.value[static_cast<std::size_t>(p)] =
-        !faces::hiding_edges(t, fe, z).empty();
+        !faces::hiding_edges(table, faces::face_data(t, fe), z).empty();
   }
   return out;
 }
@@ -233,7 +234,7 @@ PartSet re_root_problem(const PartSet& ps, PartwiseEngine& engine,
   std::vector<NodeId> roots(static_cast<std::size_t>(ps.num_parts),
                             planar::kNoNode);
   for (int p = 0; p < ps.num_parts; ++p) {
-    if (!ps.trees[static_cast<std::size_t>(p)]) continue;
+    if (!ps.has_tree(p)) continue;
     const auto& t = ps.tree_of_part(p);
     for (NodeId v : t.nodes()) {
       parent[static_cast<std::size_t>(v)] = t.parent_dart(v);

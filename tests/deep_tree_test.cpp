@@ -87,7 +87,7 @@ TEST_P(DeepTreeProperty, WeightsAndMembership) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
       const auto region = oracle.real_face(fe);
       // Definition 2 == Lemmas 3/4 on deep trees.
-      ASSERT_EQ(face_weight(NodeWeights(t), fe),
+      ASSERT_EQ(face_weight(NodeWeights(t), face_data(t, fe)),
                 oracle.lemma_weight(fe.u, fe.v, region))
           << planar::family_name(c.family) << " seed=" << seed << " e={"
           << fe.u << "," << fe.v << "}";
@@ -124,15 +124,17 @@ TEST_P(DeepTreeProperty, NotHiddenLeafWeightRealizable) {
         static_cast<NodeId>(rng.next_below(gg.graph.num_nodes()));
     const auto t = random_dfs_tree(gg.graph, root, rng);
     const FaceOracle oracle(t);
-    for (planar::EdgeId e : real_fundamental_edges(t)) {
-      const FundamentalEdge fe = analyze_fundamental_edge(t, e);
+    const FaceTable table(t);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const FaceData& fd = table.face(i);
+      const FundamentalEdge& fe = fd.fe;
       const auto region = oracle.real_face(fe);
       for (NodeId z : t.nodes()) {
         if (!region.inside[z] || !t.children(z).empty()) continue;
         if (gg.graph.has_edge(fe.u, z)) continue;
-        if (!hiding_edges(t, fe, z).empty()) continue;
+        if (!hiding_edges(table, fd, z).empty()) continue;
         const auto regions = oracle.augmented_faces(fe, z);
-        const long long got = augmented_weight(NodeWeights(t), fe, z);
+        const long long got = augmented_weight(NodeWeights(t), fd, z);
         bool matched = false;
         for (const auto& r : regions) {
           matched |= (oracle.lemma_weight(fe.u, z, r) == got);

@@ -89,6 +89,7 @@ TEST_P(MembershipMatchesOracle, DartPointsInside) {
     const FaceOracle oracle(t);
     for (planar::EdgeId e : real_fundamental_edges(t)) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
+      const FaceData fd = face_data(t, fe);
       const auto region = oracle.real_face(fe);
       std::vector<char> on_border(g.num_nodes(), 0);
       for (planar::NodeId b : region.border) on_border[b] = 1;
@@ -98,7 +99,7 @@ TEST_P(MembershipMatchesOracle, DartPointsInside) {
         for (planar::DartId d : g.rotation(x)) {
           const planar::NodeId y = g.head(d);
           if (!t.contains(y) || on_border[y]) continue;
-          const bool rule = dart_points_inside(t, fe, d);
+          const bool rule = dart_points_inside(t, fd, d);
           const bool truth = region.inside[y] != 0;
           ASSERT_EQ(rule, truth)
               << planar::family_name(c.family) << " seed=" << seed << " e={"
@@ -129,17 +130,19 @@ TEST_P(MembershipMatchesOracle, NotHiddenLeafWeightIsRealizable) {
     Rng rng(seed * 2654435761ULL + 11);
     for (long long& x : random) x = rng.next_in(0, 100);
     const FaceOracle oracle(t);
-    for (planar::EdgeId e : real_fundamental_edges(t)) {
-      const FundamentalEdge fe = analyze_fundamental_edge(t, e);
+    const FaceTable table(t);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const FaceData& fd = table.face(i);
+      const FundamentalEdge& fe = fd.fe;
       const auto region = oracle.real_face(fe);
       for (planar::NodeId z : t.nodes()) {
         if (!region.inside[z]) continue;
         if (!t.children(z).empty()) continue;  // leaves only
         if (gg.graph.has_edge(fe.u, z)) continue;
-        if (!hiding_edges(t, fe, z).empty()) continue;  // hidden: fallback
+        if (!hiding_edges(table, fd, z).empty()) continue;  // hidden: fallback
         const auto regions = oracle.augmented_faces(fe, z);
         for (const std::vector<long long>* w : {&unit, &ones, &random}) {
-          const long long got = augmented_weight(NodeWeights(t, *w), fe, z);
+          const long long got = augmented_weight(NodeWeights(t, *w), fd, z);
           bool matched = false;
           std::string valid_values;
           for (const auto& r : regions) {
@@ -177,6 +180,7 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
     const FaceOracle oracle(t);
     for (planar::EdgeId e : real_fundamental_edges(t)) {
       const FundamentalEdge fe = analyze_fundamental_edge(t, e);
+      const FaceData fd = face_data(t, fe);
       const auto region = oracle.real_face(fe);
       const bool use_left = !fe.u_ancestor_of_v || uses_left_order(fe);
       std::vector<planar::NodeId> inside;
@@ -192,8 +196,8 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
         for (planar::NodeId b : inside) {
           if (a == b || t.is_ancestor(a, b) || t.is_ancestor(b, a)) continue;
           if (pi(a) < pi(b)) {
-            ASSERT_LE(augmented_weight(unit, fe, a),
-                      augmented_weight(unit, fe, b))
+            ASSERT_LE(augmented_weight(unit, fd, a),
+                      augmented_weight(unit, fd, b))
                 << planar::family_name(c.family) << " seed=" << seed << " e={"
                 << fe.u << "," << fe.v << "} a=" << a << " b=" << b;
           }
@@ -215,8 +219,8 @@ TEST_P(MembershipMatchesOracle, AugmentedWeightFollowsRemark2) {
           // the border — the weight drops by exactly that segment's length.
           const long long correction =
               t.is_ancestor(fe.u, a) ? (t.depth(leaf) - t.depth(a)) : 0;
-          ASSERT_EQ(augmented_weight(unit, fe, a),
-                    augmented_weight(unit, fe, leaf) + correction)
+          ASSERT_EQ(augmented_weight(unit, fd, a),
+                    augmented_weight(unit, fd, leaf) + correction)
               << planar::family_name(c.family) << " seed=" << seed << " e={"
               << fe.u << "," << fe.v << "} z=" << a << " leaf=" << leaf;
         }
@@ -253,7 +257,7 @@ TEST_P(MembershipMatchesOracle, ContainmentMatchesOracle) {
             break;
           }
         }
-        const bool got = face_contains(t, fes[i], fes[j]);
+        const bool got = face_contains(t, face_data(t, fes[i]), fes[j]);
         ASSERT_EQ(got, subset)
             << planar::family_name(c.family) << " seed=" << seed << " outer={"
             << fes[i].u << "," << fes[i].v << "} inner={" << fes[j].u << ","
@@ -275,6 +279,156 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Family::kRandomPlanar, 20, 5},
                       Case{Family::kOuterplanar, 16, 5}),
     case_name);
+
+// ---------------------------------------------------- face table ------
+
+/// The LCA by walking parent pointers, the deeper end first.
+planar::NodeId walk_lca(const tree::RootedSpanningTree& t, planar::NodeId a,
+                        planar::NodeId b) {
+  while (a != b) {
+    if (t.depth(a) >= t.depth(b)) {
+      a = t.parent(a);
+    } else {
+      b = t.parent(b);
+    }
+  }
+  return a;
+}
+
+/// Lemma 17/18's climb recomputed from the primitives: seed at the first
+/// heaviest (outward) or lightest listed face, then move to the first
+/// listed face that contains (outward) or is contained in the current one
+/// until none does.
+std::size_t reference_pick(const tree::RootedSpanningTree& t,
+                           const std::vector<FundamentalEdge>& fes,
+                           const std::vector<std::size_t>& among,
+                           bool outward) {
+  const NodeWeights unit(t);
+  const auto weight = [&](std::size_t i) {
+    return face_weight(unit, face_data(t, fes[among[i]]));
+  };
+  std::size_t cur = 0;
+  for (std::size_t i = 1; i < among.size(); ++i) {
+    if (outward ? weight(i) > weight(cur) : weight(i) < weight(cur)) cur = i;
+  }
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (std::size_t i = 0; i < among.size() && !moved; ++i) {
+      if (i == cur) continue;
+      const FundamentalEdge& a = fes[among[outward ? i : cur]];
+      const FundamentalEdge& b = fes[among[outward ? cur : i]];
+      if (face_contains(t, face_data(t, a), b)) {
+        cur = i;
+        moved = true;
+      }
+    }
+  }
+  return among[cur];
+}
+
+TEST(FaceTable, MatchesPrimitivesAndOracle) {
+  int hidden_seen = 0;
+  for (Family f : planar::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const GeneratedGraph gg = planar::make_instance(f, 40, seed);
+      const auto& g = gg.graph;
+      const planar::NodeId root = gg.root_hint;
+      const int deg = g.degree(root);
+      for (int gap : {0, deg / 2, deg}) {
+        const std::string tag = std::string(planar::family_name(f)) +
+                                " seed=" + std::to_string(seed) +
+                                " gap=" + std::to_string(gap);
+        const auto t = tree::RootedSpanningTree::bfs(g, root, gap);
+        const FaceTable table(t);
+        const FaceOracle oracle(t);
+        const NodeWeights unit(t);
+        const auto fund = real_fundamental_edges(t);
+        ASSERT_EQ(table.size(), fund.size()) << tag;
+        std::vector<FundamentalEdge> fes;  // analyzed afresh
+        for (planar::EdgeId e : fund) {
+          fes.push_back(analyze_fundamental_edge(t, e));
+        }
+        for (std::size_t i = 0; i < table.size(); ++i) {
+          const FundamentalEdge& fe = table.edge(i);
+          ASSERT_EQ(fe.edge, fund[i]) << tag;
+          ASSERT_EQ(fe.lca, walk_lca(t, fe.u, fe.v)) << tag;
+          const FaceData fd = face_data(t, fes[i]);
+          ASSERT_EQ(table.weight(i), face_weight(unit, fd)) << tag;
+          const auto region = oracle.real_face(fe);
+          std::vector<char> on_border(g.num_nodes(), 0);
+          for (planar::NodeId b : region.border) on_border[b] = 1;
+          for (planar::NodeId z : t.nodes()) {
+            const FaceSide got = table.classify(i, z);
+            ASSERT_EQ(got, classify_node(fd, node_data(t, z))) << tag;
+            const FaceSide want = on_border[z]       ? FaceSide::kBorder
+                                  : region.inside[z] ? FaceSide::kInside
+                                                     : FaceSide::kOutside;
+            ASSERT_EQ(got, want) << tag << " e=" << fe.edge << " z=" << z;
+          }
+        }
+        if (table.size() == 0) continue;
+
+        // NOT-CONTAINED / NOT-CONTAINS over every face and over the heavy
+        // ones, against the climb recomputed from face_contains.
+        std::vector<std::size_t> all(table.size());
+        for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+        std::vector<std::size_t> heavy;
+        for (std::size_t i : all) {
+          if (3 * table.weight(i) > 2 * t.size()) heavy.push_back(i);
+        }
+        for (const auto* among : {&all, &heavy}) {
+          if (among->empty()) continue;
+          const std::size_t out = pick_not_contained(table, *among);
+          const std::size_t in = pick_not_contains(table, *among);
+          ASSERT_EQ(out, reference_pick(t, fes, *among, true)) << tag;
+          ASSERT_EQ(in, reference_pick(t, fes, *among, false)) << tag;
+          for (std::size_t j : *among) {
+            ASSERT_FALSE(face_contains(t, face_data(t, fes[j]), fes[out]))
+                << tag;
+            ASSERT_FALSE(face_contains(t, face_data(t, fes[in]), fes[j]))
+                << tag;
+          }
+        }
+
+        // hiding_edges against Definition 4 scanned over every edge pair:
+        // f hides z in F_e iff F_f lies in F_e, z is inside F_f, and either
+        // u is not an endpoint of f or some node hanging inside F_e below
+        // u lies outside F_f.
+        std::vector<FaceData> fds;
+        for (const FundamentalEdge& fe : fes) fds.push_back(face_data(t, fe));
+        for (std::size_t i = 0; i < table.size(); ++i) {
+          const FaceData& fd = fds[i];
+          const planar::NodeId u = fes[i].u;
+          for (planar::NodeId z : t.nodes()) {
+            if (classify_node(fd, node_data(t, z)) != FaceSide::kInside) {
+              continue;
+            }
+            std::vector<std::size_t> want;
+            for (std::size_t j = 0; j < fes.size(); ++j) {
+              if (j == i || !face_contains(t, fd, fes[j])) continue;
+              const FaceData& fj = fds[j];
+              if (classify_node(fj, node_data(t, z)) != FaceSide::kInside) {
+                continue;
+              }
+              bool hides = fes[j].u != u && fes[j].v != u;
+              for (planar::NodeId x : t.nodes()) {
+                if (hides) break;
+                hides = fd.inside_u_l.contains(t.pi_left(x)) &&
+                        classify_node(fj, node_data(t, x)) ==
+                            FaceSide::kOutside;
+              }
+              if (hides) want.push_back(j);
+            }
+            ASSERT_EQ(hiding_edges(table, table.face(i), z), want)
+                << tag << " e=" << fes[i].edge << " z=" << z;
+            hidden_seen += want.empty() ? 0 : 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(hidden_seen, 0) << "no hidden node was exercised";
+}
 
 }  // namespace
 }  // namespace plansep::faces

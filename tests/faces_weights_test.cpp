@@ -55,7 +55,8 @@ TEST_P(WeightsMatchOracle, AllFundamentalEdges) {
       for (const std::vector<long long>* w : {&unit, &ones, &random}) {
         const long long expected =
             oracle.lemma_weight(fe.u, fe.v, region, *w);
-        const long long got = face_weight(NodeWeights(t, *w), fe);
+        const long long got =
+            face_weight(NodeWeights(t, *w), face_data(t, fe));
         ASSERT_EQ(got, expected)
             << planar::family_name(c.family) << " n=" << c.n
             << " seed=" << seed << " edge {" << fe.u << "," << fe.v << "}"
@@ -111,7 +112,7 @@ TEST(WeightsOracle, WheelByHand) {
   for (planar::EdgeId e : fund) {
     const FundamentalEdge fe = analyze_fundamental_edge(t, e);
     const auto region = oracle.real_face(fe);
-    EXPECT_EQ(face_weight(NodeWeights(t), fe),
+    EXPECT_EQ(face_weight(NodeWeights(t), face_data(t, fe)),
               oracle.lemma_weight(fe.u, fe.v, region));
     // A face of the wheel holds at most all non-border nodes.
     EXPECT_LE(region.inside_count, t.size() - 2);
@@ -135,7 +136,7 @@ TEST(WeightsOracle, SubsetInstance) {
   for (planar::EdgeId e : real_fundamental_edges(t)) {
     const FundamentalEdge fe = analyze_fundamental_edge(t, e);
     const auto region = oracle.real_face(fe);
-    EXPECT_EQ(face_weight(NodeWeights(t), fe),
+    EXPECT_EQ(face_weight(NodeWeights(t), face_data(t, fe)),
               oracle.lemma_weight(fe.u, fe.v, region));
     ++count;
   }

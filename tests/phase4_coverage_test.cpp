@@ -60,7 +60,8 @@ TEST(Phase4Coverage, AugmentationAndHiddenFallbackExercised) {
       bool any_heavy = false;
       for (planar::EdgeId e : faces::real_fundamental_edges(t0)) {
         const auto fe = faces::analyze_fundamental_edge(t0, e);
-        const long long w = faces::face_weight(tree::NodeWeights(t0), fe);
+        const long long w =
+            faces::face_weight(tree::NodeWeights(t0), faces::face_data(t0, fe));
         const long long pl = static_cast<long long>(t0.path(fe.u, fe.v).size());
         if ((3 * w >= n && 3 * w <= 2 * n) || 3 * pl >= n) drop[e] = 1;
         if (3 * w > 2 * n) any_heavy = true;

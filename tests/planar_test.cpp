@@ -232,6 +232,34 @@ TEST(Generators, RandomPlanarInstancesArePinned) {
   }
 }
 
+// The coordinate families sort each rotation by angle; these fingerprints
+// were taken from the sort that recomputed both darts' angles in every
+// comparison, so computing each dart's angle once must keep every rotation.
+TEST(Generators, CoordinateInstancesArePinned) {
+  struct Pin {
+    Family family;
+    int n;
+    int edges;
+    std::uint64_t fingerprint;
+  };
+  for (const Pin& pin :
+       {Pin{Family::kGrid, 50, 84, 0xe189d498096747b2ULL},
+        Pin{Family::kGrid, 2000, 3871, 0xd296c3dcff59a534ULL},
+        Pin{Family::kGridDiagonals, 50, 101, 0xfca0744bf250b057ULL},
+        Pin{Family::kGridDiagonals, 2000, 4798, 0x4f4d6de2f59d3278ULL},
+        Pin{Family::kCylinder, 50, 91, 0x2dcb2014014ee189ULL},
+        Pin{Family::kCylinder, 2000, 3915, 0x5b281382348bd765ULL},
+        Pin{Family::kOuterplanar, 50, 62, 0xcdcf4373cfb1c066ULL},
+        Pin{Family::kOuterplanar, 2000, 2500, 0x5f8c43eed2a1ea60ULL},
+        Pin{Family::kWheel, 50, 98, 0x0eeec08028400ad6ULL},
+        Pin{Family::kWheel, 2000, 3998, 0x10349dccffbb957eULL}}) {
+    const GeneratedGraph gg = make_instance(pin.family, pin.n, 3);
+    EXPECT_EQ(core::topology_fingerprint(gg.graph), pin.fingerprint)
+        << family_name(pin.family) << " n=" << pin.n;
+    EXPECT_EQ(gg.graph.num_edges(), pin.edges);
+  }
+}
+
 TEST(Generators, DeterministicForFixedSeed) {
   const GeneratedGraph a = make_instance(Family::kTriangulation, 30, 42);
   const GeneratedGraph b = make_instance(Family::kTriangulation, 30, 42);

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "faces/hidden.hpp"
 #include "faces/weight_oracle.hpp"
 #include "planar/generators.hpp"
+#include "separator/engine.hpp"
 #include "subroutines/components.hpp"
 #include "subroutines/part_context.hpp"
 #include "subroutines/problems.hpp"
@@ -208,10 +210,134 @@ TEST(Problems, HiddenProblemAgreesWithDirectScan) {
     const auto res = hidden_problem(fx.ps, *fx.engine, fe_of, z_of);
     for (int p = 0; p < fx.ps.num_parts; ++p) {
       if (z_of[p] == planar::kNoNode) continue;
+      // Direct scan: Definition 4's test at every real fundamental edge.
       const auto& t = fx.ps.tree_of_part(p);
-      EXPECT_EQ(res.value[p],
-                !faces::hiding_edges(t, fe_of[p], z_of[p]).empty())
-          << "seed=" << seed << " p=" << p;
+      const faces::FaceData e = faces::face_data(t, fe_of[p]);
+      bool hidden = false;
+      for (planar::EdgeId f : faces::real_fundamental_edges(t)) {
+        hidden = hidden ||
+                 faces::hides(t, e,
+                              faces::face_data(
+                                  t, faces::analyze_fundamental_edge(t, f)),
+                              z_of[p]);
+      }
+      EXPECT_EQ(res.value[p], hidden) << "seed=" << seed << " p=" << p;
+    }
+  }
+}
+
+// ------------------------------------------------ forest views ---------
+
+/// Every accessor of the forest view `view` equals that of `alone`, the
+/// same tree built standalone, on members and on every other node, dart
+/// and edge of the graph.
+void expect_same_tree(const RootedSpanningTree& view,
+                      const RootedSpanningTree& alone, const std::string& tag) {
+  const auto& g = view.graph();
+  ASSERT_EQ(view.root(), alone.root()) << tag;
+  ASSERT_EQ(view.root_stub_pos(), alone.root_stub_pos()) << tag;
+  ASSERT_EQ(view.size(), alone.size()) << tag;
+  ASSERT_TRUE(std::ranges::equal(view.nodes(), alone.nodes())) << tag;
+  ASSERT_TRUE(std::ranges::equal(faces::real_fundamental_edges(view),
+                                 faces::real_fundamental_edges(alone)))
+      << tag;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::string at = tag + " v=" + std::to_string(v);
+    ASSERT_EQ(view.contains(v), alone.contains(v)) << at;
+    ASSERT_EQ(view.parent(v), alone.parent(v)) << at;
+    ASSERT_EQ(view.parent_dart(v), alone.parent_dart(v)) << at;
+    ASSERT_EQ(view.depth(v), alone.depth(v)) << at;
+    ASSERT_EQ(view.subtree_size(v), alone.subtree_size(v)) << at;
+    ASSERT_TRUE(std::ranges::equal(view.children(v), alone.children(v)))
+        << at;
+    ASSERT_EQ(view.pi_left(v), alone.pi_left(v)) << at;
+    ASSERT_EQ(view.pi_right(v), alone.pi_right(v)) << at;
+    if (alone.contains(v)) {
+      for (planar::DartId d : g.rotation(v)) {
+        ASSERT_EQ(view.t_offset(d), alone.t_offset(d)) << at;
+      }
+    }
+    // Ancestry between every member and every node, in both directions.
+    for (NodeId a : alone.nodes()) {
+      ASSERT_EQ(view.is_ancestor(a, v), alone.is_ancestor(a, v)) << at;
+      ASSERT_EQ(view.is_ancestor(v, a), alone.is_ancestor(v, a)) << at;
+    }
+  }
+  for (planar::EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(view.is_tree_edge(e), alone.is_tree_edge(e)) << tag;
+  }
+}
+
+/// Checks every part's view against the tree built standalone from that
+/// part's parent darts.
+void expect_views_match(const PartSet& ps,
+                        const std::vector<planar::DartId>& parent,
+                        const std::string& tag) {
+  const auto& g = *ps.g;
+  for (int p = 0; p < ps.num_parts; ++p) {
+    ASSERT_TRUE(ps.has_tree(p)) << tag;
+    const NodeId r = ps.roots[static_cast<std::size_t>(p)];
+    std::vector<planar::DartId> own(static_cast<std::size_t>(g.num_nodes()),
+                                    planar::kNoDart);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (ps.part_of(v) == p && v != r) own[v] = parent[v];
+    }
+    const RootedSpanningTree alone(g, r, std::move(own));
+    expect_same_tree(ps.tree_of_part(p), alone,
+                     tag + " part=" + std::to_string(p));
+  }
+}
+
+TEST(PartSet, ForestViewsMatchStandaloneTrees) {
+  for (Family f : planar::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const GeneratedGraph gg = planar::make_instance(f, 120, seed);
+      const auto& g = gg.graph;
+      const std::string tag = std::string(planar::family_name(f)) +
+                              " seed=" + std::to_string(seed);
+      shortcuts::PartwiseEngine engine(g, gg.root_hint);
+
+      // A DFS phase: the parts are the components of G − T_d, here with
+      // T_d the BFS path from the root to a deepest node.
+      const auto& bfs = engine.global_tree();
+      std::vector<char> on_path(static_cast<std::size_t>(g.num_nodes()), 0);
+      NodeId deepest = gg.root_hint;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (bfs.depth[v] > bfs.depth[deepest]) deepest = v;
+      }
+      for (NodeId v = deepest; v != planar::kNoNode;) {
+        on_path[v] = 1;
+        const planar::DartId d = bfs.parent_dart[v];
+        v = d == planar::kNoDart ? planar::kNoNode : g.head(d);
+      }
+      const Components comps = connected_components(
+          g, [&](NodeId v) { return on_path[v] == 0; });
+      if (comps.count == 0) continue;
+      const SpanningForest phase = boruvka_forest(
+          g, comps.label, comps.count, [](planar::EdgeId) { return 0; },
+          engine);
+      const PartSet ps = part_set_from_forest(
+          g, comps.label, comps.count, phase.parent_dart, phase.root, engine);
+      expect_views_match(ps, phase.parent_dart, tag + " phase");
+
+      // Its JOIN: separator-separator edges weigh 0, and every part's tree
+      // is re-rooted at its largest node.
+      const separator::SeparatorResult sep =
+          separator::SeparatorEngine(engine).compute(ps);
+      SpanningForest join = boruvka_forest(
+          g, comps.label, comps.count,
+          [&](planar::EdgeId e) {
+            return sep.marked[g.edge_u(e)] && sep.marked[g.edge_v(e)] ? 0 : 1;
+          },
+          engine);
+      std::vector<NodeId> roots(static_cast<std::size_t>(comps.count));
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (comps.label[v] >= 0) roots[comps.label[v]] = v;
+      }
+      for (NodeId r : roots) re_root_path(g, join.parent_dart, r);
+      const PartSet joined = part_set_from_forest(
+          g, comps.label, comps.count, join.parent_dart, roots, engine);
+      expect_views_match(joined, join.parent_dart, tag + " join");
     }
   }
 }
